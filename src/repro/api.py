@@ -16,9 +16,7 @@ Every supported end-to-end flow is one keyword-configured function:
 
 All knobs travel in one keyword-only :class:`Options` dataclass instead
 of the per-module signatures that had drifted apart (method here, seed
-there, opt_level sometimes positional).  The CLI calls only this module;
-the old entry points (e.g. ``repro.workloads.suite.synthesise_program``)
-remain as thin ``DeprecationWarning`` shims.
+there, opt_level sometimes positional).  The CLI calls only this module.
 
     from repro import api
     from repro.workloads import fig6_m, fig6_m_prime
@@ -360,9 +358,8 @@ def serve(
     through to :class:`repro.fleet.FSMFleet` unchanged.  Close the
     returned client (or use it as a context manager) when done.
 
-    Raw-fleet attribute access on the handle keeps working behind a
-    ``DeprecationWarning``; ``client.fleet`` is the undeprecated
-    escape hatch.
+    Pool-level machinery (schedulers, fault injection) is reached
+    through ``client.fleet``.
     """
     opts = _options(options)
     from .fleet import FleetClient, FSMFleet
@@ -413,10 +410,12 @@ def compile_fsm(machine, *, options: Optional[Options] = None):
 
     Accepts either a behavioural :class:`~repro.core.fsm.FSM` or a live
     :class:`~repro.hw.machine.HardwareFSM` (whose committed RAM words
-    are snapshotted, version-stamped for staleness detection).  Which
-    table kernel compiles — and the rejection of ``"off"``/``"cycle"``,
-    which have no tables — is entirely
-    :func:`repro.exec.compile_tables`'s decision.
+    are snapshotted, version-stamped for staleness detection).  The
+    view holds tables only; pass ``kernel=`` to its ``run_streams`` to
+    pick the stream kernel per call.  Validating the preference —
+    rejecting ``"off"``/``"cycle"``, which have no tables, and an
+    unavailable pinned backend — is :func:`repro.exec.compile_tables`'s
+    job.
     """
     opts = _options(options)
     from .exec import compile_tables

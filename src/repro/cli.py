@@ -270,8 +270,8 @@ def cmd_fleet(args) -> int:
     except (EngineError, ValueError) as exc:
         raise CliError(str(exc)) from None
     # Pool-level machinery (the scheduler drives shards directly, fault
-    # injection pokes a datapath) goes through the undeprecated escape
-    # hatch; everything client-shaped below uses the handle.
+    # injection pokes a datapath) goes through ``client.fleet``;
+    # everything client-shaped below uses the handle.
     fleet = client.fleet
     scheduler = MigrationScheduler(fleet, stall_budget=args.stall_budget)
     words = traffic_words(
@@ -655,7 +655,8 @@ def cmd_stats(args) -> int:
     publish(report)
     print(report.render())
     from .engine import numpy_available
-    from .exec import resolve, stream_threshold
+    from .engine.streams import STREAM_THRESHOLD
+    from .exec import resolve
 
     if numpy_available():
         numpy_note = "numpy available"
@@ -664,12 +665,11 @@ def cmd_stats(args) -> int:
             "numpy absent — pure-Python batch kernel; "
             "pip install repro[fast]"
         )
-    threshold = stream_threshold()
     print(f"\nengine: backend={resolve('auto')} ({numpy_note})")
     print(
-        f"streams: >={threshold} concurrent streams dispatch to "
-        f"{resolve('auto', streams=threshold)} "
-        "(tune with REPRO_STREAM_THRESHOLD)"
+        f"streams: >={STREAM_THRESHOLD} concurrent streams dispatch to "
+        f"{resolve('auto', streams=STREAM_THRESHOLD)} "
+        "(pin one kernel with REPRO_BACKEND=table-py|table-numpy)"
     )
     if verdict is not None:
         print()

@@ -309,14 +309,14 @@ def evaluate_population(
     from ..exec.backends import TableBackend
     from ..exec.batching import run_stream_plane
     from ..exec.protocol import TableMiss
-    from ..exec.registry import TABLE_KERNELS, resolve
+    from ..exec.registry import resolve
 
     candidates = list(candidates)
     traces = list(traces)
     if not traces:
         raise ValueError("evaluate_population needs at least one trace")
     name = resolve(backend, streams=len(traces))
-    if name not in TABLE_KERNELS:
+    if name not in TableBackend.CAPABILITIES:
         raise ValueError(
             f"population scoring needs an in-process table backend, "
             f"not {name!r}: candidates are behavioural machines with "

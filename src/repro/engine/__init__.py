@@ -3,15 +3,16 @@
 Public surface:
 
 * :class:`CompiledFSM` — an FSM / live RAM snapshot lowered to dense
-  next-state and output tables, with ``step_batch`` / ``run_word`` /
-  ``run_words`` kernels;
-* :func:`resolve_backend` / :func:`numpy_available` — backend selection
-  (pure Python always works; numpy is the optional ``fast`` extra and is
-  honoured only when importable and ``REPRO_DISABLE_NUMPY`` is unset);
+  next-state and output tables; ``run_word`` walks one stream,
+  ``run_streams`` / ``run_stream_batch`` walk many, with the kernel
+  picked per call (``kernel=``);
+* :func:`stream_kernel` / :func:`numpy_available` — the lane-count
+  policy (pure Python always works; numpy is the optional ``fast``
+  extra and is used only when importable, ``REPRO_DISABLE_NUMPY`` is
+  unset and enough lanes amortize it);
 * :class:`StreamBatch` / :class:`StreamRun` / :class:`StreamTables` —
   the multi-stream plane: many independent sessions encoded once and
-  stepped together through dtype-packed tables
-  (``CompiledFSM.run_streams`` / ``run_stream_batch``);
+  stepped together through dtype-packed tables;
 * :class:`EngineError` / :class:`UnconfiguredEntry` — failure modes that
   mirror the cycle-accurate datapath's, so callers can fall back to it.
 
@@ -21,13 +22,11 @@ the cycle-accurate netlist).
 """
 
 from .compiled import (
-    BACKENDS,
     CompiledFSM,
     EngineError,
     UnconfiguredEntry,
     WordRun,
     numpy_available,
-    resolve_backend,
 )
 from .streams import (
     ExpectedOutputs,
@@ -35,10 +34,10 @@ from .streams import (
     StreamRun,
     StreamTables,
     stream_dtype_name,
+    stream_kernel,
 )
 
 __all__ = [
-    "BACKENDS",
     "CompiledFSM",
     "EngineError",
     "ExpectedOutputs",
@@ -48,6 +47,6 @@ __all__ = [
     "UnconfiguredEntry",
     "WordRun",
     "numpy_available",
-    "resolve_backend",
     "stream_dtype_name",
+    "stream_kernel",
 ]

@@ -9,14 +9,15 @@ and steps whole symbol batches through them, instead of paying one
 Python ``cycle()`` call — trace record, BitVector allocations, probe
 bookkeeping — per symbol.
 
-Two backends share the same tables:
-
-* **python** — a tight pure-Python loop over plain lists; always
-  available, already an order of magnitude faster than the cycle-accurate
-  netlist for sequential streams;
-* **numpy** — gathers across many independent lanes at once
-  (:meth:`CompiledFSM.step_batch` / :meth:`CompiledFSM.run_words`);
-  optional (``pip install repro[fast]``), auto-detected, never required.
+A compiled view holds tables only; which kernel walks them is chosen
+per call.  :meth:`CompiledFSM.run_word` is a tight pure-Python loop
+over plain lists (one sequential stream, always available, already an
+order of magnitude faster than the cycle-accurate netlist), and
+:meth:`CompiledFSM.run_streams` steps many independent streams either
+through that loop or through numpy lane gathers
+(``kernel="python"`` / ``"numpy"``; ``None`` picks by lane count, see
+:func:`repro.engine.streams.stream_kernel`).  numpy is optional
+(``pip install repro[fast]``), auto-detected, never required.
 
 Staleness is impossible by construction: a compiled view remembers the
 ``table_version`` of the hardware it was lowered from (bumped by every
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.alphabet import Alphabet
 from ..core.fsm import FSM, Input, Output, State
@@ -44,17 +45,12 @@ from ..hw.signals import SymbolEncoder
 from ..obs import instruments as _instruments
 
 __all__ = [
-    "BACKENDS",
     "CompiledFSM",
     "EngineError",
     "UnconfiguredEntry",
     "WordRun",
     "numpy_available",
-    "resolve_backend",
 ]
-
-#: Valid backend preferences (``"off"`` is a fleet/CLI mode, not a backend).
-BACKENDS = ("auto", "numpy", "python")
 
 #: Sentinel for "no configured word at this address" (F- and G-table).
 _UNSET = -1
@@ -107,23 +103,6 @@ def numpy_available() -> bool:
     return _numpy() is not None
 
 
-def resolve_backend(preference: str = "auto") -> str:
-    """Map a backend preference to the concrete kernel to use.
-
-    Delegates to the shared resolver in :mod:`repro.exec.registry`
-    (one resolution policy for compile time and dispatch time):
-    ``"auto"`` honours ``REPRO_BACKEND`` (table spellings only — a
-    forced ``cycle`` selects a serving substrate and cannot steer a
-    table compilation) and then picks numpy when importable and not
-    disabled via ``REPRO_DISABLE_NUMPY``, else pure Python.  Asking for
-    ``"numpy"`` explicitly when it is unavailable raises
-    :class:`EngineError` rather than silently degrading.
-    """
-    from ..exec.registry import resolve_tables  # deferred: import cycle
-
-    return resolve_tables(preference)
-
-
 @dataclass
 class WordRun:
     """Result of one sequential engine run over an input word."""
@@ -149,8 +128,9 @@ class CompiledFSM:
     so a table compiled from live RAM words needs no per-entry decode.
 
     Build with :meth:`from_fsm` or :meth:`from_hardware`; execute with
-    :meth:`step_batch` (one step across many lanes), :meth:`run_word`
-    (one sequential stream) or :meth:`run_words` (many streams).
+    :meth:`run_word` (one sequential stream) or :meth:`run_streams` /
+    :meth:`run_stream_batch` (many independent streams, kernel chosen
+    per call).
     """
 
     def __init__(
@@ -161,7 +141,6 @@ class CompiledFSM:
         next_table: List[int],
         out_table: List[int],
         reset_state: State,
-        backend: str = "auto",
         source: object = None,
         source_version: Optional[int] = None,
     ):
@@ -177,21 +156,13 @@ class CompiledFSM:
         self.next_table = next_table
         self.out_table = out_table
         self.reset_state = reset_state
-        self.backend = resolve_backend(backend)
         self.source = source
         self.source_version = source_version
         self._invalidated = False
         self._input_code = {sym: i for i, sym in enumerate(self.inputs)}
         self._state_code = {sym: i for i, sym in enumerate(self.states)}
-        self._np_next = None
-        self._np_out = None
         self._stream_tables = None
-        if self.backend == "numpy":
-            np = _numpy()
-            self._np_next = np.asarray(next_table, dtype=np.int64)
-            self._np_out = np.asarray(out_table, dtype=np.int64)
         _instruments.ENGINE_COMPILES.inc(
-            backend=self.backend,
             origin="hardware" if source_version is not None else "fsm",
         )
 
@@ -199,7 +170,7 @@ class CompiledFSM:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_fsm(cls, fsm: FSM, backend: str = "auto") -> "CompiledFSM":
+    def from_fsm(cls, fsm: FSM) -> "CompiledFSM":
         """Lower a behavioural machine's transition table directly."""
         input_enc = SymbolEncoder(Alphabet(fsm.inputs))
         state_enc = SymbolEncoder(Alphabet(fsm.states))
@@ -222,12 +193,11 @@ class CompiledFSM:
             next_table,
             out_table,
             fsm.reset_state,
-            backend=backend,
             source=fsm,
         )
 
     @classmethod
-    def from_hardware(cls, hw, backend: str = "auto") -> "CompiledFSM":
+    def from_hardware(cls, hw) -> "CompiledFSM":
         """Snapshot a live datapath's committed RAM words into tables.
 
         The RAM word values *are* the superset-alphabet indices (the
@@ -265,7 +235,6 @@ class CompiledFSM:
             next_table,
             out_table,
             hw.reset_state,
-            backend=backend,
             source=hw,
             source_version=version,
         )
@@ -321,82 +290,15 @@ class CompiledFSM:
                 f"state {state!r} not in the compiled state set"
             ) from None
 
-    def step_batch(
-        self,
-        states: Sequence[State],
-        symbols: Sequence[Input],
-    ) -> Tuple[List[State], List[Optional[Output]]]:
-        """One synchronous step across ``len(states)`` independent lanes.
-
-        Lane ``j`` steps machine-in-state ``states[j]`` under input
-        ``symbols[j]``; returns the per-lane next states and outputs.
-        This is the population-evaluation kernel: every lane is one
-        replica / candidate, and on the numpy backend the whole batch is
-        two array gathers.
-        """
-        if len(states) != len(symbols):
-            raise ValueError("states and symbols must have equal length")
-        state_codes = [self._st_code(s) for s in states]
-        sym_codes = [self._in_code(i) for i in symbols]
-        next_codes, out_codes = self.step_batch_codes(sym_codes, state_codes)
-        state_syms = self.states
-        out_syms = self.outputs
-        next_states = [state_syms[code] for code in next_codes]
-        outputs: List[Optional[Output]] = [
-            out_syms[code] if code >= 0 else None for code in out_codes
-        ]
-        return next_states, outputs
-
-    def step_batch_codes(
-        self,
-        sym_codes: Sequence[int],
-        state_codes: Sequence[int],
-    ) -> Tuple[Sequence[int], Sequence[int]]:
-        """Code-level :meth:`step_batch` (no symbol decode/encode)."""
-        n_states = self.n_states
-        if self.backend == "numpy":
-            np = _numpy()
-            if np is not None:
-                syms = np.asarray(sym_codes, dtype=np.int64)
-                states = np.asarray(state_codes, dtype=np.int64)
-                addr = syms * n_states + states
-                next_codes = self._np_next[addr]
-                out_codes = self._np_out[addr]
-                if (next_codes < 0).any() or (out_codes < _UNSET).any():
-                    bad = int(np.argmax((next_codes < 0) | (out_codes < _UNSET)))
-                    raise UnconfiguredEntry(
-                        f"lane {bad}: entry ({self.inputs[sym_codes[bad]]!r}, "
-                        f"{self.states[state_codes[bad]]!r}) is not "
-                        "serveable by the compiled view"
-                    )
-                return next_codes.tolist(), out_codes.tolist()
-        nxt = self.next_table
-        out = self.out_table
-        next_codes_l: List[int] = []
-        out_codes_l: List[int] = []
-        for lane, (i_code, s_code) in enumerate(zip(sym_codes, state_codes)):
-            addr = i_code * n_states + s_code
-            ns = nxt[addr]
-            oc = out[addr]
-            if ns < 0 or oc < _UNSET:
-                raise UnconfiguredEntry(
-                    f"lane {lane}: entry ({self.inputs[i_code]!r}, "
-                    f"{self.states[s_code]!r}) is not serveable by the "
-                    "compiled view"
-                )
-            next_codes_l.append(ns)
-            out_codes_l.append(oc)
-        return next_codes_l, out_codes_l
-
     def run_word(
         self, symbols: Sequence[Input], start: Optional[State] = None
     ) -> "WordRun":
         """Sequential run of one stream; the fleet serving hot loop.
 
         A single stateful stream cannot be lane-parallelised (each step
-        needs the previous step's state), so both backends use the same
-        tight Python loop here — already ~an order of magnitude faster
-        than clocking the netlist symbol by symbol.
+        needs the previous step's state), so this is always the tight
+        Python loop — already ~an order of magnitude faster than
+        clocking the netlist symbol by symbol.
         """
         state_code = self._st_code(
             self.reset_state if start is None else start
@@ -437,89 +339,6 @@ class CompiledFSM:
             visits=visits,
         )
 
-    def run_words(
-        self,
-        words: Sequence[Sequence[Input]],
-        start: Optional[State] = None,
-    ) -> List["WordRun"]:
-        """Run many independent words, each from ``start`` (or reset).
-
-        On the numpy backend the words become lanes of a time-major
-        batch: one masked table gather per time step serves every word
-        at once.  On the python backend this is a loop of
-        :meth:`run_word` (same results, same errors).
-        """
-        if self.backend == "numpy":
-            np = _numpy()
-            if np is not None:
-                return self._run_words_numpy(np, words, start)
-        return [self.run_word(word, start=start) for word in words]
-
-    def _run_words_numpy(self, np, words, start):
-        n_words = len(words)
-        if n_words == 0:
-            return []
-        lengths = [len(w) for w in words]
-        horizon = max(lengths)
-        in_code = self._input_code
-        sym = np.zeros((horizon, n_words), dtype=np.int64)
-        mask = np.zeros((horizon, n_words), dtype=bool)
-        for lane, word in enumerate(words):
-            for t, symbol in enumerate(word):
-                try:
-                    sym[t, lane] = in_code[symbol]
-                except KeyError:
-                    raise EngineError(
-                        f"input symbol {symbol!r} not in the compiled "
-                        "alphabet"
-                    ) from None
-                mask[t, lane] = True
-        start_code = self._st_code(self.reset_state if start is None else start)
-        states = np.full(n_words, start_code, dtype=np.int64)
-        state_seq = np.full((horizon, n_words), -1, dtype=np.int64)
-        out_seq = np.full((horizon, n_words), _UNSET, dtype=np.int64)
-        nxt = self._np_next
-        out = self._np_out
-        n_states = self.n_states
-        for t in range(horizon):
-            live = mask[t]
-            if not live.any():
-                break
-            addr = sym[t, live] * n_states + states[live]
-            ns = nxt[addr]
-            oc = out[addr]
-            if (ns < 0).any() or (oc < _UNSET).any():
-                raise UnconfiguredEntry(
-                    f"step {t}: an entry is not serveable by the "
-                    "compiled view"
-                )
-            states[live] = ns
-            state_seq[t, live] = ns
-            out_seq[t, live] = oc
-        out_syms = self.outputs
-        state_syms = self.states
-        runs: List[WordRun] = []
-        for lane, length in enumerate(lengths):
-            codes = out_seq[:length, lane].tolist()
-            outputs = [
-                out_syms[code] if code >= 0 else None for code in codes
-            ]
-            lane_states = state_seq[:length, lane]
-            uniq, counts = np.unique(lane_states, return_counts=True)
-            visits = {
-                state_syms[int(code)]: int(count)
-                for code, count in zip(uniq, counts)
-            }
-            final = (
-                state_syms[int(lane_states[length - 1])]
-                if length
-                else (self.reset_state if start is None else start)
-            )
-            runs.append(
-                WordRun(outputs=outputs, final_state=final, visits=visits)
-            )
-        return runs
-
     # ------------------------------------------------------------------
     # Stream plane (see repro.engine.streams)
     # ------------------------------------------------------------------
@@ -544,24 +363,32 @@ class CompiledFSM:
 
         return StreamBatch.encode(self.inputs, words)
 
-    def run_stream_batch(self, batch, starts=None):
+    def run_stream_batch(self, batch, starts=None, kernel=None):
         """Run a pre-encoded :class:`StreamBatch`; the multi-stream
         fast path.
 
         ``starts`` is ``None`` (every stream from reset), one state
         (every stream from it), or a per-stream sequence where ``None``
-        entries mean reset.  Returns a lazy :class:`StreamRun`;
-        per-stream results are bit-identical to :meth:`run_word`, and
-        any stream that would make :meth:`run_word` raise makes this
-        raise (replay per-stream to find which).
+        entries mean reset.  ``kernel`` is ``"python"`` (a
+        :meth:`run_word` loop), ``"numpy"`` (the lane-gather kernel) or
+        ``None`` (pick by lane count,
+        :func:`~repro.engine.streams.stream_kernel`).  Returns a lazy
+        :class:`StreamRun`; per-stream results are bit-identical to
+        :meth:`run_word` on either kernel, and any stream that would
+        make :meth:`run_word` raise makes this raise (replay per-stream
+        to find which).
         """
         from .streams import run_stream_batch  # deferred: import cycle
 
-        return run_stream_batch(self, batch, starts)
+        return run_stream_batch(self, batch, starts, kernel)
 
-    def run_streams(self, words: Sequence[Sequence[Input]], starts=None):
+    def run_streams(
+        self, words: Sequence[Sequence[Input]], starts=None, kernel=None
+    ):
         """Encode + run in one call (see :meth:`run_stream_batch`)."""
-        return self.run_stream_batch(self.encode_streams(words), starts)
+        return self.run_stream_batch(
+            self.encode_streams(words), starts, kernel
+        )
 
     # ------------------------------------------------------------------
     def realises(self, fsm: FSM) -> bool:
@@ -587,6 +414,5 @@ class CompiledFSM:
 
     def __repr__(self) -> str:
         return (
-            f"CompiledFSM({self.n_inputs} inputs x {self.n_states} states, "
-            f"backend={self.backend!r})"
+            f"CompiledFSM({self.n_inputs} inputs x {self.n_states} states)"
         )

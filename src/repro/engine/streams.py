@@ -44,7 +44,7 @@ Semantics match the sequential engine exactly: for every stream,
 outputs, final state and visit counts — and any stream that would make
 ``run_word`` raise makes the whole batch raise (callers replay
 per-stream to reproduce the exact per-stream error; the fleet's
-``TableMiss`` path does exactly that).  The pure-Python fallback *is*
+``TableMiss`` path does exactly that).  The pure-Python kernel *is*
 a ``run_word`` loop, so the equivalence holds with or without numpy.
 """
 
@@ -63,11 +63,24 @@ from .compiled import (
 )
 
 __all__ = [
+    "STREAM_THRESHOLD",
     "StreamBatch",
     "StreamRun",
     "StreamTables",
     "stream_dtype_name",
+    "stream_kernel",
 ]
+
+#: Lanes needed before :func:`stream_kernel` picks the numpy kernel.
+#: A single stream runs fastest in the pure-Python loop; measured
+#: break-even sits between 8 lanes (numpy ~0.9x) and 64 (>5x), so the
+#: threshold splits the gap.  It equals the fleet's default coalescing
+#: bound, so a full coalesced run of distinct sessions is one numpy
+#: batch.
+STREAM_THRESHOLD = 32
+
+#: The kernels :meth:`CompiledFSM.run_stream_batch` accepts.
+KERNELS = ("python", "numpy")
 
 #: The packed dtypes, narrowest first; the packer picks the first that
 #: holds the padded address space (and the output sentinel codes).
@@ -510,6 +523,19 @@ class StreamRun:
 # Kernel entry points (bound as CompiledFSM methods in compiled.py)
 # ---------------------------------------------------------------------
 
+
+def stream_kernel(lanes: int) -> str:
+    """The lane-count policy: the kernel for ``lanes`` independent
+    streams.
+
+    ``"numpy"`` when numpy is importable, not disabled
+    (``REPRO_DISABLE_NUMPY``, re-read at every call) and ``lanes`` is
+    at least :data:`STREAM_THRESHOLD`; ``"python"`` otherwise.
+    """
+    if lanes >= STREAM_THRESHOLD and _numpy() is not None:
+        return "numpy"
+    return "python"
+
 Starts = Union[None, State, Sequence[Optional[State]]]
 
 
@@ -541,19 +567,33 @@ def _is_seq(value) -> bool:
 
 
 def run_stream_batch(
-    compiled: CompiledFSM, batch: StreamBatch, starts: Starts = None
+    compiled: CompiledFSM,
+    batch: StreamBatch,
+    starts: Starts = None,
+    kernel: Optional[str] = None,
 ) -> StreamRun:
     """Run an encoded batch; see :meth:`CompiledFSM.run_stream_batch`."""
+    if kernel is None:
+        kernel = stream_kernel(batch.n)
+    elif kernel not in KERNELS:
+        raise ValueError(
+            f"unknown stream kernel {kernel!r}; expected one of {KERNELS}"
+        )
     if batch.inputs != compiled.inputs:
         raise EngineError(
             "stream batch was encoded against a different input "
             f"alphabet ({batch.inputs!r} != {compiled.inputs!r})"
         )
     start_codes = _start_codes(compiled, batch.n, starts)
+    if kernel == "python":
+        return _run_python(compiled, batch, start_codes)
     np = _numpy()
-    if compiled.backend == "numpy" and np is not None:
-        return _run_numpy(compiled, batch, start_codes, np)
-    return _run_python(compiled, batch, start_codes)
+    if np is None:
+        raise EngineError(
+            "the numpy stream kernel was requested but numpy is "
+            "unavailable (not installed, or REPRO_DISABLE_NUMPY is set)"
+        )
+    return _run_numpy(compiled, batch, start_codes, np)
 
 
 def _run_python(

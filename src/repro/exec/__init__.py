@@ -10,10 +10,11 @@ a backend by hand.
 
 Selection precedence: explicit pin (a backend name or engine-mode
 alias) > the ``REPRO_BACKEND`` environment variable > auto.  Auto is
-stream-count aware: ``table-py`` below :func:`stream_threshold`
-concurrent streams (a single sequential stream runs fastest in the
-pure-Python loop), ``table-numpy`` when enough independent streams
-amortize the lane kernel (and numpy is importable and not disabled via
+stream-count aware through the engine's one lane-count policy
+(:func:`repro.engine.stream_kernel`): ``table-py`` for a few streams (a
+single sequential stream runs fastest in the pure-Python loop),
+``table-numpy`` when enough independent streams amortize the lane
+kernel (and numpy is importable and not disabled via
 ``REPRO_DISABLE_NUMPY``).  Availability is re-checked at every
 dispatch, and a forced-but-unavailable backend raises
 :class:`BackendUnavailable` with the reason spelled out.
@@ -42,9 +43,7 @@ from .registry import (
     names,
     register,
     resolve,
-    resolve_tables,
     specs,
-    stream_threshold,
 )
 
 __all__ = [
@@ -69,8 +68,6 @@ __all__ = [
     "names",
     "register",
     "resolve",
-    "resolve_tables",
     "run_streams",
     "specs",
-    "stream_threshold",
 ]

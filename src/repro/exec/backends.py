@@ -9,9 +9,11 @@ dispatcher and the fleet hot path only ever see that contract.
   live blend table, so it is the one backend that may serve while a
   migration mutates the RAMs entry by entry.
 * :class:`TableBackend` wraps a :class:`~repro.engine.CompiledFSM`
-  snapshot of the tables (pure-Python or numpy kernel).  Batched runs
-  commit their architectural effect back to the source hardware through
-  ``commit_engine_run``; anything the tables cannot serve raises
+  snapshot of the tables; ``table-py`` and ``table-numpy`` are two thin
+  instances that differ only in the stream kernel they pass per call,
+  so a shard's dispatcher serves both from one compiled view.  Batched
+  runs commit their architectural effect back to the source hardware
+  through ``commit_engine_run``; anything the tables cannot serve raises
   :class:`~repro.exec.protocol.TableMiss` *before* the hardware is
   touched, so the caller can replay cycle-accurately from the exact
   same state.
@@ -33,7 +35,7 @@ from ..hw.machine import HardwareFSM
 from ..obs import journal as _journal
 from ..obs.tracing import span as _span
 from .protocol import Capabilities, ExecSnapshot, StaleSnapshot, TableMiss
-from .registry import TABLE_KERNELS, canonical, resolve_tables
+from .registry import canonical, resolve
 
 __all__ = ["CycleBackend", "TableBackend", "compile_tables"]
 
@@ -147,12 +149,14 @@ class CycleBackend:
 class TableBackend:
     """A dense-table snapshot (``repro.engine``) as an execution backend.
 
-    ``table-py`` and ``table-numpy`` are the same class over the two
-    engine kernels; the name is derived from the compiled view.  When
-    bound to live hardware, committed runs fast-forward the datapath's
-    architectural state; when lowered straight from a behavioural FSM
-    (``hardware is None``) the backend is a pure function of
-    ``(start, symbols)``.
+    ``table-py`` and ``table-numpy`` are the same class over the same
+    kind of compiled view; ``name`` only picks the kernel
+    :meth:`run_streams` passes (``"python"`` / ``"numpy"``).  A single
+    stream (:meth:`run_batch`) is the ``run_word`` loop under either
+    name.  When bound to live hardware, committed runs fast-forward the
+    datapath's architectural state; when lowered straight from a
+    behavioural FSM (``hardware is None``) the backend is a pure
+    function of ``(start, symbols)``.
     """
 
     CAPABILITIES = {
@@ -177,28 +181,27 @@ class TableBackend:
         self,
         compiled: CompiledFSM,
         hardware: Optional[HardwareFSM] = None,
+        name: str = "table-py",
     ):
         self.compiled = compiled
         self.hardware = hardware
-        self.name = (
-            "table-numpy" if compiled.backend == "numpy" else "table-py"
-        )
-        self.capabilities = self.CAPABILITIES[self.name]
+        self.name = name
+        self.capabilities = self.CAPABILITIES[name]
+        #: The stream kernel this name stands for.
+        self.kernel = "numpy" if self.capabilities.needs_numpy else "python"
 
     # -- construction --------------------------------------------------
     @classmethod
     def from_hardware(
-        cls, hw: HardwareFSM, backend: str = "auto"
+        cls, hw: HardwareFSM, backend: str = "table-py"
     ) -> "TableBackend":
         """Snapshot a live datapath's RAMs (version-stamped)."""
-        kernel = _table_kernel(backend)
-        return cls(CompiledFSM.from_hardware(hw, backend=kernel), hw)
+        return cls(CompiledFSM.from_hardware(hw), hw, canonical(backend))
 
     @classmethod
-    def from_fsm(cls, fsm: FSM, backend: str = "auto") -> "TableBackend":
+    def from_fsm(cls, fsm: FSM, backend: str = "table-py") -> "TableBackend":
         """Lower a behavioural machine (no hardware binding)."""
-        kernel = _table_kernel(backend)
-        return cls(CompiledFSM.from_fsm(fsm, backend=kernel), None)
+        return cls(CompiledFSM.from_fsm(fsm), None, canonical(backend))
 
     # -- protocol ------------------------------------------------------
     def step(self, symbol: Input) -> Optional[Output]:
@@ -225,18 +228,6 @@ class TableBackend:
                 hw.commit_engine_run(run.final_state, len(run), run.visits)
             return run
 
-    def run_many(
-        self,
-        words: Sequence[Sequence[Input]],
-        start: Optional[State] = None,
-    ):
-        """Run many independent words (no commit; lane-parallel on
-        numpy).  :class:`TableMiss` on anything the tables lack."""
-        try:
-            return self.compiled.run_words(words, start=start)
-        except EngineError as exc:
-            raise TableMiss(str(exc)) from exc
-
     def run_streams(
         self,
         words: Sequence[Sequence[Input]],
@@ -245,10 +236,10 @@ class TableBackend:
         """Serve many independent streams through the stream plane.
 
         Per-stream start states (``None`` entries mean reset), never
-        commits, results in submission order.  On the numpy kernel the
+        commits, results in submission order.  Under ``table-numpy`` the
         whole call is a handful of packed-table gathers
-        (:meth:`repro.engine.CompiledFSM.run_stream_batch`); the python
-        kernel serves the identical contract as a ``run_word`` loop.
+        (:meth:`repro.engine.CompiledFSM.run_stream_batch`); ``table-py``
+        serves the identical contract as a ``run_word`` loop.
         Anything any stream cannot serve raises :class:`TableMiss` for
         the whole call — the table run mutated nothing, so the caller
         replays per-stream to isolate and reproduce the exact failure.
@@ -266,10 +257,12 @@ class TableBackend:
             try:
                 if batched:
                     run = self.compiled.run_stream_batch(
-                        words, starts=starts
+                        words, starts=starts, kernel=self.kernel
                     )
                 else:
-                    run = self.compiled.run_streams(words, starts=starts)
+                    run = self.compiled.run_streams(
+                        words, starts=starts, kernel=self.kernel
+                    )
                 return run.word_runs()
             except EngineError as exc:
                 raise TableMiss(str(exc)) from exc
@@ -292,7 +285,9 @@ class TableBackend:
             "engine.run_streams", backend=self.name, streams=batch.n
         ):
             try:
-                return self.compiled.run_stream_batch(batch, starts=starts)
+                return self.compiled.run_stream_batch(
+                    batch, starts=starts, kernel=self.kernel
+                )
             except EngineError as exc:
                 raise TableMiss(str(exc)) from exc
 
@@ -339,38 +334,27 @@ class TableBackend:
         return f"TableBackend({self.name!r}, {self.compiled!r})"
 
 
-def _table_kernel(backend: str) -> str:
-    """Backend spelling (any alias) → engine kernel name."""
-    name = canonical(backend)
-    if name == "auto":
-        return resolve_tables("auto")
-    if name not in TABLE_KERNELS:
-        raise EngineError(
-            f"backend {backend!r} has no dense tables to compile; "
-            f"pick one of {tuple(TABLE_KERNELS)} (or their engine-mode "
-            "aliases)"
-        )
-    return resolve_tables(TABLE_KERNELS[name])
-
-
 def compile_tables(machine, preference: str = "auto") -> CompiledFSM:
     """Lower ``machine`` into dense tables (``api.compile_fsm`` core).
 
     Accepts a behavioural :class:`FSM` or a live :class:`HardwareFSM`;
-    ``preference`` takes backend names and engine-mode aliases.
-    ``"off"`` / ``"cycle"`` is rejected — compiling with the engine off
-    is a contradiction — and a forced-unavailable table backend raises
+    ``preference`` takes backend names and engine-mode aliases.  The
+    compiled view holds tables only (its stream kernel is picked per
+    call), so the preference is validated, not stored: ``"off"`` /
+    ``"cycle"`` is rejected — compiling with the engine off is a
+    contradiction — and a forced-unavailable backend raises
     :class:`~repro.exec.protocol.BackendUnavailable` at this boundary,
     not deep inside a kernel.
     """
     name = canonical(preference)
     if name == "cycle":
         raise EngineError("cannot compile with engine mode 'off'")
-    kernel = _table_kernel(preference)
+    if name != "auto":
+        resolve(name)
     if isinstance(machine, FSM):
-        return CompiledFSM.from_fsm(machine, backend=kernel)
+        return CompiledFSM.from_fsm(machine)
     if isinstance(machine, HardwareFSM):
-        return CompiledFSM.from_hardware(machine, backend=kernel)
+        return CompiledFSM.from_hardware(machine)
     raise TypeError(
         f"compile_fsm expects an FSM or HardwareFSM, not "
         f"{type(machine).__name__}"

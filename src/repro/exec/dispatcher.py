@@ -12,7 +12,11 @@ over capabilities*:
   chunk; recompiling per chunk would be worse than stepping);
 * a cached table view is reused only while it is fresh — any RAM
   write, erase, fault injection, retarget or wholesale hardware
-  replacement (quarantine) invalidates and recompiles transparently;
+  replacement (quarantine) invalidates and recompiles transparently.
+  ``table-py`` and ``table-numpy`` share one compiled view per shard
+  (they differ only in the stream kernel they pass per call), so a
+  shard alternating between single-session and wide stream batches
+  compiles once per ``table_version``, not once per kernel;
 * a table miss (:class:`~repro.exec.protocol.TableMiss`) replays on
   the netlist from the exact same state — the table run mutated
   nothing;
@@ -35,14 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from ..engine.compiled import EngineError
+from ..engine import streams as _streams
+from ..engine.compiled import CompiledFSM, EngineError
 from ..hw.machine import HardwareFSM
 from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 from ..obs.tracing import span as _span
 from .backends import CycleBackend, TableBackend
 from .protocol import BackendUnavailable, ExecutionBackend
-from .registry import canonical, resolve, stream_threshold
+from .registry import canonical, get, resolve
 
 __all__ = ["Decision", "Dispatcher"]
 
@@ -90,16 +95,20 @@ class Dispatcher:
         self.shard = shard
         #: Optional ``(name, hw) -> backend | None`` hook: a caller that
         #: owns per-shard resources (the process fleet's worker session)
-        #: supplies backends through it; returning ``None`` defers to
-        #: the default build path (table kernels, then the registry).
+        #: supplies backends other than the in-process table kernels
+        #: through it; returning ``None`` defers to the registry.
         self._factory = factory
         #: The most recent :class:`Decision` (health-surface vitals).
         self.last_decision: Optional[Decision] = None
-        #: Cached table backends by name.  Auto resolution is
-        #: stream-count aware, so one shard legitimately alternates
-        #: between ``table-py`` (single-session batches) and
-        #: ``table-numpy`` (wide stream batches) — caching per name
-        #: keeps the alternation from recompiling on every flip.
+        #: The one compiled view the in-process table backends share,
+        #: and the thin ``table-py`` / ``table-numpy`` backends over it.
+        #: Auto resolution is stream-count aware, so one shard
+        #: legitimately alternates between the two names (single-session
+        #: vs wide stream batches); sharing the view keeps the
+        #: alternation from ever recompiling.
+        self._view: Optional[CompiledFSM] = None
+        self._kernels: Dict[str, TableBackend] = {}
+        #: Other table-serving backends (``table-shm``) by name.
         self._tables: Dict[str, object] = {}
         #: The last table backend a decision served with (the one a
         #: subsequent :meth:`miss` is about).
@@ -161,46 +170,64 @@ class Dispatcher:
                 self.cycle_backend(hw), "migration",
                 degraded=True, streams=streams,
             )
-        table = self._tables.get(want)
-        if table is not None and not table.is_stale(hw):
-            self._table = table
-            return self._decide(table, "cached", streams=streams)
-        if table is not None:
-            table.invalidate(
-                reason="stale" if table.hardware is hw else "replaced"
-            )
-            del self._tables[want]
         try:
-            table = self._build_table(want, hw)
+            if want in TableBackend.CAPABILITIES:
+                table, reason = self._view_table(want, hw)
+            else:
+                table, reason = self._registry_table(want, hw)
         except EngineError:
             self._fallback("error", want)
             return self._decide(
                 self.cycle_backend(hw), "compile-error",
                 degraded=True, streams=streams,
             )
-        self._tables[want] = table
         self._table = table
-        return self._decide(table, "compiled", streams=streams)
+        return self._decide(table, reason, streams=streams)
 
-    def _build_table(self, want: str, hw: HardwareFSM):
-        """Build the table-serving backend named ``want`` for ``hw``.
+    def _view_table(self, want: str, hw: HardwareFSM):
+        """``(backend, reason)`` for an in-process table kernel: a thin
+        :class:`TableBackend` over the shard's one compiled view,
+        recompiled only when the view has gone stale."""
+        view = self._view
+        if view is not None and not view.is_stale(hw):
+            reason = "cached"
+        else:
+            if view is not None:
+                view.invalidate(
+                    reason="stale" if view.source is hw else "replaced"
+                )
+            view = self._view = CompiledFSM.from_hardware(hw)
+            self._kernels = {}
+            reason = "compiled"
+        table = self._kernels.get(want)
+        if table is None:
+            table = self._kernels[want] = TableBackend(view, hw, want)
+        return table, reason
+
+    def _registry_table(self, want: str, hw: HardwareFSM):
+        """``(backend, reason)`` for any other table-serving backend.
 
         The caller's factory gets first refusal (the process fleet
-        binds its worker session this way); the in-process table
-        kernels keep their direct construction; anything else builds
+        binds its worker session this way); anything else builds
         through its registry spec — so a registered backend like
         ``table-shm`` serves through the same policy with no dispatcher
         special-casing.
         """
+        table = self._tables.get(want)
+        if table is not None and not table.is_stale(hw):
+            return table, "cached"
+        if table is not None:
+            table.invalidate(
+                reason="stale" if table.hardware is hw else "replaced"
+            )
+            del self._tables[want]
+        table = None
         if self._factory is not None:
-            built = self._factory(want, hw)
-            if built is not None:
-                return built
-        from .registry import TABLE_KERNELS, get
-
-        if want in TABLE_KERNELS:
-            return TableBackend.from_hardware(hw, backend=want)
-        return get(want).build(hw)
+            table = self._factory(want, hw)
+        if table is None:
+            table = get(want).build(hw)
+        self._tables[want] = table
+        return table, "compiled"
 
     def miss(self, hw: HardwareFSM) -> Decision:
         """Policy for a :class:`TableMiss`: replay on the netlist.
@@ -222,8 +249,12 @@ class Dispatcher:
     def invalidate(self, reason: str = "explicit") -> None:
         """Drop every cached backend (quarantine replaced the
         hardware; the next :meth:`select` re-binds and recompiles)."""
+        if self._view is not None:
+            self._view.invalidate(reason=reason)
         for table in self._tables.values():
             table.invalidate(reason=reason)
+        self._view = None
+        self._kernels = {}
         self._tables.clear()
         self._table = None
         self._cycle = None
@@ -287,7 +318,7 @@ class Dispatcher:
                 reason=reason,
                 degraded=degraded,
                 streams=streams,
-                threshold=stream_threshold(),
+                threshold=_streams.STREAM_THRESHOLD,
             )
         return decision
 

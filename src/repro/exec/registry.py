@@ -16,20 +16,19 @@ owns the question:
 * :func:`resolve` — (preference, stream count) → concrete backend
   name.  Precedence: an explicit pin beats the ``REPRO_BACKEND``
   environment variable, which beats auto selection.  Auto is
-  *stream-count aware*: a single FSM stream is inherently sequential,
-  so per-symbol numpy indexing loses to the pure-Python loop
-  (``BENCH_engine_throughput.json``) — auto therefore picks
-  ``table-py`` below :func:`stream_threshold` concurrent streams and
-  ``table-numpy`` only when enough independent streams amortize the
-  lane kernel.  Availability — including ``REPRO_DISABLE_NUMPY`` — is
-  re-checked at *every* call, so flipping the environment mid-process
-  is honoured at dispatch time, and a forced-but-unavailable backend
-  raises :class:`~repro.exec.protocol.BackendUnavailable` with the
-  reason spelled out instead of silently degrading.
-* :func:`resolve_tables` — the table-only projection used when
-  *compiling* (``repro.engine`` delegates its historic
-  ``resolve_backend`` here).  A forced ``cycle`` cannot steer a table
-  compilation, so only table spellings of ``REPRO_BACKEND`` apply.
+  *stream-count aware* through the engine's one lane-count policy
+  (:func:`repro.engine.streams.stream_kernel`): a single FSM stream is
+  inherently sequential, so auto picks ``table-py`` below
+  :data:`~repro.engine.streams.STREAM_THRESHOLD` concurrent streams
+  and ``table-numpy`` only when enough independent streams amortize
+  the lane kernel.  Availability — including ``REPRO_DISABLE_NUMPY`` —
+  is re-checked at *every* call, so flipping the environment
+  mid-process is honoured at dispatch time, and a forced-but-unavailable
+  backend raises :class:`~repro.exec.protocol.BackendUnavailable` with
+  the reason spelled out instead of silently degrading.
+
+``table-py`` and ``table-numpy`` are two names over the same compiled
+tables: they differ only in the stream kernel they pass per call.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from ..engine.compiled import numpy_available
+from ..engine.streams import stream_kernel
 from . import killswitch
 from .protocol import BackendUnavailable, Capabilities
 
@@ -49,23 +49,12 @@ __all__ = [
     "names",
     "register",
     "resolve",
-    "resolve_tables",
     "specs",
-    "stream_threshold",
 ]
 
 #: Environment variable forcing the dispatcher's backend choice for
 #: ``auto`` preferences (explicit pins always win over it).
 ENV_BACKEND = "REPRO_BACKEND"
-
-#: Environment variable overriding :data:`STREAM_THRESHOLD_DEFAULT`.
-ENV_STREAM_THRESHOLD = "REPRO_STREAM_THRESHOLD"
-
-#: Minimum concurrent streams before auto resolution picks the numpy
-#: lane kernel over the pure-Python loop.  Measured break-even sits
-#: between 8 streams (numpy ~0.9x of table-py) and 64 (>5x), so the
-#: default splits the gap; override with ``REPRO_STREAM_THRESHOLD``.
-STREAM_THRESHOLD_DEFAULT = 32
 
 #: Legacy engine-mode spellings accepted everywhere a backend name is.
 ALIASES = {
@@ -74,9 +63,6 @@ ALIASES = {
     "numpy": "table-numpy",
     "shm": "table-shm",
 }
-
-#: Registered table backend name → engine kernel name.
-TABLE_KERNELS = {"table-py": "python", "table-numpy": "numpy"}
 
 
 @dataclass(frozen=True)
@@ -182,74 +168,23 @@ def _require_available(name: str) -> str:
     return spec.name
 
 
-def stream_threshold() -> int:
-    """Streams needed before auto resolution prefers the numpy kernel.
-
-    ``REPRO_STREAM_THRESHOLD`` overrides the measured default; read at
-    every call so tests and operators can retune a live process.
-    """
-    raw = os.environ.get(ENV_STREAM_THRESHOLD, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_STREAM_THRESHOLD}={raw!r}: expected an integer"
-            ) from None
-        if value >= 1:
-            return value
-        raise ValueError(
-            f"{ENV_STREAM_THRESHOLD}={raw!r}: must be >= 1"
-        )
-    return STREAM_THRESHOLD_DEFAULT
-
-
 def resolve(preference: Optional[str] = None, streams: int = 1) -> str:
     """(preference, stream count) → the concrete backend name.
 
-    Explicit pin > ``REPRO_BACKEND`` > auto.  Auto picks ``table-py``
-    below :func:`stream_threshold` concurrent streams — a single
-    sequential stream runs fastest in the pure-Python loop — and
-    ``table-numpy`` only when ``streams`` can amortize the lane kernel
-    (and numpy is importable and not disabled).  A forced backend that
-    is unavailable *right now* raises :class:`BackendUnavailable`; auto
-    never does.
+    Explicit pin > ``REPRO_BACKEND`` > auto.  Auto follows the engine's
+    lane-count policy (:func:`~repro.engine.streams.stream_kernel`):
+    ``table-numpy`` when ``streams`` can amortize the lane kernel and
+    numpy is importable and not disabled, else ``table-py``.  A forced
+    backend that is unavailable *right now* raises
+    :class:`BackendUnavailable`; auto never does.
     """
     name = canonical(preference)
     if name == "auto":
         name = _forced_by_env() or "auto"
     if name == "auto":
-        if streams >= stream_threshold() and numpy_available():
-            name = "table-numpy"
-        else:
-            name = "table-py"
+        numpy_lanes = stream_kernel(streams) == "numpy"
+        name = "table-numpy" if numpy_lanes else "table-py"
     return _require_available(name)
-
-
-def resolve_tables(preference: str = "auto") -> str:
-    """Preference → engine kernel name (``"python"`` / ``"numpy"``).
-
-    The table-only projection of :func:`resolve`, used when *compiling*
-    dense tables (:func:`repro.engine.resolve_backend` delegates here).
-    ``REPRO_BACKEND`` steers ``auto`` only through its table spellings —
-    a forced ``cycle`` selects a serving substrate and cannot steer a
-    table compilation, so it is ignored here.
-    """
-    _ensure_builtins()
-    if preference not in ("auto", "python", "numpy"):
-        raise ValueError(
-            f"unknown engine backend {preference!r}; expected one of "
-            "('auto', 'numpy', 'python')"
-        )
-    if preference == "auto":
-        forced = _forced_by_env()
-        if forced in TABLE_KERNELS:
-            preference = TABLE_KERNELS[forced]
-    if preference == "auto":
-        return "numpy" if numpy_available() else "python"
-    if preference == "numpy":
-        _require_available("table-numpy")
-    return preference
 
 
 def _register_builtins() -> None:

@@ -23,16 +23,14 @@ footing:
     The replica-group surface (:mod:`repro.replica`): per-shard group
     status, and membership-logged replacement of one replica.
 
-Everything else the old raw-fleet surface exposed keeps working
-through a ``DeprecationWarning`` shim (attribute access forwards to
-the underlying fleet), and ``client.fleet`` is the undeprecated escape
-hatch for code that genuinely needs the pool object (schedulers, fault
-injection, benchmarks).
+The fleet's identity (``machine``, ``name``, ``engine``,
+``fleet_mode``, ``n_workers``, ``replication``) is readable here too.
+Everything else lives on the pool object, reached through
+``client.fleet`` (schedulers, fault injection, benchmarks).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Hashable, Optional, Sequence
 
 from ..core.fsm import FSM, Input
@@ -41,20 +39,6 @@ from ..obs.probes import ProbeReport
 from .worker import ShardStats
 
 __all__ = ["FleetClient", "StreamSession"]
-
-#: Attributes served first-class (no shim, no warning).  Everything
-#: else on the raw fleet still resolves — through the deprecation shim.
-_FIRST_CLASS = frozenset(
-    {
-        "machine",
-        "name",
-        "engine",
-        "fleet_mode",
-        "n_workers",
-        "replication",
-    }
-)
-
 
 class StreamSession:
     """One ``(shard key, session)`` state chain behind a client.
@@ -97,9 +81,6 @@ class FleetClient:
     """The context-managed serving handle (see module docstring)."""
 
     def __init__(self, fleet, *, ingest: str = "wait"):
-        # Set via object.__setattr__-free plain assignment; __getattr__
-        # only fires for attributes *not* found normally, so the
-        # first-class surface below never touches the shim.
         self._fleet = fleet
         self.ingest = ingest
 
@@ -178,9 +159,37 @@ class FleetClient:
     # -- introspection --------------------------------------------------
     @property
     def fleet(self):
-        """The underlying :class:`~repro.fleet.FSMFleet` — the
-        undeprecated escape hatch for pool-level machinery."""
+        """The underlying :class:`~repro.fleet.FSMFleet`, for
+        pool-level machinery."""
         return self._fleet
+
+    @property
+    def machine(self) -> FSM:
+        """The machine the fleet currently serves."""
+        return self._fleet.machine
+
+    @property
+    def name(self) -> str:
+        return self._fleet.name
+
+    @property
+    def engine(self) -> str:
+        """The fleet's execution mode (``auto`` / ``python`` / ...)."""
+        return self._fleet.engine
+
+    @property
+    def fleet_mode(self) -> str:
+        """``"thread"`` or ``"process"``."""
+        return self._fleet.fleet_mode
+
+    @property
+    def n_workers(self) -> int:
+        return self._fleet.n_workers
+
+    @property
+    def replication(self):
+        """The fleet's replica configuration, or ``None``."""
+        return self._fleet.replication
 
     def stats(self) -> Dict[int, ShardStats]:
         return self._fleet.stats()
@@ -190,22 +199,6 @@ class FleetClient:
 
     def probes(self) -> Dict[int, ProbeReport]:
         return self._fleet.probes()
-
-    def __getattr__(self, name: str):
-        # Fires only for attributes not on the client itself: the old
-        # raw-fleet surface.  Forward with a warning so existing code
-        # keeps working while naming its migration path.
-        fleet = object.__getattribute__(self, "_fleet")
-        value = getattr(fleet, name)  # AttributeError propagates as-is
-        if name not in _FIRST_CLASS and not name.startswith("_"):
-            warnings.warn(
-                f"FleetClient.{name} is a deprecated pass-through to the "
-                f"raw fleet; use the FleetClient surface or "
-                f"client.fleet.{name}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return value
 
     def __repr__(self) -> str:
         return f"FleetClient({self._fleet!r}, ingest={self.ingest!r})"

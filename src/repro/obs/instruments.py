@@ -219,8 +219,7 @@ AIO_CONNECTIONS = REGISTRY.counter(
 # -- batch execution engine -------------------------------------------
 ENGINE_COMPILES = REGISTRY.counter(
     "repro_engine_compiles_total",
-    "CompiledFSM table compilations, by backend and origin "
-    "(fsm / hardware).",
+    "CompiledFSM table compilations, by origin (fsm / hardware).",
 )
 ENGINE_INVALIDATIONS = REGISTRY.counter(
     "repro_engine_invalidations_total",

@@ -108,12 +108,10 @@ class ShmTableBackend:
     def __init__(self, machine, session: WorkerSession):
         if isinstance(machine, HardwareFSM):
             self.hardware: Optional[HardwareFSM] = machine
-            self.compiled = CompiledFSM.from_hardware(
-                machine, backend="python"
-            )
+            self.compiled = CompiledFSM.from_hardware(machine)
         elif isinstance(machine, FSM):
             self.hardware = None
-            self.compiled = CompiledFSM.from_fsm(machine, backend="python")
+            self.compiled = CompiledFSM.from_fsm(machine)
         else:
             raise TypeError(
                 f"ShmTableBackend expects an FSM or HardwareFSM, not "

@@ -68,8 +68,8 @@ class _AttachedView:
 
 
 def _rebuild(shm) -> Any:
-    # Deferred import: the engine pulls in the exec registry, and under
-    # the spawn start method this module is imported during bootstrap.
+    # Deferred import: under the spawn start method this module is
+    # imported during bootstrap, before any table is attached.
     from ..engine.compiled import CompiledFSM
 
     pieces = decode_segment(shm.buf)
@@ -80,7 +80,6 @@ def _rebuild(shm) -> Any:
         pieces["next_table"],
         pieces["out_table"],
         pieces["reset_state"],
-        backend="python",
         source_version=pieces["table_version"],
     )
 
@@ -243,7 +242,7 @@ def _serve_streams(
             if miss is None:
                 try:
                     runs = view.compiled.run_streams(
-                        words, starts=starts
+                        words, starts=starts, kernel="python"
                     ).word_runs()
                 except EngineError as exc:
                     miss = str(exc)

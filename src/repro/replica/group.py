@@ -391,17 +391,13 @@ class ReplicaGroup:
         migration is in flight (the leader's tables are mid-blend).
         """
         expected = table_fingerprint(
-            CompiledFSM.from_hardware(
-                self.worker.hardware, backend="python"
-            )
+            CompiledFSM.from_hardware(self.worker.hardware)
         )
         migrating = self.worker._migrating()
         report: Dict[str, bool] = {}
         for follower in list(self._followers.values()):
             actual = table_fingerprint(
-                CompiledFSM.from_hardware(
-                    follower.hardware, backend="python"
-                )
+                CompiledFSM.from_hardware(follower.hardware)
             )
             diverged = actual != expected
             report[follower.name] = diverged

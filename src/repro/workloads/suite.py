@@ -181,36 +181,6 @@ def traffic_words(
     ]
 
 
-def synthesise_program(
-    method: str,
-    source: FSM,
-    target: FSM,
-    seed: int = 0,
-    opt_level: "str | int | None" = None,
-):
-    """Deprecated: use :func:`repro.api.synthesise` instead.
-
-    Thin shim kept for one release; dispatches through the stable
-    facade with an :class:`repro.api.Options` built from the old
-    positional arguments.
-    """
-    import warnings
-
-    from .. import api
-
-    warnings.warn(
-        "repro.workloads.suite.synthesise_program is deprecated; use "
-        "repro.api.synthesise(source, target, options=Options(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return api.synthesise(
-        source,
-        target,
-        options=api.Options(method=method, seed=seed, opt_level=opt_level),
-    )
-
-
 def run_migration_suite(
     method: str = "jsr",
     seed: int = 0,

@@ -147,11 +147,6 @@ class TestDeprecationShim:
             assert client.machine is not None
             assert client.name
 
-    def test_raw_fleet_attributes_warn_but_work(self, client):
-        with pytest.warns(DeprecationWarning, match="shard_for"):
-            shard = client.shard_for("k")
-        assert shard == client.fleet.shard_for("k")
-
     def test_escape_hatch_is_silent(self, client):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

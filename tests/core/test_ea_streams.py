@@ -35,10 +35,10 @@ def _skip_env_steered_auto(request):
     if "backend" in getattr(request, "fixturenames", ()):
         backend = request.getfixturevalue("backend")
     if backend == "auto":
-        from repro.exec.registry import TABLE_KERNELS, resolve
+        from repro.exec import TableBackend, resolve
 
         resolved = resolve("auto", streams=12)
-        if resolved not in TABLE_KERNELS:
+        if resolved not in TableBackend.CAPABILITIES:
             pytest.skip(
                 f"auto resolves to {resolved!r} here (REPRO_BACKEND), "
                 "which has no in-process table kernel"
@@ -50,7 +50,7 @@ def scalar_scores(candidates, traces):
     total = sum(len(outs) for _, outs in traces)
     scores = []
     for candidate in candidates:
-        compiled = CompiledFSM.from_fsm(candidate, backend="python")
+        compiled = CompiledFSM.from_fsm(candidate)
         matched = 0
         for word, outs in traces:
             try:

@@ -22,13 +22,14 @@ from repro.engine import (
     numpy_available,
     stream_dtype_name,
 )
+from repro.hw.faults import erase_entry
 from repro.hw.machine import HardwareFSM
 from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
 from repro.workloads.random_fsm import random_fsm
 from repro.workloads.suite import traffic_words
 
-BACKENDS_HERE = [
-    b for b in ("python", "numpy") if b == "python" or numpy_available()
+KERNELS_HERE = [
+    k for k in ("python", "numpy") if k == "python" or numpy_available()
 ]
 
 needs_numpy = pytest.mark.skipif(
@@ -63,7 +64,7 @@ class TestDtypePacking:
 
     @needs_numpy
     def test_tables_report_the_same_dtype_they_pack(self):
-        compiled = CompiledFSM.from_fsm(ones_detector(), backend="numpy")
+        compiled = CompiledFSM.from_fsm(ones_detector())
         tables = StreamTables(compiled)
         assert tables.dtype_name == stream_dtype_name(
             compiled.n_inputs, compiled.n_states, len(compiled.outputs)
@@ -76,7 +77,7 @@ class TestDtypePacking:
 class TestStreamTables:
     def test_next_entries_are_prescaled_state_major(self):
         fsm = ones_detector()
-        compiled = CompiledFSM.from_fsm(fsm, backend="numpy")
+        compiled = CompiledFSM.from_fsm(fsm)
         tables = StreamTables(compiled)
         n_i = compiled.n_inputs
         for trans in fsm.transitions():
@@ -89,7 +90,7 @@ class TestStreamTables:
 
     def test_complete_machine_has_no_holes(self):
         tables = StreamTables(
-            CompiledFSM.from_fsm(ones_detector(), backend="numpy")
+            CompiledFSM.from_fsm(ones_detector())
         )
         assert tables.complete and not tables.has_garbage
 
@@ -97,7 +98,7 @@ class TestStreamTables:
         # An un-programmed migration datapath leaves the new state's
         # rows unset; the packed table parks those lanes at hole_base.
         hw = HardwareFSM.for_migration(fig6_m(), fig6_m_prime())
-        tables = StreamTables(CompiledFSM.from_hardware(hw, backend="numpy"))
+        tables = StreamTables(CompiledFSM.from_hardware(hw))
         assert not tables.complete
         base = tables.hole_base
         # Every pad row under hole_base loops back to hole_base.
@@ -127,19 +128,19 @@ class TestStreamBatch:
             StreamBatch.encode("01", [["0", "2"]])
 
     def test_alphabet_mismatch_refused_at_run_time(self):
-        compiled = CompiledFSM.from_fsm(ones_detector(), backend="python")
+        compiled = CompiledFSM.from_fsm(ones_detector())
         foreign = StreamBatch.encode(("a", "b"), [["a"]])
         with pytest.raises(EngineError, match="different input"):
             compiled.run_stream_batch(foreign)
 
 
-@pytest.mark.parametrize("backend", BACKENDS_HERE)
+@pytest.mark.parametrize("kernel", KERNELS_HERE)
 class TestKernelEquivalence:
-    def test_matches_run_word_per_stream(self, backend):
+    def test_matches_run_word_per_stream(self, kernel):
         machine = ones_detector()
-        compiled = CompiledFSM.from_fsm(machine, backend=backend)
+        compiled = CompiledFSM.from_fsm(machine)
         words = ragged_words(machine, seed=3)
-        runs = compiled.run_streams(words).word_runs()
+        runs = compiled.run_streams(words, kernel=kernel).word_runs()
         assert len(runs) == len(words)
         for word, run in zip(words, runs):
             ref = compiled.run_word(word)
@@ -147,12 +148,14 @@ class TestKernelEquivalence:
             assert run.final_state == ref.final_state
             assert run.visits == ref.visits
 
-    def test_per_lane_starts_with_none_entries(self, backend):
+    def test_per_lane_starts_with_none_entries(self, kernel):
         machine = ones_detector()
-        compiled = CompiledFSM.from_fsm(machine, backend=backend)
+        compiled = CompiledFSM.from_fsm(machine)
         words = traffic_words(machine, 4, 6, seed=5)
         starts = [machine.states[-1], None, machine.states[0], None]
-        runs = compiled.run_streams(words, starts=starts).word_runs()
+        runs = compiled.run_streams(
+            words, starts=starts, kernel=kernel
+        ).word_runs()
         for word, start, run in zip(words, starts, runs):
             ref = compiled.run_word(
                 word, start=machine.reset_state if start is None else start
@@ -162,13 +165,15 @@ class TestKernelEquivalence:
                 ref.final_state,
             )
 
-    def test_wrong_starts_length_raises(self, backend):
-        compiled = CompiledFSM.from_fsm(ones_detector(), backend=backend)
+    def test_wrong_starts_length_raises(self, kernel):
+        compiled = CompiledFSM.from_fsm(ones_detector())
         with pytest.raises(ValueError, match="start states"):
-            compiled.run_streams([["0"], ["1"]], starts=["off"])
+            compiled.run_streams(
+                [["0"], ["1"]], starts=["off"], kernel=kernel
+            )
 
-    def test_random_ragged_py_numpy_bitwise_identical(self, backend):
-        if backend == "python":
+    def test_random_ragged_py_numpy_bitwise_identical(self, kernel):
+        if kernel == "python":
             pytest.skip("the cross-kernel property needs both kernels")
         for seed in range(8):
             fsm = random_fsm(
@@ -178,41 +183,57 @@ class TestKernelEquivalence:
                 seed=seed,
             )
             words = ragged_words(fsm, seed=seed)
-            py = CompiledFSM.from_fsm(fsm, backend="python")
-            np_ = CompiledFSM.from_fsm(fsm, backend="numpy")
+            compiled = CompiledFSM.from_fsm(fsm)
             batch = StreamBatch.encode(fsm.inputs, words)
-            runs_py = py.run_stream_batch(batch).word_runs()
-            runs_np = np_.run_stream_batch(batch).word_runs()
+            runs_py = compiled.run_stream_batch(
+                batch, kernel="python"
+            ).word_runs()
+            runs_np = compiled.run_stream_batch(
+                batch, kernel="numpy"
+            ).word_runs()
             for a, b in zip(runs_py, runs_np):
                 assert a.outputs == b.outputs
                 assert a.final_state == b.final_state
                 assert a.visits == b.visits
 
-    def test_hole_raises_unconfigured(self, backend):
+    def test_hole_raises_unconfigured(self, kernel):
         source, target = fig6_m(), fig6_m_prime()
         hw = HardwareFSM.for_migration(source, target)
-        compiled = CompiledFSM.from_hardware(hw, backend=backend)
+        compiled = CompiledFSM.from_hardware(hw)
         extra = next(s for s in target.states if s not in source.states)
         words = [[source.inputs[0]], [source.inputs[0]]]
         with pytest.raises(UnconfiguredEntry):
             compiled.run_streams(
-                words, starts=[source.reset_state, extra]
+                words, starts=[source.reset_state, extra], kernel=kernel
             ).word_runs()
+        # A hole two steps into one lane of a ragged batch: the lane
+        # walks S0 -1-> S1 -1-> (erased F-word); the other lanes alone
+        # are served.
+        hw = HardwareFSM(ones_detector())
+        erase_entry(hw, entry=("1", "S1"))
+        compiled = CompiledFSM.from_hardware(hw)
+        words = [["0"] * 5, ["1", "1", "0"], ["0"]]
+        with pytest.raises(UnconfiguredEntry):
+            compiled.run_streams(words, kernel=kernel).word_runs()
+        served = compiled.run_streams(
+            [words[0], words[2]], kernel=kernel
+        ).word_runs()
+        assert [run.outputs for run in served] == [["0"] * 5, ["0"]]
 
-    def test_empty_batch_and_empty_words(self, backend):
+    def test_empty_batch_and_empty_words(self, kernel):
         machine = ones_detector()
-        compiled = CompiledFSM.from_fsm(machine, backend=backend)
-        empty = compiled.run_streams([])
+        compiled = CompiledFSM.from_fsm(machine)
+        empty = compiled.run_streams([], kernel=kernel)
         assert empty.final_states() == [] and empty.word_runs() == []
-        run = compiled.run_streams([[]]).word_runs()[0]
+        run = compiled.run_streams([[]], kernel=kernel).word_runs()[0]
         assert run.outputs == [] and run.final_state == machine.reset_state
 
 
-@pytest.mark.parametrize("backend", BACKENDS_HERE)
+@pytest.mark.parametrize("kernel", KERNELS_HERE)
 class TestStreamRunScoring:
-    def _scored(self, backend):
+    def _scored(self, kernel):
         machine = ones_detector()
-        compiled = CompiledFSM.from_fsm(machine, backend=backend)
+        compiled = CompiledFSM.from_fsm(machine)
         words = ragged_words(machine, seed=7)
         expected_words = [machine.run(w) for w in words]
         # Corrupt a few expectations so counts are non-trivial.
@@ -220,29 +241,29 @@ class TestStreamRunScoring:
             if word:
                 word[0] = None
         batch = StreamBatch.encode(machine.inputs, words)
-        run = compiled.run_stream_batch(batch)
+        run = compiled.run_stream_batch(batch, kernel=kernel)
         expected = ExpectedOutputs(compiled.outputs, expected_words)
         return run, expected, words, expected_words, compiled
 
-    def test_match_counts_equals_scalar_zip(self, backend):
+    def test_match_counts_equals_scalar_zip(self, kernel):
         run, expected, words, expected_words, compiled = self._scored(
-            backend
+            kernel
         )
         counts = run.match_counts(expected)
-        fresh = compiled.run_streams(words).word_runs()
+        fresh = compiled.run_streams(words, kernel=kernel).word_runs()
         want = [
             sum(1 for got, w in zip(r.outputs, word) if got == w)
             for r, word in zip(fresh, expected_words)
         ]
         assert counts == want
 
-    def test_final_states_match_word_runs(self, backend):
-        run, _, _, _, _ = self._scored(backend)
+    def test_final_states_match_word_runs(self, kernel):
+        run, _, _, _, _ = self._scored(kernel)
         assert run.final_states() == [r.final_state for r in run.word_runs()]
         assert isinstance(run, StreamRun) and len(run) == run.n
 
-    def test_lane_count_mismatch_raises(self, backend):
-        run, _, _, _, compiled = self._scored(backend)
+    def test_lane_count_mismatch_raises(self, kernel):
+        run, _, _, _, compiled = self._scored(kernel)
         short = ExpectedOutputs(compiled.outputs, [["1"]])
         with pytest.raises(EngineError):
             run.match_counts(short)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.engine import CompiledFSM, EngineError, numpy_available
 from repro.exec import (
+    BackendUnavailable,
     CycleBackend,
     ExecSnapshot,
     ExecutionBackend,
@@ -140,6 +141,8 @@ class TestTableBackend:
         assert backend.capabilities.batchable
         assert not backend.capabilities.cycle_accurate
         assert backend.capabilities.needs_numpy == (name == "table-numpy")
+        expected = "numpy" if name == "table-numpy" else "python"
+        assert backend.kernel == expected
 
     def test_committed_batch_fast_forwards_the_datapath(self, name):
         fsm = ones_detector()
@@ -201,15 +204,15 @@ class TestTableBackend:
         with pytest.raises(StaleSnapshot):
             backend.restore(snap)
 
-    def test_run_many_wraps_engine_errors(self, name):
+    def test_run_streams_wraps_engine_errors(self, name):
         fsm = ones_detector()
         backend = TableBackend.from_fsm(fsm, backend=name)
         words = traffic_words(fsm, 3, 4, seed=1)
-        runs = backend.run_many(words, start=fsm.reset_state)
+        runs = backend.run_streams(words)
         for run, word in zip(runs, words):
             assert run.outputs == fsm.run(word)
         with pytest.raises(TableMiss):
-            backend.run_many([["bogus"]], start=fsm.reset_state)
+            backend.run_streams([["bogus"]])
 
 
 @pytest.mark.parametrize("name", TABLE_BACKENDS)
@@ -260,9 +263,21 @@ class TestCompileTables:
         assert compiled.realises(source)
 
     def test_backend_spellings_and_aliases(self):
-        for preference in ("table-py", "python"):
+        # A view holds tables only: every table spelling compiles the
+        # same tables, and the kernel is picked per call.
+        spellings = ["auto", "table-py", "python"]
+        if numpy_available():
+            spellings += ["table-numpy", "numpy"]
+        for preference in spellings:
             compiled = compile_tables(ones_detector(), preference=preference)
-            assert compiled.backend == "python"
+            assert compiled.run_word(["1", "1"]).outputs == ["0", "1"]
+
+    def test_forced_unavailable_pin_raises_at_the_boundary(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        with pytest.raises(BackendUnavailable, match="table-numpy"):
+            compile_tables(ones_detector(), preference="numpy")
 
     def test_rejects_the_cycle_backend(self):
         for preference in ("off", "cycle"):

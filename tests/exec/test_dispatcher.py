@@ -78,6 +78,33 @@ class TestSelect:
         assert second.backend is first.backend
         assert second.reason == "cached"
 
+    def test_one_view_serves_every_stream_width(self, hw):
+        # table-py (one lane) and table-numpy (wide batches) are thin
+        # backends over one compiled view per table_version; a RAM
+        # write makes both recompile together, once.
+        fsm = ones_detector()
+        dispatcher = Dispatcher()
+        narrow = dispatcher.select(hw, streams=1)
+        wide = dispatcher.select(hw, streams=32)
+        assert narrow.name == "table-py"
+        assert wide.name == (
+            "table-numpy" if numpy_available() else "table-py"
+        )
+        view = narrow.backend.compiled
+        assert wide.backend.compiled is view
+        assert (narrow.reason, wide.reason) == ("compiled", "cached")
+        words = [["1", "1", "0"], ["0", "1"]] * 16
+        runs = wide.backend.run_streams(words)
+        assert [run.outputs for run in runs] == [fsm.run(w) for w in words]
+
+        erase_entry(hw, entry=("0", "S0"))
+        wide = dispatcher.select(hw, streams=32)
+        narrow = dispatcher.select(hw, streams=1)
+        assert view.is_stale()
+        assert (wide.reason, narrow.reason) == ("compiled", "cached")
+        assert narrow.backend.compiled is wide.backend.compiled
+        assert narrow.backend.compiled is not view
+
     def test_migration_degrades_to_the_netlist(self, hw):
         dispatcher = Dispatcher()
         decision = dispatcher.select(hw, migrating=True)

@@ -9,6 +9,7 @@ raises :class:`BackendUnavailable` with the reason spelled out.
 import pytest
 
 from repro.engine import EngineError, numpy_available
+from repro.engine import streams as streams_module
 from repro.exec import (
     BackendSpec,
     BackendUnavailable,
@@ -17,12 +18,9 @@ from repro.exec import (
     names,
     register,
     resolve,
-    resolve_tables,
     specs,
-    stream_threshold,
 )
 from repro.exec import registry as registry_module
-from repro.exec.registry import STREAM_THRESHOLD_DEFAULT
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +28,6 @@ def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
     monkeypatch.delenv("REPRO_DISABLE_SHM", raising=False)
-    monkeypatch.delenv("REPRO_STREAM_THRESHOLD", raising=False)
 
 
 class TestRegistry:
@@ -117,26 +114,26 @@ class TestResolve:
         # numpy only wins once many streams amortize the lane kernel.
         assert resolve() == "table-py"
         assert resolve("auto") == "table-py"
-        assert resolve("auto", streams=stream_threshold() - 1) == "table-py"
+        threshold = streams_module.STREAM_THRESHOLD
+        assert resolve("auto", streams=threshold - 1) == "table-py"
 
     def test_auto_wide_batches_prefer_numpy_when_available(self):
         expected = "table-numpy" if numpy_available() else "table-py"
-        assert resolve("auto", streams=stream_threshold()) == expected
+        threshold = streams_module.STREAM_THRESHOLD
+        assert resolve("auto", streams=threshold) == expected
         assert resolve(streams=4096) == expected
 
-    def test_stream_threshold_env_override(self, monkeypatch):
-        assert stream_threshold() == STREAM_THRESHOLD_DEFAULT
-        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "4")
-        assert stream_threshold() == 4
+    def test_stream_threshold_is_the_engine_constant(self, monkeypatch):
+        # One lane-count policy: dispatch follows the engine's constant.
+        # It equals the fleet's default coalescing bound, so a full
+        # coalesced run of distinct sessions is one numpy batch.
+        from repro.exec import DEFAULT_COALESCE
+
+        assert streams_module.STREAM_THRESHOLD == DEFAULT_COALESCE == 32
+        monkeypatch.setattr(streams_module, "STREAM_THRESHOLD", 4)
         if numpy_available():
             assert resolve("auto", streams=4) == "table-numpy"
         assert resolve("auto", streams=3) == "table-py"
-        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "bogus")
-        with pytest.raises(ValueError, match="REPRO_STREAM_THRESHOLD"):
-            stream_threshold()
-        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            stream_threshold()
 
     def test_pin_and_env_ignore_stream_count(self, monkeypatch):
         assert resolve("table-py", streams=4096) == "table-py"
@@ -206,34 +203,3 @@ class TestResolve:
         # Pre-exec call sites say `except EngineError`; they must keep
         # observing exec-layer failures unchanged.
         assert issubclass(BackendUnavailable, EngineError)
-
-
-class TestResolveTables:
-    def test_table_spellings_only(self):
-        assert resolve_tables("python") == "python"
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_tables("cycle")
-        with pytest.raises(ValueError):
-            resolve_tables("table-py")
-
-    def test_env_table_spelling_steers_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert resolve_tables("auto") == "python"
-
-    def test_env_cycle_cannot_steer_a_table_compile(self, monkeypatch):
-        # A serving substrate is not a table kernel: forcing `cycle`
-        # must leave table compilation on its own auto choice.
-        monkeypatch.setenv("REPRO_BACKEND", "cycle")
-        expected = "numpy" if numpy_available() else "python"
-        assert resolve_tables("auto") == expected
-
-    def test_forced_numpy_unavailable_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.raises(BackendUnavailable):
-            resolve_tables("numpy")
-
-    def test_engine_resolve_backend_delegates_here(self, monkeypatch):
-        from repro.engine import resolve_backend
-
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert resolve_backend("auto") == "python"

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.jsr import jsr_program
 from repro.exec import Dispatcher, TableMiss, run_streams, specs
+from repro.hw.faults import erase_entry
 from repro.hw.machine import HardwareFSM
-from repro.workloads.library import fig6_m, fig6_m_prime
+from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
 from repro.workloads.mutate import mutate_target
 from repro.workloads.random_fsm import random_fsm
 from repro.workloads.suite import traffic_words
@@ -27,7 +28,6 @@ from repro.workloads.suite import traffic_words
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
-    monkeypatch.delenv("REPRO_STREAM_THRESHOLD", raising=False)
 
 
 def _serving_modes():
@@ -47,6 +47,12 @@ def machines(draw):
 def _ragged(machine, seed):
     words = traffic_words(machine, 8, 8, seed=seed)
     return [word[: (i * 3) % 9] for i, word in enumerate(words)]
+
+
+def _erased(machine, entry):
+    hw = HardwareFSM(machine)
+    erase_entry(hw, entry=entry)
+    return hw
 
 
 def _flat(runs):
@@ -123,28 +129,45 @@ class TestEveryRegisteredBackend:
 
 class TestSentinelStreams:
     def test_hole_raises_table_miss_and_replay_isolates_it(self):
-        # One lane starts in a never-written state: the whole stream
-        # call misses; the per-stream replay pins exactly that lane.
+        # One lane starts in a never-written state (or, in a ragged
+        # batch, walks into an erased F-word two steps in): the whole
+        # stream call misses; the per-stream replay pins that lane.
         source, target = fig6_m(), fig6_m_prime()
         extra = next(s for s in target.states if s not in source.states)
-        words = [[source.inputs[0]], [source.inputs[0]]]
-        starts = [source.reset_state, extra]
-        for mode in _serving_modes():
-            if mode == "cycle":
-                continue  # the netlist raises its own datapath fault
-            hw = HardwareFSM.for_migration(source, target)
-            backend = Dispatcher(mode).select(
-                hw, streams=len(words)
-            ).backend
-            with pytest.raises(TableMiss):
-                backend.run_streams(words, starts=starts)
-            failed = []
-            for i, (word, start) in enumerate(zip(words, starts)):
-                try:
-                    backend.run_batch(word, start=start, commit=False)
-                except TableMiss:
-                    failed.append(i)
-            assert failed == [1], mode
+        detector = ones_detector()
+        cases = [
+            (
+                lambda: HardwareFSM.for_migration(source, target),
+                [[source.inputs[0]], [source.inputs[0]]],
+                [source.reset_state, extra],
+            ),
+            (
+                lambda: _erased(detector, ("1", "S1")),
+                [["0"] * 5, ["1", "1", "0"], ["0"]],
+                [None, None, None],
+            ),
+        ]
+        for build, words, starts in cases:
+            for mode in _serving_modes():
+                if mode == "cycle":
+                    continue  # the netlist raises its own datapath fault
+                hw = build()
+                backend = Dispatcher(mode).select(
+                    hw, streams=len(words)
+                ).backend
+                with pytest.raises(TableMiss):
+                    backend.run_streams(words, starts=starts)
+                failed = []
+                for i, (word, start) in enumerate(zip(words, starts)):
+                    try:
+                        backend.run_batch(
+                            word,
+                            start=hw.reset_state if start is None else start,
+                            commit=False,
+                        )
+                    except TableMiss:
+                        failed.append(i)
+                assert failed == [1], mode
 
     def test_empty_stream_batch_is_served(self):
         fsm = fig6_m()

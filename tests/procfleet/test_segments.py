@@ -28,7 +28,7 @@ shm_fs = pytest.mark.skipif(
 class TestSegmentCodec:
     @pytest.mark.parametrize("machine", [ones_detector, fig6_m])
     def test_roundtrip_preserves_tables(self, machine):
-        compiled = CompiledFSM.from_fsm(machine(), backend="python")
+        compiled = CompiledFSM.from_fsm(machine())
         pieces = decode_segment(memoryview(encode_segment(compiled)))
         assert pieces["inputs"] == tuple(compiled.inputs)
         assert pieces["states"] == tuple(compiled.states)
@@ -40,7 +40,7 @@ class TestSegmentCodec:
 
     def test_rebuilt_view_runs_identically(self):
         machine = ones_detector()
-        compiled = CompiledFSM.from_fsm(machine, backend="python")
+        compiled = CompiledFSM.from_fsm(machine)
         pieces = decode_segment(memoryview(encode_segment(compiled)))
         clone = CompiledFSM(
             pieces["inputs"],
@@ -49,21 +49,20 @@ class TestSegmentCodec:
             pieces["next_table"],
             pieces["out_table"],
             pieces["reset_state"],
-            backend="python",
             source_version=pieces["table_version"],
         )
         word = list("011011101")
         assert clone.run_word(word).outputs == machine.run(word)
 
     def test_bad_magic_rejected(self):
-        compiled = CompiledFSM.from_fsm(ones_detector(), backend="python")
+        compiled = CompiledFSM.from_fsm(ones_detector())
         buf = bytearray(encode_segment(compiled))
         buf[:4] = b"XXXX"
         with pytest.raises(ValueError, match="bad magic"):
             decode_segment(memoryview(buf))
 
     def test_geometry_mismatch_rejected(self):
-        compiled = CompiledFSM.from_fsm(ones_detector(), backend="python")
+        compiled = CompiledFSM.from_fsm(ones_detector())
         buf = bytearray(encode_segment(compiled))
         # Corrupt the n_states field (offset: 4s + H + H + q + I).
         import struct

@@ -1,11 +1,10 @@
-"""The FleetClient deprecation shim: old surface warns, new is silent.
+"""The FleetClient surface: first-class, warning-free, no pass-through.
 
-The client facade keeps every old raw-fleet attribute working through
-a ``DeprecationWarning`` pass-through while the supported surface —
-the serving verbs, the replica-group verbs, the first-class metadata
-attributes and the ``client.fleet`` escape hatch — stays warning-free.
-These tests pin that boundary exactly: one warning per deprecated
-access, zero anywhere else.
+The supported surface — the serving verbs, the replica-group verbs,
+the first-class metadata properties and ``client.fleet`` — is
+warning-free.  The old raw-fleet pass-through is gone: any other
+attribute raises ``AttributeError`` and pool-level machinery is reached
+through ``client.fleet``.
 """
 
 import warnings
@@ -30,47 +29,8 @@ def client():
         yield handle
 
 
-def _one_warning(record):
-    assert len(record) == 1, [str(w.message) for w in record]
-    assert issubclass(record[0].category, DeprecationWarning)
-
-
 class TestDeprecatedPassThrough:
-    #: The old raw-fleet surface reachable through the shim: every one
-    #: must forward correctly and warn exactly once per access.
-    DEPRECATED = [
-        "shards",
-        "shard_for",
-        "migrate",
-        "inject_fault",
-        "membership",
-        "check_divergence",
-        "stall_budget",
-        "plan_cache",
-    ]
-
-    @pytest.mark.parametrize("name", DEPRECATED)
-    def test_warns_exactly_once_and_forwards(self, client, name):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            value = getattr(client, name)
-        _one_warning(record)
-        assert str(record[0].message).startswith(
-            f"FleetClient.{name} is a deprecated pass-through"
-        )
-        # The shim forwards the *same* object the fleet exposes.
-        expected = getattr(client.fleet, name)
-        if callable(value):
-            assert getattr(value, "__self__", None) is client.fleet
-        else:
-            assert value == expected
-
-    def test_deprecated_call_still_works(self, client):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            shard = client.shard_for(0)
-        _one_warning(record)
-        assert shard in range(2)
+    """The raw-fleet pass-through is removed: no forwarding, no warning."""
 
     def test_unknown_attribute_raises_without_warning(self, client):
         with warnings.catch_warnings(record=True) as record:
@@ -96,6 +56,8 @@ class TestWarningFreeSurface:
             assert client.fleet_mode == "thread"
             assert client.n_workers == 2
             assert client.replication is not None
+        with pytest.raises(AttributeError):
+            client.engine = "python"  # read-only: the fleet owns it
         assert record == []
 
     def test_serving_verbs_are_silent(self, client):
@@ -129,7 +91,11 @@ class TestShimMechanics:
         try:
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
-                assert client._closed is False  # private: no warning
+                with pytest.raises(AttributeError):
+                    client._closed  # the pool's, not the client's
+                with pytest.raises(AttributeError):
+                    client.shard_for  # pool surface: client.fleet only
+                assert client.fleet.shard_for(0) == 0
             assert record == []
         finally:
             client.close()

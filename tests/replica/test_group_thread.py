@@ -61,12 +61,12 @@ def fingerprints(shard):
     group = shard.replica_group
     prints = {
         "r0": table_fingerprint(
-            CompiledFSM.from_hardware(shard.hardware, backend="python")
+            CompiledFSM.from_hardware(shard.hardware)
         )
     }
     for name, follower in group._followers.items():
         prints[name] = table_fingerprint(
-            CompiledFSM.from_hardware(follower.hardware, backend="python")
+            CompiledFSM.from_hardware(follower.hardware)
         )
     return prints
 

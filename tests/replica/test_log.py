@@ -163,19 +163,18 @@ class TestGroupStatus:
 
 class TestFingerprint:
     def test_identical_tables_agree(self):
-        compiled = CompiledFSM.from_fsm(ones_detector(), backend="python")
-        again = CompiledFSM.from_fsm(ones_detector(), backend="python")
+        compiled = CompiledFSM.from_fsm(ones_detector())
+        again = CompiledFSM.from_fsm(ones_detector())
         assert table_fingerprint(compiled) == table_fingerprint(again)
 
     def test_different_machines_differ(self):
-        a = CompiledFSM.from_fsm(ones_detector(), backend="python")
+        a = CompiledFSM.from_fsm(ones_detector())
         b = CompiledFSM.from_fsm(
-            sequence_detector("1011"), backend="python"
-        )
+            sequence_detector("1011"))
         assert table_fingerprint(a) != table_fingerprint(b)
 
     def test_single_entry_flip_changes_the_fingerprint(self):
-        compiled = CompiledFSM.from_fsm(ones_detector(), backend="python")
+        compiled = CompiledFSM.from_fsm(ones_detector())
         before = table_fingerprint(compiled)
         table = list(compiled.next_table)
         table[0] = (table[0] + 1) % compiled.n_states

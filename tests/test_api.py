@@ -149,11 +149,19 @@ class TestFacadeFlows:
         assert compiled.realises(fig6_m())
         assert compiled.source_version == hw.table_version
 
-    def test_compile_fsm_honours_backend_pin(self):
+    def test_compile_fsm_honours_backend_pin(self, monkeypatch):
+        # The view holds tables only (the kernel is picked per call), so
+        # a pin is honoured at the boundary: a pinned backend that is
+        # unavailable refuses to compile.
         compiled = api.compile_fsm(
             fig6_m(), options=api.Options(backend="table-py")
         )
-        assert compiled.backend == "python"
+        assert compiled.realises(fig6_m())
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        with pytest.raises(EngineError, match="table-numpy"):
+            api.compile_fsm(
+                fig6_m(), options=api.Options(backend="table-numpy")
+            )
 
     def test_serve_honours_backend_pin(self):
         machine = fig6_m()
@@ -176,18 +184,6 @@ class TestFacadeFlows:
 
 
 class TestDeprecatedShims:
-    def test_suite_synthesise_program_warns_and_delegates(self):
-        from repro.workloads.suite import synthesise_program
-
-        source, target = fig6_m(), fig6_m_prime()
-        with pytest.warns(DeprecationWarning, match="repro.api.synthesise"):
-            program = synthesise_program("jsr", source, target)
-        assert program.is_valid()
-        # identical result to the facade call it delegates to
-        assert program.steps == api.synthesise(
-            source, target, options=api.Options(method="jsr")
-        ).steps
-
     def test_facade_itself_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
