@@ -24,6 +24,9 @@ datapath enforces.  The worker loop interleaves three duties:
   quarantines the shard: the future gets the error, the datapath is
   re-seeded from the reset state of the committed machine, an active
   migration restarts from its first chunk, and the incident is counted.
+  A migration whose last chunk leaves the RAMs short of the target (a
+  fault on an entry no later chunk rewrote) quarantines the same way
+  instead of committing a corrupted table.
 
 Downtime is measured with the existing observability probes: the
 reconf/reset cycle counters are snapshotted around the serving section,
@@ -128,6 +131,11 @@ class MigrationJob:
     verified: Optional[bool] = None
     restarts: int = 0
     _migrator: Optional[IncrementalMigrator] = None
+
+
+class MigrationVerifyError(RuntimeError):
+    """The last chunk landed but the datapath does not realise the
+    target (a fault hit an entry no later chunk rewrote)."""
 
 
 class ShardWorker(threading.Thread):
@@ -329,7 +337,15 @@ class ShardWorker(threading.Thread):
                 # one identical one-write-per-cycle sequence group-wide.
                 self.replica_group.on_chunk(job, used)
         if migrator.done:
-            verified = self.hardware.realises(job.target)
+            if not self.hardware.realises(job.target):
+                # Never commit a corrupted table: the raise quarantines
+                # the shard and the migration re-runs from the fresh
+                # source table (restarts are capped as for any fault).
+                raise MigrationVerifyError(
+                    f"shard {self.index} does not realise "
+                    f"{job.target.name} after its last chunk"
+                )
+            verified = True
             if self.replica_group is not None:
                 # Before the machine swap: a follower that never saw a
                 # chunk gap still migrates from the correct source.

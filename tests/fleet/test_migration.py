@@ -200,6 +200,55 @@ class TestRollout:
         assert shard.machine == target
         assert shard.hardware.realises(target)
 
+    def test_fault_no_chunk_touches_reruns_instead_of_committing(self):
+        # Erase a target entry that no chunk writes or traverses: every
+        # chunk still lands, so only the final hardware check can see
+        # it.  The shard must quarantine and re-run the migration, not
+        # commit an unverified table.
+        from repro.core.plan import plan_supersets
+        from repro.fleet import PlanCache
+        from repro.fleet.worker import MigrationJob, ShardWorker
+        from repro.hw.faults import erase_entry
+
+        source, target = pattern_pair()
+        superset = plan_supersets([source, target])
+        shard = ShardWorker(
+            0,
+            source,
+            extra_inputs=superset.inputs.symbols,
+            extra_outputs=superset.outputs.symbols,
+            extra_states=superset.states.symbols,
+        )
+        chunks = PlanCache().chunks(source, target)
+        touched = {
+            (step.transition.input, step.transition.source)
+            for chunk in chunks
+            for step in chunk.steps
+            if step.transition is not None
+        }
+        entry = next(
+            (t.input, t.source)
+            for t in target.transitions()
+            if (t.input, t.source) not in touched
+            and t.source in source.states
+        )
+        job = shard.begin_migration(
+            MigrationJob(target=target, chunks=list(chunks),
+                         stall_budget=6)
+        )
+        erase_entry(shard.hardware, entry=entry)
+        for _ in range(20 * len(chunks)):
+            if job.done.is_set():
+                break
+            shard._migration_tick()
+        assert job.done.is_set()
+        assert job.verified
+        assert job.restarts == 1
+        assert shard.stats.incidents == 1
+        assert shard.stats.last_error.startswith("MigrationVerifyError")
+        assert shard.machine == target
+        assert shard.hardware.realises(target)
+
     def test_unsound_chunks_cap_restarts_instead_of_hanging(self):
         # A deterministically-broken chunk list (fails validation every
         # attempt) must surface as an unverified job, not spin forever.
