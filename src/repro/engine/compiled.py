@@ -103,6 +103,22 @@ def numpy_available() -> bool:
     return _numpy() is not None
 
 
+_streams_module: Any = None  # cache: repro.engine.streams once imported
+
+
+def _streams():
+    """The stream-plane module, imported on first use (it imports this
+    module, so the import cannot sit at the top) and then cached: a
+    per-call ``from .streams import ...`` costs microseconds, which a
+    fleet pays on every 1-lane serve."""
+    global _streams_module
+    if _streams_module is None:
+        from . import streams
+
+        _streams_module = streams
+    return _streams_module
+
+
 @dataclass
 class WordRun:
     """Result of one sequential engine run over an input word."""
@@ -346,9 +362,7 @@ class CompiledFSM:
         """The packed stream-plane tables for this view (built lazily,
         cached — the pack cost is one Python sweep of the table)."""
         if self._stream_tables is None:
-            from .streams import StreamTables  # deferred: import cycle
-
-            self._stream_tables = StreamTables(self)
+            self._stream_tables = _streams().StreamTables(self)
         return self._stream_tables
 
     def encode_streams(self, words: Sequence[Sequence[Input]]):
@@ -359,9 +373,7 @@ class CompiledFSM:
         shares this view's input alphabet (EA candidates, new table
         epochs after migration).
         """
-        from .streams import StreamBatch  # deferred: import cycle
-
-        return StreamBatch.encode(self.inputs, words)
+        return _streams().StreamBatch.encode(self.inputs, words)
 
     def run_stream_batch(self, batch, starts=None, kernel=None):
         """Run a pre-encoded :class:`StreamBatch`; the multi-stream
@@ -378,17 +390,18 @@ class CompiledFSM:
         make :meth:`run_word` raise makes this raise (replay per-stream
         to find which).
         """
-        from .streams import run_stream_batch  # deferred: import cycle
-
-        return run_stream_batch(self, batch, starts, kernel)
+        return _streams().run_stream_batch(self, batch, starts, kernel)
 
     def run_streams(
         self, words: Sequence[Sequence[Input]], starts=None, kernel=None
     ):
-        """Encode + run in one call (see :meth:`run_stream_batch`)."""
-        return self.run_stream_batch(
-            self.encode_streams(words), starts, kernel
-        )
+        """Run raw input words (see :meth:`run_stream_batch`).
+
+        The pure-Python kernel runs each word through :meth:`run_word`
+        directly, so a lane's symbols are looked up once; only the numpy
+        kernel encodes a :class:`StreamBatch` first.
+        """
+        return _streams().run_streams(self, words, starts, kernel)
 
     # ------------------------------------------------------------------
     def realises(self, fsm: FSM) -> bool:

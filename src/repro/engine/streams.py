@@ -215,11 +215,11 @@ class StreamBatch:
     def __init__(
         self,
         inputs: Tuple[Input, ...],
-        words: Optional[Sequence[Sequence[Input]]],
+        words: Sequence[Sequence[Input]],
         code_words: List[List[int]],
     ):
         self.inputs = tuple(inputs)
-        self.words = list(words) if words is not None else None
+        self.words = list(words)
         self.code_words = code_words
         self.lengths = [len(w) for w in code_words]
         #: Sorted-lane position -> original stream index (length desc,
@@ -360,10 +360,12 @@ class StreamRun:
     final (scaled) states; :meth:`final_states`, :meth:`outputs`,
     :meth:`visits` and :meth:`word_runs` derive everything else on
     demand and cache it.  The pure-Python path wraps the eager
-    :class:`~repro.engine.WordRun` list behind the same surface.
+    :class:`~repro.engine.WordRun` list behind the same surface (and,
+    run from raw words, has no encoded ``batch`` at all).
     """
 
     __slots__ = (
+        "n",
         "_compiled",
         "_batch",
         "_tables",
@@ -377,13 +379,15 @@ class StreamRun:
     def __init__(
         self,
         compiled: CompiledFSM,
-        batch: StreamBatch,
+        batch: Optional[StreamBatch],
         tables: Optional[StreamTables] = None,
         amat=None,
         final_scaled=None,
         omat=None,
         runs: Optional[List[WordRun]] = None,
     ):
+        #: Number of streams.
+        self.n = len(runs) if runs is not None else batch.n
         self._compiled = compiled
         self._batch = batch
         self._tables = tables
@@ -393,12 +397,8 @@ class StreamRun:
         self._runs = runs
         self._finals: Optional[List[State]] = None
 
-    @property
-    def n(self) -> int:
-        return self._batch.n
-
     def __len__(self) -> int:
-        return self._batch.n
+        return self.n
 
     # -- materialisation ----------------------------------------------
     def final_states(self) -> List[State]:
@@ -409,7 +409,7 @@ class StreamRun:
             else:
                 n_i = self._tables.n_inputs
                 states = self._compiled.states
-                finals: List[Optional[State]] = [None] * self._batch.n
+                finals: List[Optional[State]] = [None] * self.n
                 codes = (self._final_scaled // n_i).tolist()
                 for j, idx in enumerate(self._batch.order):
                     finals[idx] = states[codes[j]]
@@ -434,10 +434,10 @@ class StreamRun:
         pure-Python path compares the eager runs symbol by symbol with
         identical semantics.
         """
-        if len(expected.words) != self._batch.n:
+        if len(expected.words) != self.n:
             raise EngineError(
                 f"{len(expected.words)} expected-output words for "
-                f"{self._batch.n} streams"
+                f"{self.n} streams"
             )
         if self._runs is not None or self._tables is None:
             return [
@@ -453,7 +453,7 @@ class StreamRun:
             self._omat = self._tables.out_padded.take(self._amat)
         emat = expected.matrix(np, self._batch)
         counts_sorted = (self._omat == emat).sum(axis=0).tolist()
-        counts = [0] * self._batch.n
+        counts = [0] * self.n
         for j, idx in enumerate(self._batch.order):
             counts[idx] = int(counts_sorted[j])
         return counts
@@ -516,7 +516,7 @@ class StreamRun:
         return runs  # type: ignore[return-value]
 
     def __repr__(self) -> str:
-        return f"StreamRun({self._batch.n} streams)"
+        return f"StreamRun({self.n} streams)"
 
 
 # ---------------------------------------------------------------------
@@ -539,23 +539,35 @@ def stream_kernel(lanes: int) -> str:
 Starts = Union[None, State, Sequence[Optional[State]]]
 
 
-def _start_codes(compiled: CompiledFSM, n: int, starts: Starts) -> List[int]:
-    """Per-stream start-state codes (submission order)."""
-    if starts is None or isinstance(starts, (str, bytes)) or not _is_seq(
-        starts
+def _start_states(
+    compiled: CompiledFSM, n: int, starts: Starts
+) -> List[State]:
+    """Per-stream start states (submission order).
+
+    ``starts`` is ``None`` (reset), one state for every stream, or a
+    per-stream sequence whose ``None`` entries mean reset.  A value that
+    is a state of the view is always the single start, even when it is
+    itself a sequence (a ``parallel_compose`` state is a tuple).
+    """
+    if starts is None:
+        return [compiled.reset_state] * n
+    if not isinstance(starts, list) and (
+        _is_state(compiled, starts) or not _is_seq(starts)
     ):
-        code = compiled._st_code(
-            compiled.reset_state if starts is None else starts
-        )
-        return [code] * n
+        return [starts] * n
     if len(starts) != n:
         raise ValueError(
             f"{len(starts)} start states for {n} streams"
         )
-    reset = compiled._st_code(compiled.reset_state)
-    return [
-        reset if s is None else compiled._st_code(s) for s in starts
-    ]
+    reset = compiled.reset_state
+    return [reset if s is None else s for s in starts]
+
+
+def _is_state(compiled: CompiledFSM, value) -> bool:
+    try:
+        return value in compiled._state_code
+    except TypeError:  # unhashable: a list of per-stream starts
+        return False
 
 
 def _is_seq(value) -> bool:
@@ -566,6 +578,35 @@ def _is_seq(value) -> bool:
     return not isinstance(value, (str, bytes))
 
 
+def _pick_kernel(kernel: Optional[str], lanes: int) -> str:
+    if kernel is None:
+        return stream_kernel(lanes)
+    if kernel not in KERNELS:
+        raise ValueError(
+            f"unknown stream kernel {kernel!r}; expected one of {KERNELS}"
+        )
+    return kernel
+
+
+def run_streams(
+    compiled: CompiledFSM,
+    words: Sequence[Sequence[Input]],
+    starts: Starts = None,
+    kernel: Optional[str] = None,
+) -> StreamRun:
+    """Run raw input words; see :meth:`CompiledFSM.run_streams`.
+
+    The pure-Python kernel walks each word straight through
+    :meth:`~CompiledFSM.run_word` (one lookup per symbol, no encoded
+    batch); only the numpy kernel encodes a :class:`StreamBatch`.
+    """
+    if _pick_kernel(kernel, len(words)) == "python":
+        return _run_python(compiled, words, starts)
+    return run_stream_batch(
+        compiled, compiled.encode_streams(words), starts, "numpy"
+    )
+
+
 def run_stream_batch(
     compiled: CompiledFSM,
     batch: StreamBatch,
@@ -573,45 +614,41 @@ def run_stream_batch(
     kernel: Optional[str] = None,
 ) -> StreamRun:
     """Run an encoded batch; see :meth:`CompiledFSM.run_stream_batch`."""
-    if kernel is None:
-        kernel = stream_kernel(batch.n)
-    elif kernel not in KERNELS:
-        raise ValueError(
-            f"unknown stream kernel {kernel!r}; expected one of {KERNELS}"
-        )
+    kernel = _pick_kernel(kernel, batch.n)
     if batch.inputs != compiled.inputs:
         raise EngineError(
             "stream batch was encoded against a different input "
             f"alphabet ({batch.inputs!r} != {compiled.inputs!r})"
         )
-    start_codes = _start_codes(compiled, batch.n, starts)
     if kernel == "python":
-        return _run_python(compiled, batch, start_codes)
+        return _run_python(compiled, batch.words, starts)
     np = _numpy()
     if np is None:
         raise EngineError(
             "the numpy stream kernel was requested but numpy is "
             "unavailable (not installed, or REPRO_DISABLE_NUMPY is set)"
         )
+    start_codes = [
+        compiled._st_code(s) for s in _start_states(compiled, batch.n, starts)
+    ]
     return _run_numpy(compiled, batch, start_codes, np)
 
 
 def _run_python(
-    compiled: CompiledFSM, batch: StreamBatch, start_codes: List[int]
+    compiled: CompiledFSM,
+    words: Sequence[Sequence[Input]],
+    starts: Starts,
 ) -> StreamRun:
     """Per-stream ``run_word`` loop: the always-available fallback,
     bit-identical by construction (it *is* the sequential engine)."""
-    states = compiled.states
-    runs: List[WordRun] = []
-    if batch.words is not None:
-        for word, code in zip(batch.words, start_codes):
-            runs.append(compiled.run_word(word, start=states[code]))
-    else:  # encoded-only batch: replay through the input symbols
-        inputs = compiled.inputs
-        for codes, code in zip(batch.code_words, start_codes):
-            word = [inputs[c] for c in codes]
-            runs.append(compiled.run_word(word, start=states[code]))
-    return StreamRun(compiled, batch, runs=runs)
+    run_word = compiled.run_word
+    runs = [
+        run_word(word, start=start)
+        for word, start in zip(
+            words, _start_states(compiled, len(words), starts)
+        )
+    ]
+    return StreamRun(compiled, None, runs=runs)
 
 
 def _run_numpy(

@@ -37,7 +37,53 @@ from ..obs.tracing import span as _span
 from .protocol import Capabilities, ExecSnapshot, StaleSnapshot, TableMiss
 from .registry import canonical, resolve
 
-__all__ = ["CycleBackend", "TableBackend", "compile_tables"]
+__all__ = [
+    "CycleBackend",
+    "TableBackend",
+    "compile_tables",
+    "restore_snapshot",
+    "snapshot_of",
+]
+
+
+def snapshot_of(
+    hw: Optional[HardwareFSM], compiled: Optional[CompiledFSM] = None
+) -> ExecSnapshot:
+    """The restorable state of a backend: the bound hardware's ST-REG
+    and table version, or — for tables lowered straight from an FSM —
+    the compiled view's reset state and source version."""
+    if hw is not None:
+        return ExecSnapshot(state=hw.state, table_version=hw.table_version)
+    return ExecSnapshot(
+        state=compiled.reset_state, table_version=compiled.source_version
+    )
+
+
+def restore_snapshot(hw: Optional[HardwareFSM], snap: ExecSnapshot) -> None:
+    """Restore ``snap`` onto ``hw`` (no-op without hardware: pure-FSM
+    tables carry no architectural state).
+
+    A snapshot taken at another ``table_version`` is journaled and
+    refused with :class:`StaleSnapshot` — resuming would run the state
+    on words it was never captured against.
+    """
+    if hw is None:
+        return
+    if (
+        snap.table_version is not None
+        and snap.table_version != hw.table_version
+    ):
+        _journal.JOURNAL.record(
+            _journal.EXEC_STALE_SNAPSHOT,
+            snapshot_version=snap.table_version,
+            live_version=hw.table_version,
+        )
+        raise StaleSnapshot(
+            f"snapshot of {hw.name} at table version "
+            f"{snap.table_version} cannot be restored at version "
+            f"{hw.table_version}: the tables changed underneath it"
+        )
+    hw.restore_state(snap.state)
 
 
 class CycleBackend:
@@ -55,7 +101,6 @@ class CycleBackend:
         cycle_accurate=True,
         serves_mid_migration=True,
         needs_numpy=False,
-        batchable_streams=False,
     )
 
     def __init__(self, hardware: HardwareFSM):
@@ -99,8 +144,8 @@ class CycleBackend:
         starts: Optional[Sequence[Optional[State]]] = None,
     ):
         """A per-stream loop of pure-query :meth:`run_batch` calls: the
-        netlist has no lane parallelism (``batchable_streams`` is
-        False), but the contract holds — identical results, no commit.
+        netlist has no lane parallelism, but the contract holds —
+        identical results, no commit.
         """
         reset = self.hardware.reset_state
         if starts is None:
@@ -113,28 +158,10 @@ class CycleBackend:
         ]
 
     def snapshot(self) -> ExecSnapshot:
-        return ExecSnapshot(
-            state=self.hardware.state,
-            table_version=self.hardware.table_version,
-        )
+        return snapshot_of(self.hardware)
 
     def restore(self, snap: ExecSnapshot) -> None:
-        hw = self.hardware
-        if (
-            snap.table_version is not None
-            and snap.table_version != hw.table_version
-        ):
-            _journal.JOURNAL.record(
-                _journal.EXEC_STALE_SNAPSHOT,
-                snapshot_version=snap.table_version,
-                live_version=hw.table_version,
-            )
-            raise StaleSnapshot(
-                f"snapshot of {hw.name} at table version "
-                f"{snap.table_version} cannot be restored at version "
-                f"{hw.table_version}: the tables changed underneath it"
-            )
-        hw.restore_state(snap.state)
+        restore_snapshot(self.hardware, snap)
 
     def invalidate(self, reason: str = "explicit") -> None:
         """No-op: the netlist reads the live tables, nothing is cached."""
@@ -165,14 +192,12 @@ class TableBackend:
             cycle_accurate=False,
             serves_mid_migration=False,
             needs_numpy=False,
-            batchable_streams=True,
         ),
         "table-numpy": Capabilities(
             batchable=True,
             cycle_accurate=False,
             serves_mid_migration=False,
             needs_numpy=True,
-            batchable_streams=True,
             max_stream_dtype="int32",
         ),
     }
@@ -292,34 +317,10 @@ class TableBackend:
                 raise TableMiss(str(exc)) from exc
 
     def snapshot(self) -> ExecSnapshot:
-        hw = self.hardware
-        return ExecSnapshot(
-            state=hw.state if hw is not None else self.compiled.reset_state,
-            table_version=(
-                hw.table_version if hw is not None
-                else self.compiled.source_version
-            ),
-        )
+        return snapshot_of(self.hardware, self.compiled)
 
     def restore(self, snap: ExecSnapshot) -> None:
-        hw = self.hardware
-        if hw is None:
-            return  # pure-FSM tables carry no architectural state
-        if (
-            snap.table_version is not None
-            and snap.table_version != hw.table_version
-        ):
-            _journal.JOURNAL.record(
-                _journal.EXEC_STALE_SNAPSHOT,
-                snapshot_version=snap.table_version,
-                live_version=hw.table_version,
-            )
-            raise StaleSnapshot(
-                f"snapshot of {hw.name} at table version "
-                f"{snap.table_version} cannot be restored at version "
-                f"{hw.table_version}: the tables changed underneath it"
-            )
-        hw.restore_state(snap.state)
+        restore_snapshot(self.hardware, snap)
 
     def invalidate(self, reason: str = "explicit") -> None:
         self.compiled.invalidate(reason=reason)

@@ -69,7 +69,7 @@ def run_streams(
         n, n_symbols = words.n, words.n_symbols
     else:
         n = len(words)
-        n_symbols = sum(len(word) for word in words)
+        n_symbols = sum(map(len, words))
     _account_stream_batch(backend.name, n, n_symbols, site)
     return runs
 

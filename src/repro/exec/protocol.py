@@ -91,7 +91,8 @@ class Capabilities:
     *types* — so a new substrate slots in by declaring what it can do.
     """
 
-    #: Can serve a whole coalesced symbol run in one call (the fleet
+    #: Can serve a whole coalesced run — every lane of it, the
+    #: datapath's included — in one ``run_streams`` call (the fleet
     #: batches only through backends that say yes).
     batchable: bool = False
     #: Clocks the real netlist: per-cycle traces, probe counters and
@@ -103,11 +104,6 @@ class Capabilities:
     serves_mid_migration: bool = False
     #: Requires the optional numpy extra to be importable and enabled.
     needs_numpy: bool = False
-    #: Can serve many independent streams as one stream batch
-    #: (:meth:`ExecutionBackend.run_streams` does better than a loop of
-    #: ``run_batch`` calls; the fleet coalesces across sessions only
-    #: through backends that say yes).
-    batchable_streams: bool = False
     #: Widest dtype the backend's stream plane packs tables into
     #: (``""`` when it has no packed stream plane — it serves streams,
     #: if at all, as a plain per-stream loop).
@@ -121,7 +117,6 @@ class Capabilities:
             "cycle_accurate": self.cycle_accurate,
             "serves_mid_migration": self.serves_mid_migration,
             "needs_numpy": self.needs_numpy,
-            "batchable_streams": self.batchable_streams,
         }
 
 
@@ -185,8 +180,8 @@ class ExecutionBackend(Protocol):
         ``run_batch(words[i], start=starts[i], commit=False)``; any
         stream the backend cannot serve raises :class:`TableMiss` for
         the whole call (the caller replays per-stream to isolate it).
-        Backends declaring ``batchable_streams`` amortize the call
-        across streams; others may serve it as exactly that loop.
+        Batchable backends amortize the call across streams; the
+        netlist serves it as exactly that loop.
         """
         ...
 

@@ -250,9 +250,6 @@ def _register_builtins() -> None:
             cycle_accurate=False,
             serves_mid_migration=False,
             needs_numpy=False,
-            # Streams batch into one pipe round-trip (the worker loops
-            # run_word over them); no packed stream plane, so no dtype.
-            batchable_streams=True,
         )
 
     register(BackendSpec(

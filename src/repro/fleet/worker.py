@@ -11,12 +11,14 @@ datapath enforces.  The worker loop interleaves three duties:
   :class:`~repro.exec.Dispatcher` (which owns every staleness /
   mid-migration / availability rule) and then drives whatever backend
   comes back through the :class:`~repro.exec.ExecutionBackend`
-  protocol.  A batchable backend serves coalesced runs of queued
-  batches in one call (committing the architectural state back to the
-  datapath); a :class:`~repro.exec.TableMiss` replays the same batches
-  through the cycle-accurate backend from the exact same state, so
-  behaviour (including fault semantics and quarantine) is identical
-  whichever backend serves;
+  protocol.  A batchable backend serves a coalesced run of queued
+  batches as one stream batch in one call — a lane per session, the
+  shard's own datapath word being the lane keyed ``None`` — and the
+  datapath lane's architectural state commits back once every lane
+  has succeeded; a :class:`~repro.exec.TableMiss` replays the same
+  batches through the cycle-accurate backend from the exact same
+  state, so behaviour (including fault semantics and quarantine) is
+  identical whichever backend serves;
 * **migrating** — between batches (and in idle gaps) run whole safe
   chunks of the pending gradual migration, never exceeding the stall
   budget per gap, exactly the paper's one-entry-per-cycle rollout;
@@ -43,7 +45,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.fsm import FSM, Input, Output, State
+from ..core.fsm import FSM, Input, State
 from ..core.incremental import Chunk, IncrementalMigrator
 from ..exec import Dispatcher, TableMiss
 from ..exec import batching as _batching
@@ -499,59 +501,10 @@ class ShardWorker(threading.Thread):
             self.stats.engine_fallbacks += len(batches)
         backend = decision.backend
         sp.attrs["backend"] = backend.name
-        if not backend.capabilities.batchable:
-            for batch in batches:
-                if batch.session is None:
-                    self._serve(batch)
-                else:
-                    self._serve_session(batch)
-            return
-        if len(lanes) == 1 and batches[0].session is None:
-            # The pre-session shape (every batch extends the datapath
-            # lane): one committed run, no stream plane involved.
-            self._serve_datapath_run(batches, backend)
-            return
-        self._serve_stream_run(batches, lanes, backend)
-
-    def _serve_datapath_run(self, batches: List[_Batch], backend) -> None:
-        """One coalesced committed run of datapath-lane batches."""
-        started = time.perf_counter()
-        downtime_before = self._downtime()
-        symbols: List[Input] = []
-        for batch in batches:
-            symbols.extend(batch.symbols)
-        try:
-            # Commits the architectural state (ST-REG, cycle and visit
-            # counters) back to the datapath in the same call.
-            run = backend.run_batch(symbols)
-        except TableMiss:
-            self.dispatcher.miss(self.hardware)
-            self.stats.engine_fallbacks += len(batches)
-            for batch in batches:
-                self._serve(batch)
-            return
-        if self.replica_group is not None:
-            # Committed: the run is a log entry every replica applies.
-            self.replica_group.on_serve(
-                run.final_state, len(symbols), run.visits
-            )
-        if self.link_latency_s:
-            # One device round-trip for the whole coalesced run — the
-            # latency amortisation batching exists for.
-            time.sleep(self.link_latency_s)
-        downtime_delta = self._downtime() - downtime_before
-        self.stats.service_downtime_cycles += downtime_delta
-        cursor = 0
-        for batch in batches:
-            size = len(batch.symbols)
-            batch.future.set_result(run.outputs[cursor:cursor + size])
-            cursor += size
-            self.stats.batches_ok += 1
-            self._m_batches_ok.inc()
-        self._count_compiled_run(
-            backend, len(batches), len(symbols), downtime_delta,
-            started, streams=1,
-        )
+        if backend.capabilities.batchable:
+            self._serve_stream_run(batches, lanes, backend)
+        else:
+            self._serve_cycle(batches)
 
     def _serve_stream_run(
         self,
@@ -559,14 +512,16 @@ class ShardWorker(threading.Thread):
         lanes: "Dict[Optional[Hashable], List[_Batch]]",
         backend,
     ) -> None:
-        """Serve a multi-session coalesced run as one stream batch.
+        """Serve a coalesced run as one stream batch, one lane per session.
 
         Each lane concatenates one session's queued batches (FIFO
-        within the lane); the whole run is one ``run_streams`` call on
-        the dispatched backend.  Nothing commits until *every* lane has
-        succeeded — a :class:`TableMiss` therefore replays from the
-        exact pre-run states, and a partial success can never
-        double-commit the datapath lane.
+        within the lane): the datapath lane (key ``None``) from the live
+        ST-REG state, a session lane from its own chain.  The whole run
+        is one ``run_streams`` call on the dispatched backend — a run of
+        datapath batches alone is simply its 1-lane case.  Nothing
+        commits until *every* lane has succeeded — a :class:`TableMiss`
+        therefore replays from the exact pre-run states, and a partial
+        success can never double-commit the datapath lane.
         """
         hw = self.hardware
         started = time.perf_counter()
@@ -584,152 +539,67 @@ class ShardWorker(threading.Thread):
                 else self._sessions.get(key, hw.reset_state)
             )
         try:
-            if backend.capabilities.batchable_streams:
-                runs = _batching.run_streams(
-                    backend, words, starts=starts, site="fleet.serve"
-                )
-            else:
-                # Batchable but stream-blind: per-lane pure queries,
-                # same no-commit-until-all-succeed ordering.
-                runs = [
-                    backend.run_batch(word, start=start, commit=False)
-                    for word, start in zip(words, starts)
-                ]
+            runs = _batching.run_streams(
+                backend, words, starts=starts, site="fleet.serve"
+            )
         except TableMiss:
             self.dispatcher.miss(hw)
             self.stats.engine_fallbacks += len(batches)
-            for batch in batches:
-                if batch.session is None:
-                    self._serve(batch)
-                else:
-                    self._serve_session(batch)
+            self._serve_cycle(batches)
             return
         # Every lane succeeded: fast-forward the datapath lane's
-        # architectural state and advance the session chains.
+        # architectural state (ST-REG, cycle and visit counters) and
+        # advance the session chains.
         for key, run in zip(keys, runs):
             if key is None:
                 hw.commit_engine_run(run.final_state, len(run), run.visits)
                 if self.replica_group is not None:
+                    # Committed: the run is a log entry every replica
+                    # applies.
                     self.replica_group.on_serve(
                         run.final_state, len(run), run.visits
                     )
             else:
                 self._sessions[key] = run.final_state
-        if self.link_latency_s:
-            time.sleep(self.link_latency_s)
-        downtime_delta = self._downtime() - downtime_before
-        self.stats.service_downtime_cycles += downtime_delta
+        self._count_served(
+            backend, "compiled", len(batches), sum(map(len, words)),
+            downtime_before, started, streams=len(keys),
+        )
         run_of = dict(zip(keys, runs))
         cursors = dict.fromkeys(keys, 0)
-        n_symbols = 0
         for batch in batches:
             # Original submission order across lanes: per-shard FIFO is
             # part of the pool's contract, sessions or not.
-            run = run_of[batch.session]
             cursor = cursors[batch.session]
             size = len(batch.symbols)
-            batch.future.set_result(run.outputs[cursor:cursor + size])
+            batch.future.set_result(
+                run_of[batch.session].outputs[cursor:cursor + size]
+            )
             cursors[batch.session] = cursor + size
-            n_symbols += size
-            self.stats.batches_ok += 1
-            self._m_batches_ok.inc()
-        self._count_compiled_run(
-            backend, len(batches), n_symbols, downtime_delta,
-            started, streams=len(keys),
-        )
 
-    def _count_compiled_run(
-        self,
-        backend,
-        n_batches: int,
-        n_symbols: int,
-        downtime_delta: int,
-        started: float,
-        streams: int,
-    ) -> None:
-        """Stats + metrics + journal for one compiled-path serve run."""
-        self.stats.symbols_served += n_symbols
-        self.stats.engine_batches += n_batches
-        self.stats.engine_symbols += n_symbols
-        self._m_symbols.inc(n_symbols)
-        self._served_handle("compiled", backend.name).inc(n_symbols)
-        self._batch_size_handle(backend.name).observe(n_symbols)
-        self._m_batch_seconds.observe(time.perf_counter() - started)
-        journal = _journal.JOURNAL
-        if journal.enabled:
-            journal.record(
-                _journal.SERVE_BATCH,
-                shard=self.label,
-                backend=backend.name,
-                path="compiled",
-                batches=n_batches,
-                symbols=n_symbols,
-                downtime_delta=downtime_delta,
-                streams=streams,
-            )
+    def _serve_cycle(self, batches: List[_Batch]) -> None:
+        """Serve batches one by one on the cycle-accurate netlist (the
+        non-batchable path, and the replay path of a table miss)."""
+        for batch in batches:
+            self._serve_cycle_lane(batch)
 
-    def _serve(self, batch: _Batch) -> None:
-        """Serve one batch per-symbol on the cycle-accurate backend.
+    def _serve_cycle_lane(self, batch: _Batch) -> None:
+        """Serve one batch through ``CycleBackend.run_batch``.
 
-        Asks the dispatcher for the netlist backend each time so a
-        quarantine mid-loop (which replaces the datapath wholesale)
-        re-binds before the next batch — exactly the pre-exec
-        behaviour of stepping ``self.hardware`` directly.
-        """
-        backend = self.dispatcher.cycle_backend(self.hardware)
-        started = time.perf_counter()
-        downtime_before = self._downtime()
-        try:
-            outputs: List[Output] = [
-                backend.step(symbol) for symbol in batch.symbols
-            ]
-        except Exception as exc:
-            self.stats.batches_failed += 1
-            self._m_batches_error.inc()
-            batch.future.set_exception(exc)
-            self._quarantine(exc)
-            return
-        if self.replica_group is not None:
-            self.replica_group.on_serve(
-                self.hardware.state, len(batch.symbols), None
-            )
-        if self.link_latency_s:
-            time.sleep(self.link_latency_s)
-        downtime_delta = self._downtime() - downtime_before
-        self.stats.service_downtime_cycles += downtime_delta
-        self.stats.batches_ok += 1
-        self.stats.symbols_served += len(batch.symbols)
-        self._m_batches_ok.inc()
-        self._m_symbols.inc(len(batch.symbols))
-        self._served_handle("cycle", backend.name).inc(len(batch.symbols))
-        self._m_batch_seconds.observe(time.perf_counter() - started)
-        journal = _journal.JOURNAL
-        if journal.enabled:
-            journal.record(
-                _journal.SERVE_BATCH,
-                shard=self.label,
-                backend=backend.name,
-                path="cycle",
-                batches=1,
-                symbols=len(batch.symbols),
-                downtime_delta=downtime_delta,
-            )
-        batch.future.set_result(outputs)
-
-    def _serve_session(self, batch: _Batch) -> None:
-        """Serve one session batch cycle-accurately (the fallback the
-        stream path replays through).
-
-        The session's state chain lives beside the datapath: the
-        netlist replays the word from the session's state as a pure
-        query (``commit=False`` restores the datapath lane's state
-        afterwards), so the datapath lane's chain, its probes and an
+        The datapath lane (``session=None``) runs from the live ST-REG
+        state and commits.  A session lane replays its word from the
+        session's state as a pure query (``commit=False`` restores the
+        datapath lane's state afterwards) on the next replica of the
+        read rotation, so the datapath lane's chain, its probes and an
         in-flight migration are undisturbed — while the replay still
         clocks the real netlist, so an injected fault raises out and
-        quarantines exactly as on the datapath lane.
+        quarantines exactly as on the datapath lane.  The netlist
+        backend is looked up per batch, so a quarantine (which replaces
+        the datapath wholesale) re-binds before the next one.
         """
+        session = batch.session
         hw = self.hardware
-        if self.replica_group is not None:
+        if session is not None and self.replica_group is not None:
             # Pure queries route to any in-sync replica (leader
             # included, rotating) — followers carry read traffic, not
             # just the write stream.
@@ -737,12 +607,16 @@ class ShardWorker(threading.Thread):
             if replica_hw is not None:
                 hw = replica_hw
         backend = self.dispatcher.cycle_backend(hw)
-        start = self._sessions.get(batch.session, hw.reset_state)
         started = time.perf_counter()
         downtime_before = self._downtime()
         try:
             run = backend.run_batch(
-                batch.symbols, start=start, commit=False
+                batch.symbols,
+                start=(
+                    None if session is None
+                    else self._sessions.get(session, hw.reset_state)
+                ),
+                commit=session is None,
             )
         except Exception as exc:
             self.stats.batches_failed += 1
@@ -750,16 +624,45 @@ class ShardWorker(threading.Thread):
             batch.future.set_exception(exc)
             self._quarantine(exc)
             return
-        self._sessions[batch.session] = run.final_state
+        if session is not None:
+            self._sessions[session] = run.final_state
+        elif self.replica_group is not None:
+            self.replica_group.on_serve(run.final_state, len(run), run.visits)
+        self._count_served(
+            backend, "cycle", 1, len(run), downtime_before, started,
+            streams=1,
+        )
+        batch.future.set_result(run.outputs)
+
+    def _count_served(
+        self,
+        backend,
+        path: str,
+        n_batches: int,
+        n_symbols: int,
+        downtime_before: int,
+        started: float,
+        streams: int,
+    ) -> None:
+        """Link latency, stats, metrics and the ``serve.batch`` journal
+        record for one served run (``path`` is ``"compiled"`` or
+        ``"cycle"``), before its futures resolve."""
         if self.link_latency_s:
+            # One device round-trip per served run — for a coalesced
+            # run, the latency amortisation batching exists for.
             time.sleep(self.link_latency_s)
         downtime_delta = self._downtime() - downtime_before
-        self.stats.service_downtime_cycles += downtime_delta
-        self.stats.batches_ok += 1
-        self.stats.symbols_served += len(batch.symbols)
-        self._m_batches_ok.inc()
-        self._m_symbols.inc(len(batch.symbols))
-        self._served_handle("cycle", backend.name).inc(len(batch.symbols))
+        stats = self.stats
+        stats.service_downtime_cycles += downtime_delta
+        stats.batches_ok += n_batches
+        stats.symbols_served += n_symbols
+        self._m_batches_ok.inc(n_batches)
+        self._m_symbols.inc(n_symbols)
+        self._served_handle(path, backend.name).inc(n_symbols)
+        if path == "compiled":
+            stats.engine_batches += n_batches
+            stats.engine_symbols += n_symbols
+            self._batch_size_handle(backend.name).observe(n_symbols)
         self._m_batch_seconds.observe(time.perf_counter() - started)
         journal = _journal.JOURNAL
         if journal.enabled:
@@ -767,13 +670,12 @@ class ShardWorker(threading.Thread):
                 _journal.SERVE_BATCH,
                 shard=self.label,
                 backend=backend.name,
-                path="cycle",
-                batches=1,
-                symbols=len(batch.symbols),
+                path=path,
+                batches=n_batches,
+                symbols=n_symbols,
                 downtime_delta=downtime_delta,
-                streams=1,
+                streams=streams,
             )
-        batch.future.set_result(run.outputs)
 
     # -- main loop -----------------------------------------------------
     def stop(self) -> None:

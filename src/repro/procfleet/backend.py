@@ -4,8 +4,9 @@
 The parent side of the split brain.  A :class:`ShmTableBackend` compiles
 the bound machine's tables (pure-Python kernel — the segment format is
 kernel-agnostic), publishes them through its
-:class:`~repro.procfleet.session.WorkerSession`, and serves
-``run_batch`` by one synchronous pipe round-trip.  Everything the
+:class:`~repro.procfleet.session.WorkerSession`, and serves every call
+— ``run_streams``, and ``run_batch`` as its 1-lane case — by one
+synchronous ``serve`` round-trip (ring, or pipe).  Everything the
 in-process :class:`~repro.exec.TableBackend` promises holds here too:
 
 * committed runs fast-forward the parent's canonical datapath through
@@ -42,12 +43,8 @@ from typing import Optional, Sequence
 from ..core.fsm import FSM, Input, Output, State
 from ..engine.compiled import CompiledFSM, WordRun
 from ..exec import killswitch as _killswitch
-from ..exec.protocol import (
-    Capabilities,
-    ExecSnapshot,
-    StaleSnapshot,
-    TableMiss,
-)
+from ..exec.backends import restore_snapshot, snapshot_of
+from ..exec.protocol import Capabilities, ExecSnapshot, TableMiss
 from ..hw.machine import HardwareFSM
 from ..obs import context as _context
 from ..obs import journal as _journal
@@ -97,12 +94,10 @@ class ShmTableBackend:
         batchable=True,
         cycle_accurate=False,
         serves_mid_migration=False,
-        needs_numpy=False,
-        # Streams batch into one `serve_streams` pipe round-trip; the
-        # worker itself serves them on the pure-Python kernel (the
+        # The worker serves lanes on the pure-Python kernel (the
         # segment format carries no packed stream plane), so there is
         # no dtype ceiling to report.
-        batchable_streams=True,
+        needs_numpy=False,
     )
 
     def __init__(self, machine, session: WorkerSession):
@@ -131,48 +126,16 @@ class ShmTableBackend:
         start: Optional[State] = None,
         commit: bool = True,
     ) -> WordRun:
+        """One stream: a 1-lane :meth:`run_streams` from ``start``
+        (default: the bound datapath's live state), committed back to
+        the datapath unless ``commit`` is false."""
         hw = self.hardware
-        if start is None:
-            start = (
-                hw.state if hw is not None else self.compiled.reset_state
-            )
-        carrier: Optional[dict] = _context.inject({}) or None
-        want_journal = _journal.JOURNAL.enabled
-        want_spans = _tracing.TRACER.enabled
+        if start is None and hw is not None:
+            start = hw.state
         with _span(
             "engine.run_batch", backend=self.name, symbols=len(symbols)
         ):
-            reply = None
-            for attempt in (0, 1):
-                reply = self.session.request((
-                    "serve",
-                    self.epoch,
-                    start,
-                    tuple(symbols),
-                    carrier,
-                    want_journal,
-                    want_spans,
-                ))
-                if reply[0] != "miss":
-                    break
-                self._absorb(reply[2], reply[3])
-                if attempt == 0 and "epoch" in reply[1]:
-                    # Another backend moved the shared slot on: republish
-                    # our tables past it and retry once.
-                    self.epoch = self.session.publish(self.compiled)
-                    continue
-                raise TableMiss(f"shm worker miss: {reply[1]}")
-            if reply[0] == "err":
-                raise TableMiss(f"shm worker failed: {reply[1]}")
-            _, outputs, final_state, visits, _epoch, events, spans, _pid = (
-                reply
-            )
-            self._absorb(events, spans)
-            run = WordRun(
-                outputs=list(outputs),
-                final_state=final_state,
-                visits=dict(visits),
-            )
+            run = self.run_streams([symbols], starts=[start])[0]
             if commit and hw is not None:
                 hw.commit_engine_run(run.final_state, len(run), run.visits)
             return run
@@ -182,27 +145,30 @@ class ShmTableBackend:
         words: Sequence[Sequence[Input]],
         starts: Optional[Sequence[Optional[State]]] = None,
     ) -> Sequence[WordRun]:
-        """Serve many independent streams in one pipe round-trip.
+        """Serve independent streams in one ``serve`` round-trip.
 
         The parent resolves ``None`` start entries to the compiled
         reset state before the frame crosses the boundary (the worker
         never guesses), then ships every ``(start, word)`` lane in a
-        single ``serve_streams`` frame.  Same contract as the
-        in-process backends: submission order, never commits, and any
-        unserveable lane is a :class:`TableMiss` for the whole call —
-        epoch skew gets the same one-republish retry as ``run_batch``.
+        single frame.  Same contract as the in-process backends:
+        submission order, never commits, and any unserveable lane is a
+        :class:`TableMiss` for the whole call.  Epoch skew (another
+        backend moved the shared slot on) republishes this backend's
+        tables and retries once.
         """
         reset = self.compiled.reset_state
         if starts is None:
-            resolved: tuple = (reset,) * len(words)
+            resolved = [reset] * len(words)
         else:
             if len(starts) != len(words):
                 raise ValueError(
                     f"{len(starts)} start states for {len(words)} streams"
                 )
-            resolved = tuple(
+            # A list, so the worker never mistakes the per-lane starts
+            # for one tuple-valued state.
+            resolved = [
                 reset if start is None else start for start in starts
-            )
+            ]
         carrier: Optional[dict] = _context.inject({}) or None
         want_journal = _journal.JOURNAL.enabled
         want_spans = _tracing.TRACER.enabled
@@ -212,7 +178,7 @@ class ShmTableBackend:
             reply = None
             for attempt in (0, 1):
                 reply = self.session.request((
-                    "serve_streams",
+                    "serve",
                     self.epoch,
                     resolved,
                     tuple(tuple(word) for word in words),
@@ -249,34 +215,10 @@ class ShmTableBackend:
             _tracing.TRACER.absorb(spans)
 
     def snapshot(self) -> ExecSnapshot:
-        hw = self.hardware
-        return ExecSnapshot(
-            state=hw.state if hw is not None else self.compiled.reset_state,
-            table_version=(
-                hw.table_version if hw is not None
-                else self.compiled.source_version
-            ),
-        )
+        return snapshot_of(self.hardware, self.compiled)
 
     def restore(self, snap: ExecSnapshot) -> None:
-        hw = self.hardware
-        if hw is None:
-            return
-        if (
-            snap.table_version is not None
-            and snap.table_version != hw.table_version
-        ):
-            _journal.JOURNAL.record(
-                _journal.EXEC_STALE_SNAPSHOT,
-                snapshot_version=snap.table_version,
-                live_version=hw.table_version,
-            )
-            raise StaleSnapshot(
-                f"snapshot of {hw.name} at table version "
-                f"{snap.table_version} cannot be restored at version "
-                f"{hw.table_version}: the tables changed underneath it"
-            )
-        hw.restore_state(snap.state)
+        restore_snapshot(self.hardware, snap)
 
     def invalidate(self, reason: str = "explicit") -> None:
         """Drop the compiled view; the published segment is retired so

@@ -25,10 +25,10 @@ the same publish-then-stamp discipline as the control block's seqlock.
 
 Scope and honesty:
 
-* rings move **small frames only** — a payload that does not fit a slot
-  falls back to the pipe, as do ``serve_streams`` frames (large by
-  construction) and control frames (``stop``/``ping``), so the pipe
-  remains the transport of record for everything the ring does not
+* rings move **small frames only** — every ``serve`` frame (one lane
+  or many) whose payload fits a slot; a payload that does not fit falls
+  back to the pipe, as do control frames (``stop``/``ping``), so the
+  pipe remains the transport of record for everything the ring does not
   accelerate;
 * the ring is **per worker process**: a respawn after a crash gets a
   fresh ring (positions restart at zero), which keeps crash semantics

@@ -227,9 +227,10 @@ class WorkerSession:
     def _ring_request(self, frame: tuple) -> Optional[tuple]:
         """Attempt the round-trip on the shm ring; ``None`` = use pipe.
 
-        Only small ``serve`` frames ride the ring — control frames and
-        stream frames keep the pipe, as does any frame whose pickled
-        form outgrows a slot.  A worker death or wedge mid-wait raises
+        Every ``serve`` frame whose pickled form fits a slot rides the
+        ring — a 1-lane datapath word and a multi-session stream batch
+        alike.  Oversized frames and control frames keep the pipe.  A
+        worker death or wedge mid-wait raises
         :class:`RingClosed`/:class:`RingTimeout`, which the caller maps
         onto the exact pipe-era crash path.
         """

@@ -1,21 +1,20 @@
 """The worker-process serve loop: a stateless shared-memory table server.
 
-One worker owns one pipe and one control-block slot.  Per request frame
-it (1) reads its slot, re-attaching the published table segment whenever
-the epoch moved, (2) refuses epoch-skewed requests with a miss instead
-of serving a stale table, (3) runs the symbols through a locally rebuilt
-:class:`~repro.engine.CompiledFSM` from the frame's start state, and
-(4) replies with outputs, final state, state visits and the worker-side
-observability records.
+One worker owns one pipe and one control-block slot.  Per ``serve``
+frame it (1) reads its slot, re-attaching the published table segment
+whenever the epoch moved, (2) refuses epoch-skewed requests with a miss
+instead of serving a stale table, (3) runs each of the frame's
+``(start, word)`` lanes through a locally rebuilt
+:class:`~repro.engine.CompiledFSM`, and (4) replies with one
+``(outputs, final state, state visits)`` result per lane, in submission
+order, plus the worker-side observability records.  A shard's own
+datapath word is simply a 1-lane frame; a coalesced multi-session fleet
+batch is one frame, one round-trip, however many sessions it carries.
 
 The worker holds **no architectural state** between requests — the
-start state travels in every frame and the parent commits results to
+start states travel in every frame and the parent commits results to
 its canonical datapath — so a crashed worker loses nothing and respawn
-is just ``fork``/``spawn`` again.  A ``serve_streams`` frame carries
-many independent ``(start, word)`` lanes at once: the worker serves
-them all from one attached snapshot and replies with one result per
-lane in submission order, so a coalesced multi-stream fleet batch costs
-a single pipe round-trip instead of one per session.
+is just ``fork``/``spawn`` again.
 
 Observability crosses the boundary explicitly: the frame carries the
 parent's trace context in the string-carrier form of
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..obs import context as _context
 from ..obs import journal as _journal
@@ -123,82 +122,8 @@ def _serve(
     label: str,
     frame: tuple,
 ) -> Tuple[Optional[_AttachedView], tuple]:
-    from ..engine.compiled import EngineError
-
-    (_, expect_epoch, start, symbols, carrier, want_journal,
-     want_spans) = frame
-    pid = os.getpid()
-    journal = _journal.JOURNAL
-    tracer = _tracing.TRACER
-    journal.enabled = bool(want_journal)
-    tracer.enabled = bool(want_spans)
-    ctx = _context.extract(carrier) if carrier else None
-    token = _context.attach(ctx) if ctx is not None else None
-    try:
-        with _tracing.span(
-            "procfleet.worker.serve", pid=pid, symbols=len(symbols)
-        ):
-            view, miss = _attach(ctl, slot, view, label)
-            if miss is None and expect_epoch is not None:
-                if view is not None and view.epoch != expect_epoch:
-                    journal.record(
-                        _journal.PROCFLEET_EPOCH_SKEW,
-                        shard=label,
-                        expected=expect_epoch,
-                        published=view.epoch,
-                        pid=pid,
-                    )
-                    miss = (
-                        f"epoch skew: parent expects {expect_epoch}, "
-                        f"slot publishes {view.epoch}"
-                    )
-            if miss is None:
-                try:
-                    run = view.compiled.run_word(symbols, start=start)
-                except EngineError as exc:
-                    miss = str(exc)
-            if miss is None:
-                journal.record(
-                    _journal.PROCFLEET_WORKER_BATCH,
-                    shard=label,
-                    pid=pid,
-                    epoch=view.epoch,
-                    symbols=len(symbols),
-                )
-    finally:
-        if token is not None:
-            _context.detach(token)
-    events = [e.to_dict() for e in journal.events()] if want_journal else []
-    spans = [s.to_dict() for s in tracer.spans] if want_spans else []
-    journal.clear()
-    with tracer._lock:
-        tracer.spans.clear()
-    journal.enabled = False
-    tracer.enabled = False
-    if miss is not None:
-        return view, ("miss", miss, events, spans, pid)
-    visits: Dict[Any, int] = dict(run.visits)
-    return view, (
-        "ok",
-        list(run.outputs),
-        run.final_state,
-        visits,
-        view.epoch,
-        events,
-        spans,
-        pid,
-    )
-
-
-def _serve_streams(
-    ctl: ControlBlock,
-    slot: int,
-    view: Optional[_AttachedView],
-    label: str,
-    frame: tuple,
-) -> Tuple[Optional[_AttachedView], tuple]:
-    """One multi-stream frame: many independent ``(start, word)`` lanes
-    served from the same attached table snapshot in one round-trip.
+    """One ``serve`` frame: independent ``(start, word)`` lanes served
+    from the same attached table snapshot in one round-trip.
 
     The whole frame succeeds or misses atomically — a worker serves no
     architectural state, so a partial result would only push the
@@ -220,7 +145,7 @@ def _serve_streams(
     runs = None
     try:
         with _tracing.span(
-            "procfleet.worker.serve_streams",
+            "procfleet.worker.serve",
             pid=pid,
             streams=len(words),
             symbols=n_symbols,
@@ -268,8 +193,7 @@ def _serve_streams(
     if miss is not None:
         return view, ("miss", miss, events, spans, pid)
     results = [
-        (list(run.outputs), run.final_state, dict(run.visits))
-        for run in runs
+        (run.outputs, run.final_state, run.visits) for run in runs
     ]
     return view, ("ok", results, view.epoch, events, spans, pid)
 
@@ -409,10 +333,6 @@ def worker_main(
                     reply = ("pong", os.getpid())
                 elif kind == "serve":
                     view, reply = _serve(ctl, slot, view, label, frame)
-                elif kind == "serve_streams":
-                    view, reply = _serve_streams(
-                        ctl, slot, view, label, frame
-                    )
                 elif kind == "fingerprint":
                     view, reply = _fingerprint(ctl, slot, view, label)
                 elif kind == "corrupt":

@@ -11,6 +11,7 @@ invalidation) is ``tests/exec/test_streams_differential.py``.
 
 import pytest
 
+from repro.core.transform import parallel_compose
 from repro.engine import (
     CompiledFSM,
     EngineError,
@@ -24,7 +25,12 @@ from repro.engine import (
 )
 from repro.hw.faults import erase_entry
 from repro.hw.machine import HardwareFSM
-from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
+from repro.workloads.library import (
+    fig6_m,
+    fig6_m_prime,
+    ones_detector,
+    parity_checker,
+)
 from repro.workloads.random_fsm import random_fsm
 from repro.workloads.suite import traffic_words
 
@@ -164,6 +170,21 @@ class TestKernelEquivalence:
                 ref.outputs,
                 ref.final_state,
             )
+
+    @pytest.mark.parametrize("n_lanes", [2, 3])
+    def test_tuple_state_is_one_start_for_every_lane(self, kernel, n_lanes):
+        # A parallel_compose state is a tuple; as ``starts`` it is the
+        # one start of every lane, never a per-lane sequence.
+        machine = parallel_compose(ones_detector(), parity_checker())
+        compiled = CompiledFSM.from_fsm(machine)
+        start = next(s for s in machine.states if s != machine.reset_state)
+        words = traffic_words(machine, n_lanes, 6, seed=7)
+        runs = compiled.run_streams(
+            words, starts=start, kernel=kernel
+        ).word_runs()
+        assert [run.outputs for run in runs] == [
+            machine.run(word, start=start) for word in words
+        ]
 
     def test_wrong_starts_length_raises(self, kernel):
         compiled = CompiledFSM.from_fsm(ones_detector())

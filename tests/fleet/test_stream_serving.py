@@ -89,6 +89,25 @@ class TestSessionChains:
                     fleet.submit(0, ["1"], session=i)
 
 
+class TestProcessTransport:
+    def test_session_submissions_ride_the_ring(self, monkeypatch):
+        # Force the ring on whatever the suite's environment (CI also
+        # runs this file under REPRO_DISABLE_RING=1, the pipe leg).
+        monkeypatch.delenv("REPRO_DISABLE_RING", raising=False)
+        machine = ones_detector()
+        with make_fleet("process", machine, n_workers=1) as fleet:
+            chains = {"a": [], "b": []}
+            words = traffic_words(machine, 6, 5, seed=3)
+            for index, word in enumerate(words):
+                name = ("a", "b")[index % 2]
+                got = fleet.submit(0, word, session=name).result(timeout=10)
+                chains[name].extend(word)
+                assert got == machine.run(chains[name])[-len(word):]
+            session = fleet._sessions[0]
+            assert session.ring_requests >= len(words)
+            assert session.pipe_requests == 0
+
+
 @pytest.mark.parametrize("engine", ENGINE_MODES_HERE)
 class TestSessionsAcrossEngineModes:
     def test_chains_identical_with_engine_on_and_off(self, engine):
@@ -176,17 +195,108 @@ class TestSessionsUnderMigration:
             fleet.close()
 
 
+def _blocked_submits(fleet, submissions):
+    """Stall the fleet's single worker on a control item, queue every
+    ``(word, session)`` submission behind it, then release: the drain
+    coalesces whatever queued into as few runs as the policy allows.
+    Returns the futures in submission order."""
+    from concurrent.futures import Future
+
+    from repro.fleet.worker import _Fault
+
+    gate = threading.Event()
+    entered = threading.Event()
+
+    def blocker(_hw):
+        entered.set()
+        gate.wait(timeout=30)
+        return None
+
+    fleet.shards[0].queue.put(_Fault(inject=blocker, future=Future()))
+    assert entered.wait(timeout=10)
+    futures = [
+        fleet.submit(0, word, session=session)
+        for word, session in submissions
+    ]
+    gate.set()
+    return futures
+
+
+def _datapath_outcome(fleet, words):
+    """Everything a coalesced datapath-only run leaves behind: outputs,
+    ST-REG state, cycle and visit probes, and the replica log's serve
+    cycles and commit point.  Thread-mode followers must track the
+    leader's state and visit probes exactly."""
+    from repro.obs.probes import probe_hardware
+
+    futures = _blocked_submits(fleet, [(word, None) for word in words])
+    outputs = [future.result(timeout=30) for future in futures]
+    fleet.drain()
+    shard = fleet.shards[0]
+    probe = probe_hardware(shard.hardware)
+    outcome = {
+        "outputs": outputs,
+        "state": shard.hardware.state,
+        "cycles": (probe.cycles_total, probe.cycles_normal),
+        "visits": probe.state_visits,
+    }
+    group = shard.replica_group
+    if group is not None:
+        serves = group.log.entries(kind="serve")
+        outcome["log"] = (
+            sum(entry.payload["cycles"] for entry in serves),
+            group.log.commit_index == group.log.last_index,
+        )
+        for follower in getattr(group, "_followers", {}).values():
+            assert follower.hardware.state == shard.hardware.state
+            assert (
+                probe_hardware(follower.hardware).state_visits
+                == probe.state_visits
+            )
+    return outcome
+
+
 class TestCoalescingAcrossSessions:
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_datapath_only_run_matches_the_cycle_path(self, mode, replicas):
+        # A blocked shard's datapath batches drain as one coalesced
+        # 1-lane stream run; it must leave exactly what the netlist
+        # stepping the same batches one by one leaves.
+        from repro.replica import ReplicaConfig
+
+        machine = sequence_detector("1011")
+        words = traffic_words(machine, 12, 6, seed=8)
+        # Pinned, so a forced REPRO_BACKEND leaves the two paths apart
+        # (a process shard always serves through table-shm).
+        table_engine = "python" if mode == "thread" else "auto"
+        outcomes, runs = [], []
+        for fleet_mode, engine in ((mode, table_engine), ("thread", "off")):
+            with make_fleet(
+                fleet_mode, machine, n_workers=1, engine=engine,
+                replication=ReplicaConfig(n=replicas),
+            ) as fleet:
+                outcomes.append(_datapath_outcome(fleet, words))
+                log = fleet.shards[0].replica_group.log
+                runs.append(len(log.entries(kind="serve")))
+        # The table path coalesced (one committed run, one log entry,
+        # per drained run); the netlist logs every batch.
+        assert runs[0] < len(words) == runs[1]
+        table, cycle = outcomes
+        # Every batch extends the one datapath chain.
+        chain = machine.run([symbol for word in words for symbol in word])
+        assert table["outputs"] == [
+            chain[i:i + 6] for i in range(0, len(chain), 6)
+        ]
+        assert table == cycle
+
     def test_blocked_worker_coalesces_sessions_into_one_stream_run(self):
         # Stall the single worker so distinct sessions pile up, then
         # release: the drain serves them as one multi-lane stream batch
         # (visible as an ``exec.stream_batch`` journal event with more
         # than one lane) while every future resolves with its session's
         # own outputs.
-        from concurrent.futures import Future
-
         from repro import obs
-        from repro.fleet.worker import _Fault
         from repro.obs import journal as _journal
 
         machine = ones_detector()
@@ -195,23 +305,13 @@ class TestCoalescingAcrossSessions:
             machine, n_workers=1, queue_depth=256, engine="python"
         )
         try:
-            gate = threading.Event()
-            entered = threading.Event()
-
-            def blocker(_hw):
-                entered.set()
-                gate.wait(timeout=30)
-                return None
-
-            fleet.shards[0].queue.put(_Fault(inject=blocker, future=Future()))
-            assert entered.wait(timeout=10)
-            futures = []
-            words = {}
-            for i in range(12):
-                word = traffic_words(machine, 1, 6, seed=i)[0]
-                words[i] = word
-                futures.append(fleet.submit(0, word, session=i))
-            gate.set()
+            words = {
+                i: traffic_words(machine, 1, 6, seed=i)[0]
+                for i in range(12)
+            }
+            futures = _blocked_submits(
+                fleet, [(words[i], i) for i in range(12)]
+            )
             for i, future in enumerate(futures):
                 assert future.result(timeout=10) == machine.run(words[i])
             assert fleet.shards[0].stats.batches_ok >= 12

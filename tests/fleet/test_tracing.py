@@ -3,8 +3,9 @@
 The contract under test: a trace context captured at
 ``FSMFleet.submit()`` is re-activated in the worker thread, so the
 client's request span, the shard's ``fleet.serve`` span, the
-dispatcher's ``exec.dispatch`` span and the engine's
-``engine.run_batch`` span form ONE connected tree under one trace id —
+dispatcher's ``exec.dispatch`` span and the backend's
+``engine.run_streams`` (netlist: ``engine.run_batch``) span form ONE
+connected tree under one trace id —
 and every journal event emitted while serving carries that trace id.
 """
 
@@ -70,7 +71,11 @@ class TestRequestTraceTree:
         assert dispatch.trace_id == client.trace_id
         assert dispatch.parent == serve.index
 
-        runs = _spans_by_name("engine.run_batch")
+        # The table path serves the datapath word as a 1-lane stream
+        # batch; the netlist (REPRO_BACKEND=cycle) as one run_batch.
+        runs = _spans_by_name("engine.run_streams") + _spans_by_name(
+            "engine.run_batch"
+        )
         assert runs, "the backend run must be traced"
         for run in runs:
             assert run.trace_id == client.trace_id

@@ -155,6 +155,19 @@ class TestSessionIntegration:
         assert backend.run_batch(word).outputs == machine.run(word)
         assert session.ring_requests >= 1
 
+    def test_stream_frames_ride_the_ring(self, ring_on, session):
+        from repro.procfleet import ShmTableBackend
+
+        machine = ones_detector()
+        backend = ShmTableBackend(machine, session)
+        words = [list("0110"), list("11"), list("1011")]
+        runs = backend.run_streams(words)
+        assert [run.outputs for run in runs] == [
+            machine.run(word) for word in words
+        ]
+        # One 3-lane serve frame, one ring round-trip, no pipe frame.
+        assert (session.ring_requests, session.pipe_requests) == (1, 0)
+
     def test_kill_switch_forces_pipe(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_RING", "1")
         assert not ring_enabled()

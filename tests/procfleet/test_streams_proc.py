@@ -1,11 +1,11 @@
-"""Multi-stream frames over the worker pipe (``serve_streams``).
+"""Multi-stream ``serve`` frames to the worker process.
 
 One coalesced stream batch crosses the process boundary as a single
-pipe round-trip; the worker serves every lane from the shared-memory
-tables and the whole frame is atomic — all lanes answer, or the frame
-misses and nothing is committed.  Epoch skew (a republish landing
-between submit and serve) stays invisible: the backend retries once
-against the fresh epoch, exactly as ``run_batch`` does.
+round-trip (ring, or pipe); the worker serves every lane from the
+shared-memory tables and the whole frame is atomic — all lanes answer,
+or the frame misses and nothing is committed.  Epoch skew (a republish
+landing between submit and serve) stays invisible: the backend retries
+once against the fresh epoch (``run_batch``, its 1-lane case, too).
 """
 
 import os
