@@ -190,38 +190,6 @@ def _evolve_program(
             evaluations += 1
         return fitness_cache[key]
 
-    def evaluate_population(genomes: Sequence[Sequence[int]]) -> None:
-        """Batch-evaluate one generation's uncached genomes at once.
-
-        The population-level evaluation hook: every distinct genome of
-        the generation is decoded in one pass — routed through the
-        execution layer's batch entry point
-        (:func:`repro.exec.map_batch`), the same seam the fleet and the
-        suite evaluate batches through — before selection touches any
-        of them, so ranking and tournaments below always hit the cache.
-        Behaviour-identical to lazy evaluation (the decoder is pure and
-        every population member is ranked each generation) but
-        structured the way population-level FSM evaluation wants it:
-        one batch per generation, amenable to parallel/vectorized
-        decoders behind the same entry point.
-        """
-        nonlocal evaluations
-        from ..exec.batching import map_batch
-
-        fresh: List[Tuple[int, ...]] = []
-        seen = set()
-        for genome in genomes:
-            key = tuple(genome)
-            if key not in fitness_cache and key not in seen:
-                seen.add(key)
-                fresh.append(key)
-        lengths = map_batch(
-            lambda key: len(decode(key)), fresh, site="ea.fitness"
-        )
-        for key, length in zip(fresh, lengths):
-            fitness_cache[key] = length
-        evaluations += len(fresh)
-
     population: List[List[int]] = []
     if config.seed_with_greedy:
         greedy = nearest_neighbour_order(source, target)
@@ -238,7 +206,8 @@ def _evolve_program(
 
     history: List[int] = []
     for _generation in range(config.generations):
-        evaluate_population(population)
+        # Ranking evaluates every member (through the cache), so the
+        # tournaments below only ever hit the cache.
         ranked = sorted(population, key=fitness)
         history.append(fitness(ranked[0]))
         _instruments.EA_GENERATIONS.inc()
@@ -258,7 +227,6 @@ def _evolve_program(
             next_gen.append(child)
         population = next_gen
 
-    evaluate_population(population)
     best = min(population, key=fitness)
     history.append(fitness(best))
     program = decode(best)

@@ -25,7 +25,7 @@ See ``docs/architecture.md`` for where this layer sits
 
 from . import killswitch
 from .backends import CycleBackend, TableBackend, compile_tables
-from .batching import map_batch, run_streams
+from .batching import run_streams
 from .dispatcher import DEFAULT_COALESCE, Decision, Dispatcher
 from .protocol import (
     BackendUnavailable,
@@ -64,7 +64,6 @@ __all__ = [
     "compile_tables",
     "get",
     "killswitch",
-    "map_batch",
     "names",
     "register",
     "resolve",

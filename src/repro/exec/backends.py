@@ -5,9 +5,8 @@ dispatcher and the fleet hot path only ever see that contract.
 
 * :class:`CycleBackend` wraps a live
   :class:`~repro.hw.machine.HardwareFSM`: every step is a real clocked
-  cycle (traces, probe counters, exact fault behaviour).  It reads the
-  live blend table, so it is the one backend that may serve while a
-  migration mutates the RAMs entry by entry.
+  cycle (traces, probe counters, exact fault behaviour), read from the
+  live RAMs.
 * :class:`TableBackend` wraps a :class:`~repro.engine.CompiledFSM`
   snapshot of the tables; ``table-py`` and ``table-numpy`` are two thin
   instances that differ only in the stream kernel they pass per call,
@@ -90,16 +89,14 @@ class CycleBackend:
     """The Fig. 5 netlist as an execution backend.
 
     Stateless beyond the hardware it wraps: the datapath *is* the
-    state.  Never stale (it reads the live RAMs), never batchable (the
-    value of the netlist is the per-cycle fidelity), and the only
-    backend that serves mid-migration.
+    state.  Never stale (it reads the live RAMs) and never batchable
+    (the value of the netlist is the per-cycle fidelity).
     """
 
     name = "cycle"
     capabilities = Capabilities(
         batchable=False,
         cycle_accurate=True,
-        serves_mid_migration=True,
         needs_numpy=False,
     )
 
@@ -190,13 +187,11 @@ class TableBackend:
         "table-py": Capabilities(
             batchable=True,
             cycle_accurate=False,
-            serves_mid_migration=False,
             needs_numpy=False,
         ),
         "table-numpy": Capabilities(
             batchable=True,
             cycle_accurate=False,
-            serves_mid_migration=False,
             needs_numpy=True,
             max_stream_dtype="int32",
         ),

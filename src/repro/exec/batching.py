@@ -1,23 +1,16 @@
-"""Generic batch evaluation through the execution layer.
+"""Instrumented stream batches through the execution layer.
 
-The EA's population evaluation, the workload suite's differential
-checks and future vectorized fitness kernels all share the same shape:
-*N independent jobs, evaluated as one batch, results in input order*.
-Two instrumented entry points cover it:
-
-* :func:`map_batch` — arbitrary per-item callables, evaluated in
-  order (the pre-stream seam; still right for jobs that are not FSM
-  replays);
-* :func:`run_streams` — N independent *symbol streams* served through
-  one backend's stream plane in a single call, with the
-  ``repro_exec_stream_*`` metric families and the ``exec.stream_batch``
-  journal event recorded per batch.  This is the seam the fleet's
-  cross-session coalescing and the EA's population replays ride.
+:func:`run_streams` serves N independent *symbol streams* through one
+backend's stream plane in a single call, with the
+``repro_exec_stream_*`` metric families and the ``exec.stream_batch``
+journal event recorded per batch.  This is the seam the fleet's
+cross-session coalescing and the EA's population replays ride;
+:func:`run_stream_plane` is its unmaterialised twin.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from ..core.fsm import Input, State
 from ..engine.compiled import WordRun
@@ -25,26 +18,7 @@ from ..engine.streams import StreamBatch
 from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 
-__all__ = ["map_batch", "run_stream_plane", "run_streams"]
-
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
-
-
-def map_batch(
-    fn: Callable[[_Item], _Result],
-    items: Sequence[_Item],
-    site: str = "exec",
-) -> List[_Result]:
-    """Evaluate ``fn`` over ``items`` as one batch, preserving order.
-
-    ``site`` labels the batch counter so dashboards can tell the EA's
-    fitness batches from other batch consumers.
-    """
-    results = [fn(item) for item in items]
-    if items:
-        _instruments.EXEC_BATCH_JOBS.inc(len(items), site=site)
-    return results
+__all__ = ["run_stream_plane", "run_streams"]
 
 
 def run_streams(

@@ -1,15 +1,10 @@
 """Policy-driven backend dispatch: every "can X serve this now?" rule.
 
-Before this module the fleet worker answered four questions inline —
-engine off?  migration in flight?  compiled view stale?  entry
-unserveable? — and ``api.py`` answered two more.  The
-:class:`Dispatcher` owns all of them, in one tested place, as *policy
-over capabilities*:
+The :class:`Dispatcher` answers every "which backend serves this run?"
+question in one tested place, as *policy over capabilities*, and the
+same rule holds before, during and after a live migration:
 
 * a mode of ``cycle`` (alias ``off``) always serves on the netlist;
-* a migration in flight degrades to the one backend whose capabilities
-  say ``serves_mid_migration`` (table snapshots go stale after every
-  chunk; recompiling per chunk would be worse than stepping);
 * a cached table view is reused only while it is fresh — any RAM
   write, erase, fault injection, retarget or wholesale hardware
   replacement (quarantine) invalidates and recompiles transparently.
@@ -17,6 +12,11 @@ over capabilities*:
   (they differ only in the stream kernel they pass per call), so a
   shard alternating between single-session and wide stream batches
   compiles once per ``table_version``, not once per kernel;
+* a live migration needs no rule of its own: chunks run only between
+  runs, and :mod:`repro.core.incremental`'s blend invariant makes the
+  table between two chunks a well-defined machine (every entry M's or
+  M''s), so the first run after a chunk gap finds the view stale and
+  recompiles it (in process mode: republishes the segment);
 * a table miss (:class:`~repro.exec.protocol.TableMiss`) replays on
   the netlist from the exact same state — the table run mutated
   nothing;
@@ -61,7 +61,7 @@ class Decision:
     """One dispatch decision: which backend, and why.
 
     ``degraded`` is true when policy forced a *less capable* backend
-    than the mode asked for (mid-migration, table miss, backend became
+    than the mode asked for (table miss, compile error, backend became
     unavailable) — the caller's fallback statistics key off it without
     re-deriving the policy.
     """
@@ -127,9 +127,7 @@ class Dispatcher:
             self._cycle = CycleBackend(hw)
         return self._cycle
 
-    def select(
-        self, hw: HardwareFSM, migrating: bool = False, streams: int = 1
-    ) -> Decision:
+    def select(self, hw: HardwareFSM, streams: int = 1) -> Decision:
         """The backend to serve ``hw``'s next run with, per policy.
 
         ``streams`` is how many independent streams the caller is about
@@ -138,14 +136,12 @@ class Dispatcher:
         single sequential stream runs fastest in the pure-Python loop).
         """
         with _span("exec.dispatch", mode=self.mode) as sp:
-            decision = self._select(hw, migrating, streams)
+            decision = self._select(hw, streams)
             sp.attrs["backend"] = decision.name
             sp.attrs["reason"] = decision.reason
             return decision
 
-    def _select(
-        self, hw: HardwareFSM, migrating: bool, streams: int = 1
-    ) -> Decision:
+    def _select(self, hw: HardwareFSM, streams: int = 1) -> Decision:
         try:
             want = resolve(self.mode, streams=streams)
         except BackendUnavailable:
@@ -161,14 +157,6 @@ class Dispatcher:
         if want == "cycle":
             return self._decide(
                 self.cycle_backend(hw), "policy", streams=streams
-            )
-        if migrating:
-            # The blend table mutates entry by entry between batches;
-            # only a mid-migration-capable backend may serve.
-            self._fallback("migration", want)
-            return self._decide(
-                self.cycle_backend(hw), "migration",
-                degraded=True, streams=streams,
             )
         try:
             if want in TableBackend.CAPABILITIES:

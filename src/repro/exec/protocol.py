@@ -11,8 +11,8 @@ which one it is talking to:
 * :class:`ExecutionBackend` — ``step`` / ``run_batch`` / ``snapshot`` /
   ``restore`` / ``invalidate``;
 * :class:`Capabilities` — declared, static flags the dispatcher's
-  policy reads (*can* this backend batch?  is it cycle-accurate?  may
-  it serve while a migration is mutating the tables?);
+  policy reads (*can* this backend batch?  is it cycle-accurate?
+  does it need numpy?);
 * :class:`ExecSnapshot` — the architectural state a backend can be
   restored to: the ST-REG contents plus the RAM ``table_version`` the
   state was captured against (a restore against mutated tables raises
@@ -98,10 +98,6 @@ class Capabilities:
     #: Clocks the real netlist: per-cycle traces, probe counters and
     #: exact fault behaviour (``UninitialisedRead``, decoder errors).
     cycle_accurate: bool = False
-    #: May serve while a migration mutates the tables entry by entry
-    #: (table snapshots go stale after every chunk; the netlist reads
-    #: the live blend table and is always right).
-    serves_mid_migration: bool = False
     #: Requires the optional numpy extra to be importable and enabled.
     needs_numpy: bool = False
     #: Widest dtype the backend's stream plane packs tables into
@@ -115,7 +111,6 @@ class Capabilities:
         return {
             "batchable": self.batchable,
             "cycle_accurate": self.cycle_accurate,
-            "serves_mid_migration": self.serves_mid_migration,
             "needs_numpy": self.needs_numpy,
         }
 

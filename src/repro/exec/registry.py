@@ -248,7 +248,6 @@ def _register_builtins() -> None:
         return Capabilities(
             batchable=True,
             cycle_accurate=False,
-            serves_mid_migration=False,
             needs_numpy=False,
         )
 

@@ -152,7 +152,6 @@ class FSMFleet:
         family: Sequence[FSM] = (),
         queue_depth: int = 64,
         stall_budget: int = 12,
-        poll_interval_s: float = 0.002,
         link_latency_s: float = 0.0,
         trace_max_entries: int = 256,
         plan_cache: Optional[PlanCache] = None,
@@ -183,7 +182,6 @@ class FSMFleet:
                 extra_outputs=superset.outputs.symbols,
                 extra_states=superset.states.symbols,
                 queue_depth=queue_depth,
-                poll_interval_s=poll_interval_s,
                 link_latency_s=link_latency_s,
                 trace_max_entries=trace_max_entries,
                 fleet_name=name,

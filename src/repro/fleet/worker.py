@@ -8,12 +8,13 @@ datapath enforces.  The worker loop interleaves three duties:
 
 * **serving** — pop a batch, run its symbols, resolve its future.  The
   worker never picks an execution backend itself: it asks its
-  :class:`~repro.exec.Dispatcher` (which owns every staleness /
-  mid-migration / availability rule) and then drives whatever backend
-  comes back through the :class:`~repro.exec.ExecutionBackend`
-  protocol.  A batchable backend serves a coalesced run of queued
-  batches as one stream batch in one call — a lane per session, the
-  shard's own datapath word being the lane keyed ``None`` — and the
+  :class:`~repro.exec.Dispatcher` (which owns every staleness and
+  availability rule, before, during and after a migration) and then
+  drives whatever backend comes back through the
+  :class:`~repro.exec.ExecutionBackend` protocol.  A batchable backend
+  serves a coalesced run of queued batches as one stream batch in one
+  call — a lane per session, the shard's own datapath word being the
+  lane keyed ``None`` — and the
   datapath lane's architectural state commits back once every lane
   has succeeded; a :class:`~repro.exec.TableMiss` replays the same
   batches through the cycle-accurate backend from the exact same
@@ -62,6 +63,10 @@ _STOP = object()
 #: Upper bound on batches coalesced into one backend run (handed to the
 #: dispatcher, which owns the coalescing policy).
 _MAX_COALESCE = 32
+
+#: How long an idle worker waits for a batch before it runs the next
+#: migration chunk (or notices a stop request) anyway.
+_POLL_INTERVAL_S = 0.002
 
 
 @dataclass
@@ -151,7 +156,6 @@ class ShardWorker(threading.Thread):
         extra_outputs: Sequence = (),
         extra_states: Sequence = (),
         queue_depth: int = 64,
-        poll_interval_s: float = 0.002,
         link_latency_s: float = 0.0,
         trace_max_entries: int = 256,
         fleet_name: str = "fleet",
@@ -171,7 +175,6 @@ class ShardWorker(threading.Thread):
         self._trace_max = trace_max_entries
         self._fleet_name = fleet_name
         self.queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
-        self.poll_interval_s = poll_interval_s
         self.link_latency_s = link_latency_s
         self.stats = ShardStats()
         self.serving_inputs = frozenset(machine.inputs)
@@ -287,7 +290,8 @@ class ShardWorker(threading.Thread):
         return job
 
     def _migrating(self) -> bool:
-        """Whether a migration job is in flight (dispatcher input)."""
+        """Whether a migration job is in flight (health vitals, replica
+        membership)."""
         job = self._job
         return job is not None and not job.done.is_set()
 
@@ -494,9 +498,7 @@ class ShardWorker(threading.Thread):
         lanes: "Dict[Optional[Hashable], List[_Batch]]" = {}
         for batch in batches:
             lanes.setdefault(batch.session, []).append(batch)
-        decision = self.dispatcher.select(
-            self.hardware, migrating=self._migrating(), streams=len(lanes)
-        )
+        decision = self.dispatcher.select(self.hardware, streams=len(lanes))
         if decision.degraded:
             self.stats.engine_fallbacks += len(batches)
         backend = decision.backend
@@ -714,7 +716,7 @@ class ShardWorker(threading.Thread):
     def run(self) -> None:  # pragma: no cover - exercised via the pool
         while True:
             try:
-                item = self.queue.get(timeout=self.poll_interval_s)
+                item = self.queue.get(timeout=_POLL_INTERVAL_S)
             except queue.Empty:
                 self._migration_tick()
                 job = self._job

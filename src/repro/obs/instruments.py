@@ -229,7 +229,7 @@ ENGINE_INVALIDATIONS = REGISTRY.counter(
 ENGINE_FALLBACKS = REGISTRY.counter(
     "repro_engine_fallbacks_total",
     "Engine runs that fell back to the cycle-accurate datapath, by "
-    "reason (migration / unconfigured / unavailable / error) and the "
+    "reason (unconfigured / unavailable / error) and the "
     "backend that was displaced.",
 )
 ENGINE_SERVED = REGISTRY.counter(
@@ -251,13 +251,8 @@ ENGINE_NUMPY_AVAILABLE = REGISTRY.gauge(
 EXEC_DECISIONS = REGISTRY.counter(
     "repro_exec_decisions_total",
     "Dispatcher backend decisions, by chosen backend and reason "
-    "(policy / cached / compiled / migration / unconfigured / "
-    "unavailable / compile-error).",
-)
-EXEC_BATCH_JOBS = REGISTRY.counter(
-    "repro_exec_batch_jobs_total",
-    "Independent jobs evaluated through exec-layer batch entry "
-    "points, by site (e.g. ea.fitness).",
+    "(policy / cached / compiled / unconfigured / unavailable / "
+    "compile-error).",
 )
 EXEC_STREAM_BATCHES = REGISTRY.counter(
     "repro_exec_stream_batches_total",

@@ -28,8 +28,7 @@ breaks that ceiling with worker *processes*:
   ``table-shm`` :class:`~repro.exec.ExecutionBackend`: the parent keeps
   the canonical datapath and commits worker results back through
   ``commit_engine_run`` exactly like the in-process table backends, so
-  the Dispatcher's staleness / mid-migration / miss policy applies
-  unchanged;
+  the Dispatcher's staleness / miss policy applies unchanged;
 * :mod:`~repro.procfleet.pool` — :class:`ProcessFleet`, the
   ``fleet_mode="process"`` front-end preserving the full
   :class:`~repro.fleet.FSMFleet` contract (FIFO, backpressure,

@@ -93,7 +93,6 @@ class ShmTableBackend:
     capabilities = Capabilities(
         batchable=True,
         cycle_accurate=False,
-        serves_mid_migration=False,
         # The worker serves lanes on the pure-Python kernel (the
         # segment format carries no packed stream plane), so there is
         # no dtype ceiling to report.

@@ -11,12 +11,11 @@ shard's table serving moved into a worker *process*:
   parent's GIL;
 * each shard gets its own :class:`~repro.procfleet.session.WorkerSession`
   and control-block slot; rolling migration needs no new machinery:
-  when a shard's chunks finish, the dispatcher sees the bumped
-  ``table_version``, builds a fresh ``table-shm`` backend, and that
-  *is* the publish-new-segment + epoch-bump cutover.  Mid-migration
-  batches degrade to the parent's cycle-accurate netlist (the only
-  ``serves_mid_migration`` backend), so the journal's zero-downtime
-  proof reconstructs unchanged;
+  after each chunk gap the dispatcher sees the bumped
+  ``table_version`` and builds a fresh ``table-shm`` backend, and that
+  *is* the publish-new-segment + epoch-bump cutover — at most one
+  publish per chunk gap that sees traffic, the last one after the
+  final chunk;
 * a dead worker process surfaces as a
   :class:`~repro.procfleet.session.WorkerCrashed` table miss: the batch
   replays in the parent, the session respawns a fresh process, and the

@@ -1,21 +1,24 @@
 """The dispatcher's policy: which backend serves, and why.
 
-Every rule that used to live inline in ``fleet/worker.py`` — engine
-off, migration in flight, stale view, table miss, forced backend gone —
-now has a direct test against :class:`repro.exec.Dispatcher`.
+Every rule — engine off, stale view (a live migration's chunk gaps
+included), table miss, forced backend gone — has a direct test against
+:class:`repro.exec.Dispatcher`.
 """
 
 import pytest
 
+from repro.core.incremental import IncrementalMigrator
 from repro.engine import numpy_available
 from repro.exec import (
     BackendUnavailable,
     CycleBackend,
     Dispatcher,
     TableBackend,
+    TableMiss,
 )
 from repro.hw.faults import erase_entry
 from repro.hw.machine import HardwareFSM
+from repro.hw.memory import UninitialisedRead
 from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
 
 
@@ -105,14 +108,6 @@ class TestSelect:
         assert narrow.backend.compiled is wide.backend.compiled
         assert narrow.backend.compiled is not view
 
-    def test_migration_degrades_to_the_netlist(self, hw):
-        dispatcher = Dispatcher()
-        decision = dispatcher.select(hw, migrating=True)
-        assert isinstance(decision.backend, CycleBackend)
-        assert (decision.reason, decision.degraded) == ("migration", True)
-        # capability-driven: only a mid-migration-capable backend serves
-        assert decision.backend.capabilities.serves_mid_migration
-
     def test_stale_view_recompiles_transparently(self, hw):
         dispatcher = Dispatcher()
         first = dispatcher.select(hw)
@@ -186,9 +181,9 @@ class TestInvalidate:
 
 class TestMigrationScenario:
     def test_full_lifecycle_serves_correct_words_throughout(self):
-        # quiescent (tables) → migrating (netlist) → migrated (fresh
-        # tables): the policy keeps the served words correct at every
-        # stage of a live migration.
+        # quiescent → between every two chunks → migrated: one rule
+        # (a fresh view, recompiled after each chunk gap) serves tables
+        # whose words match the live netlist's at every stage.
         source, target = fig6_m(), fig6_m_prime()
         hw = HardwareFSM.for_migration(source, target)
         dispatcher = Dispatcher()
@@ -200,16 +195,35 @@ class TestMigrationScenario:
             word, start=source.reset_state, commit=False
         ).outputs == source.run(word)
 
-        from repro.core.jsr import jsr_program
-
-        program = jsr_program(source, target)
-        mid = dispatcher.select(hw, migrating=True)
-        assert mid.name == "cycle"
-        hw.run_program(program)
+        migrator = IncrementalMigrator(hw, source, target)
+        gaps = 0
+        while not migrator.done:
+            migrator.stall(migrator.next_chunk_cost())  # one chunk
+            gaps += 1
+            mid = dispatcher.select(hw)
+            assert (mid.name, mid.reason, mid.degraded) == (
+                _auto_table(), "compiled", False
+            )
+            assert dispatcher.select(hw).reason == "cached"
+            for start in hw.state_enc.alphabet.symbols:
+                assert _outcome(mid.backend, word, start) == _outcome(
+                    dispatcher.cycle_backend(hw), word, start
+                )
+        assert gaps == len(migrator.chunks) > 1
         assert hw.realises(target)
 
         after = dispatcher.select(hw)
-        assert after.reason == "compiled"  # the old view went stale
+        assert after.reason == "cached"  # the last gap already recompiled
         assert after.backend.run_batch(
             word, start=target.reset_state, commit=False
         ).outputs == target.run(word)
+
+
+def _outcome(backend, word, start):
+    """The outputs of a non-committing run, or ``"unserveable"`` when
+    the blend table has no entry on the word's path (a table miss, or
+    the netlist's uninitialised read)."""
+    try:
+        return backend.run_batch(word, start=start, commit=False).outputs
+    except (TableMiss, UninitialisedRead):
+        return "unserveable"

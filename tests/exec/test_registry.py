@@ -37,7 +37,6 @@ class TestRegistry:
     def test_specs_carry_capabilities(self):
         by_name = {spec.name: spec for spec in specs()}
         assert by_name["cycle"].capabilities.cycle_accurate
-        assert by_name["cycle"].capabilities.serves_mid_migration
         assert not by_name["cycle"].capabilities.batchable
         assert by_name["table-py"].capabilities.batchable
         assert by_name["table-numpy"].capabilities.needs_numpy

@@ -14,13 +14,19 @@ import threading
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.core.incremental import IncrementalMigrator
 from repro.exec import Dispatcher
 from repro.fleet import FSMFleet, MigrationScheduler
 from repro.hw.machine import HardwareFSM
 from repro.obs import journal as jr
 from repro.obs.journal import migration_timeline
 from repro.obs.tracing import TRACER, span
-from repro.workloads.library import ones_detector, sequence_detector
+from repro.workloads.library import (
+    fig6_m,
+    fig6_m_prime,
+    ones_detector,
+    sequence_detector,
+)
 from repro.workloads.suite import traffic_words
 
 
@@ -176,7 +182,7 @@ class TestDecisionTraceProperty:
     @settings(max_examples=40, deadline=None)
     @given(
         ops=st.lists(
-            st.sampled_from(["select", "migrating", "miss", "invalidate"]),
+            st.sampled_from(["select", "chunk", "miss", "invalidate"]),
             min_size=1,
             max_size=12,
         )
@@ -187,8 +193,9 @@ class TestDecisionTraceProperty:
         # operation emits must carry exactly that trace id.
         _configure(journal=True)
         try:
-            machine = ones_detector()
-            hw = HardwareFSM.for_migration(machine, machine)
+            source, target = fig6_m(), fig6_m_prime()
+            hw = HardwareFSM.for_migration(source, target)
+            migrator = IncrementalMigrator(hw, source, target)
             dispatcher = Dispatcher(mode="auto", shard="0")
             for op in ops:
                 ctx = obs.new_trace()
@@ -196,8 +203,12 @@ class TestDecisionTraceProperty:
                 with obs.context.activate(ctx):
                     if op == "select":
                         dispatcher.select(hw)
-                    elif op == "migrating":
-                        dispatcher.select(hw, migrating=True)
+                    elif op == "chunk":
+                        # mid-migration: one chunk gap, then the same
+                        # select (recompiling the now-stale view)
+                        if not migrator.done:
+                            migrator.stall(migrator.next_chunk_cost())
+                        dispatcher.select(hw)
                     elif op == "miss":
                         dispatcher.miss(hw)
                     else:

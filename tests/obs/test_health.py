@@ -1,14 +1,18 @@
 """Health surface: detectors, thresholds, live-fleet vitals."""
 
+import threading
 import time
 
 import pytest
 
+from repro import obs
 from repro.fleet import FSMFleet
 from repro.obs import health
 from repro.obs import journal as jr
 from repro.obs.journal import Journal
 from repro.workloads.library import ones_detector
+from repro.workloads.mutate import mutate_target
+from repro.workloads.random_fsm import random_fsm
 from repro.workloads.suite import traffic_words
 
 
@@ -136,3 +140,56 @@ class TestFleetVitals:
         text = health.render(report)
         assert text.startswith("status: ok")
         assert "journal:" in text
+
+
+class TestRolloutUnderTraffic:
+    def test_zero_downtime_rollouts_keep_the_fleet_ok(self):
+        # A healthy rollout is not an incident: serving between chunks
+        # runs on the (recompiled) tables, so no backend fallback is
+        # journaled and the fallback-spike detector stays quiet.
+        obs.configure(journal=True)
+        try:
+            chain = [random_fsm(n_states=12, n_outputs=2, seed=4)]
+            for hop in range(4):
+                chain.append(mutate_target(chain[-1], 8, seed=hop))
+            words = traffic_words(chain[0], 64, 16, seed=2)
+            futures = []
+            stop = threading.Event()
+            with FSMFleet(
+                chain[0], n_workers=2, family=chain[1:], queue_depth=256
+            ) as fleet:
+
+                def traffic():
+                    # ~1000 requests/s, open loop, until the last hop
+                    key = 0
+                    while not stop.is_set():
+                        futures.append(
+                            fleet.submit(key, words[key % len(words)])
+                        )
+                        key += 1
+                        time.sleep(0.001)
+
+                sender = threading.Thread(target=traffic)
+                sender.start()
+                try:
+                    time.sleep(0.05)
+                    for target in chain[1:]:
+                        report = fleet.migrate(target)
+                        assert report.verified and report.zero_downtime
+                        assert report.shards and all(
+                            shard.batches_served_during
+                            for shard in report.shards
+                        )
+                finally:
+                    stop.set()
+                    sender.join(timeout=10)
+                for future in futures:
+                    assert len(future.result(timeout=10)) == 16
+                fleet.drain()
+                report = health.check(fleet=fleet)
+                fallbacks = fleet.totals().engine_fallbacks
+            assert report.status == health.STATUS_OK, health.render(report)
+            assert fallbacks == 0
+            assert not jr.JOURNAL.events(type=jr.EXEC_FALLBACK)
+        finally:
+            obs.configure()

@@ -1,8 +1,9 @@
 """Rolling migration across worker *processes*: the zero-downtime proof.
 
 The process fleet reuses the thread fleet's migration machinery — each
-shard's chunks replay on the parent's canonical datapath while
-mid-migration traffic degrades to the cycle backend — so the journal's
+shard's chunks replay on the parent's canonical datapath, and traffic
+in a chunk gap republishes the blend tables (a fresh epoch) and serves
+from them in the worker process — so the journal's
 ``migration_timeline()`` reconstruction must prove zero downtime exactly
 as it does in thread mode, with the added cross-process evidence that
 post-cutover serving happened in the worker processes against the *new*
@@ -78,9 +79,9 @@ class TestProcessRollout:
             # Post-cutover traffic served in the worker processes
             # against the target's tables.  The publish of the
             # migrated tables is lazy, on each shard's next
-            # *worker-bound* serve — and a shard whose whole
-            # pre-migration backlog landed in the cycle-fallback
-            # window publishes for the first time only now — so drive
+            # *worker-bound* serve — and a shard whose backlog drained
+            # before its last chunk publishes the final tables only
+            # now — so drive
             # every shard until the latest publish it journaled
             # carries the migrated hardware's table_version (bounded;
             # each batch must still answer with target behaviour).

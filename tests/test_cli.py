@@ -271,7 +271,10 @@ class TestBackends:
         out = capsys.readouterr().out
         for name in ("cycle", "table-py", "table-numpy", "table-shm"):
             assert name in out
-        assert "serves-mid-migration" in out
+        for flag in ("batchable", "cycle-accurate", "needs-numpy"):
+            assert flag in out
+        # One dispatch rule serves through a migration: no such column.
+        assert "mid-migration" not in out
         assert "dispatcher pick for 'auto':" in out
 
     def test_engine_off_picks_the_netlist(self, capsys):
