@@ -4,11 +4,12 @@ Measures the cost of the replica plane and appends a ``"replication"``
 section to ``BENCH_fleet_throughput.json`` (read-modify-write: the
 fleet benchmark's sections are preserved):
 
-* **n=1 vs n=3 overhead** — the same thread-mode traffic served with
-  no replication and with a 3-replica group per shard, at
-  ``link_latency_s=0`` so the follower fast-forward cost is *not*
-  hidden behind modelled device time.  Followers apply committed
-  serves by state fast-forward, not re-execution, so the gate is
+* **n=1 vs n=3 overhead** — the same traffic served by a process
+  fleet with one worker process per shard and with a 3-replica group
+  of worker processes per shard, at ``link_latency_s=0`` so the
+  group's cost (serve rotation, liveness checks, log records) is *not*
+  hidden behind modelled device time.  Replicas share one published
+  table segment and a serve goes to one of them, so the gate is
   tight: n=3 must stay within 30% of n=1 throughput.  The gate only
   asserts on hosts with enough CPUs — below that the measurement is
   recorded with the reason the gate was skipped.
@@ -39,7 +40,8 @@ SEED = 0
 #: n=3 may cost at most 30% of n=1 throughput at link_latency_s=0.
 OVERHEAD_GATE = 1.30
 #: CPUs the overhead gate needs before it may assert: on a saturated
-#: single-core host scheduling noise swamps the ~µs follower cost.
+#: host the extra worker processes' scheduling noise swamps the
+#: group's per-serve cost.
 GATE_CPUS = 4
 
 REPLACE_REQUESTS = 48
@@ -63,10 +65,13 @@ def _run_traffic(replication) -> dict:
         queue_depth=max(16, REQUESTS),
         link_latency_s=0.0,
         name=f"bench-replica-n{replication.n if replication else 1}",
+        fleet_mode="process",
         replication=replication,
     )
-    # Warm both shards (first serve compiles the plan).
-    for index in range(4):
+    # Warm every worker process of both shards: the first serve
+    # compiles and publishes the tables, and each replica attaches the
+    # segment on its own first frame (serves rotate over replicas).
+    for index in range(4 * (replication.n if replication else 1)):
         fleet.submit(f"warm-{index}", words[0][:8]).result(timeout=60)
     started = time.perf_counter()
     futures = [
@@ -137,9 +142,10 @@ def main() -> int:
 
     section = {
         "note": (
-            "thread-mode n=1 vs n=3 at link_latency_s=0: followers "
-            "fast-forward committed serves instead of re-executing, "
-            "so the group costs bookkeeping, not a 3x step bill"
+            "process-mode n=1 vs n=3 at link_latency_s=0: the replicas "
+            "of a group share one published table segment and each "
+            "serve goes to one of them, so the group costs rotation "
+            "and log bookkeeping, not a 3x step bill"
         ),
         "workload": WORKLOAD,
         "rows": [baseline, replicated],
@@ -155,7 +161,7 @@ def main() -> int:
                     "skip_reason": (
                         f"host exposes {cpus} CPU(s); the overhead "
                         f"gate needs >= {GATE_CPUS} to measure the "
-                        "follower cost instead of scheduler noise"
+                        "group cost instead of scheduler noise"
                     )
                 }
             ),

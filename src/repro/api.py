@@ -106,10 +106,11 @@ class Options:
         ``FleetOverloaded`` (``"reject"``).
     ``replicas``
         Replicas per shard for :func:`serve` (default 1).  Values above
-        one turn every shard into a replica *group* — N replicas
-        applying one command log with majority-quorum commits (see
-        :mod:`repro.replica`); pass a full
-        :class:`~repro.replica.ReplicaConfig` via the fleet's
+        one turn every shard into a replica *group* — N worker
+        processes behind one command log with majority-quorum commits
+        (see :mod:`repro.replica`) — and need ``fleet_mode="process"``
+        (:func:`serve` raises ``ValueError`` in thread mode); pass a
+        full :class:`~repro.replica.ReplicaConfig` via the fleet's
         ``replication`` keyword for a non-majority quorum.
 
     Frozen, keyword-only (``Options(method="ea")``; positional arguments

@@ -854,8 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shards (= worker threads = datapath replicas)")
     p.add_argument("--replicas", type=int, default=1,
                    help="replicas per shard (>1 turns every shard into "
-                        "a replica group with majority-quorum commits; "
-                        "see repro.replica)")
+                        "a group of worker processes with majority-quorum "
+                        "commits; needs --mode process; see repro.replica)")
     p.add_argument("--mode", choices=("thread", "process"),
                    default="thread",
                    help="shard serving substrate: in-process threads, or "
@@ -895,7 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shards (threads or worker processes)")
     p.add_argument("--replicas", type=int, default=1,
                    help="replicas per shard (>1 serves each shard from "
-                        "a replica group; see repro.replica)")
+                        "a group of worker processes; needs --mode "
+                        "process; see repro.replica)")
     p.add_argument("--mode", choices=("thread", "process"),
                    default="thread",
                    help="shard serving substrate (thread pool, or worker "

@@ -20,10 +20,17 @@ Each chunk handles one delta transition in six cycles::
 
     reset ; temporary-jump ; delta-write ; reset ; home-write ; reset
 
-The home entry ``(i0, S0')`` is re-written to its *target* value at the
-end of every chunk, which restores the invariant the temporary jump
-broke.  The price of bounded stalls is therefore roughly ``6·|T_d|``
-cycles total versus JSR's ``3·(|T_d|+1)`` — quantified by the
+The home entry ``(i0, S0')`` is re-written at the end of every chunk,
+which restores the invariant the temporary jump broke.  It gets its
+*target* value unless that value leads into a state only the target has:
+before that state's rows exist, traffic taking the home entry would read
+an unconfigured word.  So the default ``i0`` is an input whose target
+successor of ``S0'`` already exists in the source, and when every input
+leads out of ``S0'`` into a new state the home entry is repaired to its
+*source* value and migrated by the last chunk.
+
+The price of bounded stalls is roughly ``6·|T_d|`` cycles
+total versus JSR's ``3·(|T_d|+1)`` — quantified by the
 ``benchmarks/test_incremental.py`` harness.
 """
 
@@ -49,6 +56,35 @@ class Chunk:
         return len(self.steps)
 
 
+def home_input(source: FSM, target: FSM) -> Input:
+    """The default home input ``i0``: the first target input whose
+    successor of the target reset state is not a target-only state
+    (``target.inputs[0]`` when no input qualifies)."""
+    new_states = set(target.states) - set(source.states)
+    s0 = target.reset_state
+    for i in target.inputs:
+        if target.next_state(i, s0) not in new_states:
+            return i
+    return target.inputs[0]
+
+
+def home_repair(source: FSM, target: FSM, i0: Input) -> Transition:
+    """The value every chunk's repair restores the home entry to.
+
+    The target value, unless it leads into a target-only state and the
+    source defines the entry: then the source value, and the home
+    delta itself runs as the last chunk.
+    """
+    s0 = target.reset_state
+    home = Transition(
+        i0, s0, target.next_state(i0, s0), target.output(i0, s0)
+    )
+    if home.target in source.states or home.entry not in source.table:
+        return home
+    next_state, output = source.table[home.entry]
+    return Transition(i0, s0, next_state, output)
+
+
 def incremental_chunks(
     source: FSM, target: FSM, i0: Optional[Input] = None
 ) -> List[Chunk]:
@@ -56,18 +92,21 @@ def incremental_chunks(
 
     Every chunk starts with a reset (position independence: it can run
     no matter where traffic left the machine) and ends having restored
-    the blend invariant.  The home entry ``(i0, S0')`` is written to its
-    *target* value, so if it is itself a delta transition it is simply
-    migrated early.
+    the blend invariant.  The home entry ``(i0, S0')`` is repaired to
+    :func:`home_repair`'s value: its target value, so a home delta is
+    simply migrated early, except when that value leads into a state
+    only the target has — then the home delta is the last chunk.
     """
     if i0 is None:
-        i0 = target.inputs[0]
+        i0 = home_input(source, target)
     elif i0 not in target.inputs:
         raise ValueError(f"i0 = {i0!r} is not an input symbol of the target")
     s0 = target.reset_state
     home = Transition(
         i0, s0, target.next_state(i0, s0), target.output(i0, s0)
     )
+    repair = home_repair(source, target, i0)
+    deferred: Optional[Transition] = None
 
     # One shared builder emits the whole chunk sequence in order — every
     # step is physically validated at emission — and chunk boundaries are
@@ -81,22 +120,30 @@ def incremental_chunks(
         chunks.append(Chunk(steps=builder.steps[mark:], delta=delta))
         mark = len(builder)
 
+    def write_home(delta: Transition) -> None:
+        # Migrating the home entry is a 3-cycle chunk of its own.
+        builder.reset()
+        builder.write_delta(home)
+        builder.reset()
+        cut(delta)
+
     for delta in delta_transitions(source, target):
         if delta.entry == home.entry:
-            # Migrating the home entry is a 3-cycle chunk of its own.
-            builder.reset()
-            builder.write_delta(home)
-            builder.reset()
-            cut(delta)
+            if repair != home:
+                deferred = delta
+            else:
+                write_home(delta)
             continue
         jump = Transition(i0, s0, delta.source, target.output(i0, s0))
         builder.reset()
         builder.write_temporary(jump)
         builder.write_delta(delta)
         builder.reset()
-        builder.write_repair(home)
+        builder.write_repair(repair)
         builder.reset()
         cut(delta)
+    if deferred is not None:
+        write_home(deferred)
     if not any(c.delta and c.delta.entry == home.entry for c in chunks):
         # The home entry was not a delta, but the repair writes may have
         # pre-dated any chunk; ensure at least one final chunk exists to

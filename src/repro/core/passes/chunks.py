@@ -31,7 +31,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fsm import FSM, Input, State, Transition
-from ..incremental import Chunk, chunks_to_program, is_blend
+from ..incremental import (
+    Chunk,
+    chunks_to_program,
+    home_input,
+    home_repair,
+    is_blend,
+)
 from ..paths import shortest_path
 from ..program import Step, StepKind, reset_step, traverse_step, write_step
 from .pipeline import OptLevel, normalise_level
@@ -59,9 +65,10 @@ def optimise_chunks(
     if normalise_level(level) == "O0" or not chunks:
         return list(chunks)
     if i0 is None:
-        i0 = target.inputs[0]
+        i0 = home_input(source, target)
     s0 = target.reset_state
     home = Transition(i0, s0, target.next_state(i0, s0), target.output(i0, s0))
+    repair = home_repair(source, target, i0)
 
     inputs = list(source.inputs) + [
         i for i in target.inputs if i not in set(source.inputs)
@@ -76,7 +83,7 @@ def optimise_chunks(
 
     optimised: List[Chunk] = []
     for chunk in chunks:
-        steps = _optimise_chunk(chunk, table, inputs, s0, home)
+        steps = _optimise_chunk(chunk, table, inputs, s0, home, repair)
         _apply_writes(table, steps)
         if not is_blend(table, source, target):
             return list(chunks)  # gate: invariant broken, ship the original
@@ -93,6 +100,7 @@ def _optimise_chunk(
     inputs: Sequence[Input],
     s0: State,
     home: Transition,
+    repair: Transition,
 ) -> List[Step]:
     delta = chunk.delta
     if delta is None:
@@ -110,7 +118,7 @@ def _optimise_chunk(
         # saved per chunk.  Worth it whenever walking costs no more
         # cycles than the 5-6 cycle temporary form.
         walk_cycles = 2 + len(path) + (1 if delta.target != s0 else 0)
-        temp_cycles = 5 + (1 if home.target != s0 else 0)
+        temp_cycles = 5 + (1 if repair.target != s0 else 0)
         if walk_cycles <= temp_cycles:
             steps = [reset_step()]
             steps += [traverse_step(t) for t in path]
@@ -128,8 +136,8 @@ def _optimise_chunk(
         ),
         write_step(delta, StepKind.WRITE_DELTA),
         reset_step(),
-        write_step(home, StepKind.WRITE_REPAIR),
+        write_step(repair, StepKind.WRITE_REPAIR),
     ]
-    if home.target != s0:
+    if repair.target != s0:
         steps.append(reset_step())
     return steps

@@ -1,10 +1,9 @@
 """One source of truth for the ``REPRO_DISABLE_*`` kill switches.
 
-Four subsystems can be forced off via the environment without
+Three subsystems can be forced off via the environment without
 uninstalling anything: numpy (the fast table kernels), shared memory
-(the worker-process backend), the shm frame ring (sessions fall back
-to pure pipe framing) and replication (replica groups collapse to the
-single-replica shard).  Before this module each switch was a bare
+(the worker-process backend) and the shm frame ring (sessions fall
+back to pure pipe framing).  Before this module each switch was a bare
 ``os.environ.get`` scattered at its point of use with its own reason
 string; ``repro backends`` and the docs had to keep three spellings in
 sync by hand.  Now every switch is one :class:`KillSwitch` registered
@@ -26,7 +25,6 @@ from typing import Dict, Optional, Tuple
 
 __all__ = [
     "NUMPY",
-    "REPLICATION",
     "RING",
     "SHM",
     "SWITCHES",
@@ -72,14 +70,9 @@ RING = KillSwitch(
     subject="the shm frame ring",
     fallback="pipe+pickle framing for every worker frame",
 )
-REPLICATION = KillSwitch(
-    env="REPRO_DISABLE_REPLICATION",
-    subject="replication",
-    fallback="one replica per shard regardless of ReplicaConfig",
-)
 
 #: Every registered switch, in documentation order.
-SWITCHES: Tuple[KillSwitch, ...] = (NUMPY, SHM, RING, REPLICATION)
+SWITCHES: Tuple[KillSwitch, ...] = (NUMPY, SHM, RING)
 
 
 def active() -> Dict[str, str]:

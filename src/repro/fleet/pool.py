@@ -118,12 +118,14 @@ class FSMFleet:
         GIL (see ``docs/fleet.md``).
     replication:
         A :class:`~repro.replica.ReplicaConfig` turning every shard
-        into a replica *group*: N replicas applying one ordered command
-        log, quorum-gated commits, membership changes and divergence
-        healing (see ``docs/fleet.md`` and :mod:`repro.replica`).
+        into a replica *group* of N worker processes behind one
+        ordered command log: quorum-gated commits, crash failover,
+        membership changes and divergence healing (see
+        ``docs/fleet.md`` and :mod:`repro.replica`).  Process mode
+        only: thread mode raises ``ValueError``, since followers in
+        the leader's own process never fail independently of it.
         ``None`` (default) keeps the classic one-replica shard with
-        zero hot-path overhead; ``REPRO_DISABLE_REPLICATION`` collapses
-        a configured group to n=1 at runtime.
+        zero hot-path overhead.
     """
 
     #: The serving mode this class implements (subclasses override).
@@ -161,6 +163,12 @@ class FSMFleet:
         fleet_mode: str = "thread",
         replication=None,
     ):
+        if replication is not None and self.fleet_mode != "process":
+            raise ValueError(
+                "replication needs worker processes to fail "
+                "independently; build the fleet with "
+                'fleet_mode="process"'
+            )
         if n_workers < 1:
             raise ValueError("a fleet needs at least one worker")
         if queue_depth < 1:
@@ -186,7 +194,6 @@ class FSMFleet:
                 trace_max_entries=trace_max_entries,
                 fleet_name=name,
                 engine=engine,
-                replication=replication,
             ),
         )
         self._closed = False

@@ -56,6 +56,7 @@ from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 from ..obs.probes import ProbeReport, probe_hardware
 from ..obs.tracing import span as _span
+from ..replica.log import MembershipError
 
 #: Queue sentinel asking the worker thread to exit.
 _STOP = object()
@@ -160,7 +161,6 @@ class ShardWorker(threading.Thread):
         trace_max_entries: int = 256,
         fleet_name: str = "fleet",
         engine: str = "auto",
-        replication=None,
     ):
         super().__init__(name=f"{fleet_name}-shard-{index}", daemon=True)
         # Validates the mode and fails fast on an impossible request
@@ -179,10 +179,10 @@ class ShardWorker(threading.Thread):
         self.stats = ShardStats()
         self.serving_inputs = frozenset(machine.inputs)
         self.hardware = self._build_hardware(machine)
-        #: The shard's replica group (None: classic single-replica
-        #: shard, zero hot-path overhead).  Built after the leader
-        #: datapath exists — followers replicate it.
-        self.replica_group = self._make_replica_group(replication)
+        #: The shard's replica group: a process shard's
+        #: :class:`~repro.replica.procgroup.ProcReplicaGroup`, or None
+        #: (the single-replica shard, zero hot-path overhead).
+        self.replica_group = None
         #: Per-session state chains (session key -> current state).
         #: Only the worker thread touches this.  Session states are
         #: symbolic, so they survive quarantine (the rebuilt datapath
@@ -221,18 +221,6 @@ class ShardWorker(threading.Thread):
         return Dispatcher(
             engine, coalesce_limit=_MAX_COALESCE, shard=str(index)
         )
-
-    def _make_replica_group(self, replication):
-        """The shard's replica group for ``replication`` (a
-        :class:`~repro.replica.ReplicaConfig`), or ``None`` when the
-        shard runs unreplicated.  The process-mode shard overrides this
-        to adapt its worker-process group instead of building follower
-        datapaths."""
-        if replication is None:
-            return None
-        from ..replica.group import ReplicaGroup
-
-        return ReplicaGroup(self, replication)
 
     def shutdown(self) -> None:
         """Release per-shard resources after the thread has exited
@@ -339,9 +327,9 @@ class ShardWorker(threading.Thread):
                 _journal.MIGRATION_CHUNK, shard=self.label, cycles=used
             )
             if used and self.replica_group is not None:
-                # The same chunks in the same gap on every replica:
-                # one identical one-write-per-cycle sequence group-wide.
-                self.replica_group.on_chunk(job, used)
+                self.replica_group.record(
+                    "ram_write", cycles=used, target=job.target.name
+                )
         if migrator.done:
             if not self.hardware.realises(job.target):
                 # Never commit a corrupted table: the raise quarantines
@@ -351,12 +339,11 @@ class ShardWorker(threading.Thread):
                     f"shard {self.index} does not realise "
                     f"{job.target.name} after its last chunk"
                 )
-            verified = True
+            verified = job.verified = True
             if self.replica_group is not None:
-                # Before the machine swap: a follower that never saw a
-                # chunk gap still migrates from the correct source.
-                verified = self.replica_group.on_commit(job, verified)
-            job.verified = verified
+                self.replica_group.record(
+                    "retarget", target=job.target.name, verified=verified
+                )
             self.machine = job.target
             self.serving_inputs = frozenset(job.target.inputs)
             if self._sessions:
@@ -403,10 +390,6 @@ class ShardWorker(threading.Thread):
         )
         self.hardware = self._build_hardware(self.machine)
         self.dispatcher.invalidate(reason="replaced")
-        if self.replica_group is not None:
-            # The whole group re-seeds together: followers replicate
-            # the leader, and the leader just restarted from reset.
-            self.replica_group.on_reseed(self.machine)
         _journal.JOURNAL.record(
             _journal.FLEET_RESEED,
             shard=self.label,
@@ -556,11 +539,7 @@ class ShardWorker(threading.Thread):
             if key is None:
                 hw.commit_engine_run(run.final_state, len(run), run.visits)
                 if self.replica_group is not None:
-                    # Committed: the run is a log entry every replica
-                    # applies.
-                    self.replica_group.on_serve(
-                        run.final_state, len(run), run.visits
-                    )
+                    self.replica_group.record("serve", cycles=len(run))
             else:
                 self._sessions[key] = run.final_state
         self._count_served(
@@ -591,23 +570,15 @@ class ShardWorker(threading.Thread):
         The datapath lane (``session=None``) runs from the live ST-REG
         state and commits.  A session lane replays its word from the
         session's state as a pure query (``commit=False`` restores the
-        datapath lane's state afterwards) on the next replica of the
-        read rotation, so the datapath lane's chain, its probes and an
-        in-flight migration are undisturbed — while the replay still
-        clocks the real netlist, so an injected fault raises out and
-        quarantines exactly as on the datapath lane.  The netlist
-        backend is looked up per batch, so a quarantine (which replaces
-        the datapath wholesale) re-binds before the next one.
+        datapath lane's state afterwards), so the datapath lane's chain,
+        its probes and an in-flight migration are undisturbed — while
+        the replay still clocks the real netlist, so an injected fault
+        raises out and quarantines exactly as on the datapath lane.  The
+        netlist backend is looked up per batch, so a quarantine (which
+        replaces the datapath wholesale) re-binds before the next one.
         """
         session = batch.session
         hw = self.hardware
-        if session is not None and self.replica_group is not None:
-            # Pure queries route to any in-sync replica (leader
-            # included, rotating) — followers carry read traffic, not
-            # just the write stream.
-            replica_hw = self.replica_group.read_hardware()
-            if replica_hw is not None:
-                hw = replica_hw
         backend = self.dispatcher.cycle_backend(hw)
         started = time.perf_counter()
         downtime_before = self._downtime()
@@ -629,7 +600,7 @@ class ShardWorker(threading.Thread):
         if session is not None:
             self._sessions[session] = run.final_state
         elif self.replica_group is not None:
-            self.replica_group.on_serve(run.final_state, len(run), run.visits)
+            self.replica_group.record("serve", cycles=len(run))
         self._count_served(
             backend, "cycle", 1, len(run), downtime_before, started,
             streams=1,
@@ -694,16 +665,21 @@ class ShardWorker(threading.Thread):
                 item.future.set_exception(exc)
                 return
             if self.replica_group is not None:
-                # The identically-seeded injector on every replica: a
-                # logged erase is one radiation event the whole group
-                # observed, not N independent ones.
-                self.replica_group.on_fault(item.inject)
+                self.replica_group.record("erase")
             item.future.set_result(result)
         elif isinstance(item, _Membership):
             if self.replica_group is None:
                 item.future.set_exception(RuntimeError(
                     f"shard {self.index} has no replica group "
                     f"(fleet built without replication)"
+                ))
+                return
+            if self._migrating():
+                # Membership entries serialise against the migration's
+                # RAM-write stream: retry after the rollout commits.
+                item.future.set_exception(MembershipError(
+                    "membership change refused while a migration is in "
+                    "flight; retry after the rollout commits"
                 ))
                 return
             try:

@@ -65,8 +65,6 @@ class Thresholds:
     saturation_critical: int = 10
     queue_degraded_ratio: float = 0.5
     queue_critical_ratio: float = 0.9
-    replica_lag_degraded: int = 16
-    replica_lag_critical: int = 256
 
 
 @dataclass
@@ -225,10 +223,10 @@ def _shard_vitals(fleet: Any) -> List[ShardHealth]:
     return vitals
 
 
-def _replica_detectors(fleet: Any, thresholds: Thresholds) -> List[Detector]:
-    """Quorum-at-risk and replica-lag verdicts over the fleet's replica
-    groups.  Status reads are queue-free, so this is safe from any
-    thread; fleets without replication contribute no detectors."""
+def _replica_detectors(fleet: Any) -> List[Detector]:
+    """The quorum-at-risk verdict over the fleet's replica groups.
+    Status reads are queue-free, so this is safe from any thread;
+    fleets without replication contribute no detector."""
     replicas_fn = getattr(fleet, "replicas", None)
     if replicas_fn is None:
         return []
@@ -240,13 +238,11 @@ def _replica_detectors(fleet: Any, thresholds: Thresholds) -> List[Detector]:
         return []
     at_risk: List[str] = []
     lost: List[str] = []
-    worst_lag = 0
     for status in statuses.values():
         if not status.quorum_ok:
             lost.append(status.shard)
         elif status.in_sync < status.n:
             at_risk.append(status.shard)
-        worst_lag = max(worst_lag, status.lag)
     if lost:
         quorum_status, what = STATUS_CRITICAL, f"quorum lost on {lost}"
     elif at_risk:
@@ -254,29 +250,14 @@ def _replica_detectors(fleet: Any, thresholds: Thresholds) -> List[Detector]:
         what = f"out-of-sync replicas on {at_risk} (quorum still held)"
     else:
         quorum_status, what = STATUS_OK, "all replicas in sync"
-    detectors = [
+    return [
         Detector(
             name="replica-quorum",
             status=quorum_status,
             detail=f"{what} across {len(statuses)} replica groups",
             count=len(lost) + len(at_risk),
-        ),
-        Detector(
-            name="replica-lag",
-            status=_grade(
-                worst_lag,
-                thresholds.replica_lag_degraded,
-                thresholds.replica_lag_critical,
-            ),
-            detail=(
-                f"worst in-sync replica is {worst_lag} log entries behind "
-                f"commit (degraded>={thresholds.replica_lag_degraded}, "
-                f"critical>={thresholds.replica_lag_critical})"
-            ),
-            count=worst_lag,
-        ),
+        )
     ]
-    return detectors
 
 
 def check(
@@ -329,7 +310,7 @@ def check(
     ]
 
     if fleet is not None:
-        detectors.extend(_replica_detectors(fleet, thresholds))
+        detectors.extend(_replica_detectors(fleet))
 
     shards = _shard_vitals(fleet) if fleet is not None else []
     if shards:

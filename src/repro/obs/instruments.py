@@ -185,11 +185,6 @@ REPLICA_MEMBERSHIP_CHANGES = REGISTRY.counter(
     "Replica-group membership changes (add / remove / replace), by "
     "shard and kind.",
 )
-REPLICA_LAG = REGISTRY.gauge(
-    "repro_replica_lag_entries",
-    "Log entries between the group commit index and the slowest "
-    "in-sync replica's applied index, by shard.",
-)
 
 # -- asyncio ingestion plane ------------------------------------------
 FLEET_CANCELLED = REGISTRY.counter(

@@ -54,8 +54,9 @@ class ProcShardWorker(ShardWorker):
 
     Subclasses the thread-mode shard: the only differences are the
     dispatcher (pinned to ``table-shm``, built through a factory that
-    binds this shard's session) and the teardown hook that closes the
-    session after the thread exits.
+    binds this shard's session), the replica group (a replicated
+    shard's session *is* its :class:`ProcReplicaGroup`) and the
+    teardown hook that closes the session after the thread exits.
     """
 
     def __init__(self, index: int, machine: FSM, *, session: WorkerSession,
@@ -64,18 +65,10 @@ class ProcShardWorker(ShardWorker):
         kwargs["engine"] = "table-shm"
         super().__init__(index, machine, **kwargs)
         session.on_incident = self._worker_incident
+        from ..replica.procgroup import ProcReplicaGroup
 
-    def _make_replica_group(self, replication):
-        # Process-mode replication lives in the transport: the session
-        # *is* a ProcReplicaGroup, and the shard thread only needs the
-        # hook adapter that records the command log over it.
-        if replication is None:
-            return None
-        from ..replica.procgroup import ProcReplicaGroup, ProcReplicaView
-
-        if isinstance(self._session, ProcReplicaGroup):
-            return ProcReplicaView(self._session)
-        return None
+        if isinstance(session, ProcReplicaGroup):
+            self.replica_group = session
 
     def _make_dispatcher(self, engine: str, index: int) -> Dispatcher:
         return Dispatcher(
@@ -152,13 +145,13 @@ class ProcessFleet(FSMFleet):
     def _build_shards(
         self, n_workers: int, shard_kwargs: Dict
     ) -> List[ShardWorker]:
-        replication = shard_kwargs.get("replication")
+        replication = self.replication
         if replication is not None:
             from ..replica.procgroup import ProcReplicaGroup
 
             # One spare slot per group so membership("add") has a slot
             # to land on (the block is immutable after creation).
-            slots_per = replication.effective().n + 1
+            slots_per = replication.n + 1
             self._ctl = ControlBlock.create(n_workers * slots_per)
         else:
             slots_per = 1
@@ -214,10 +207,8 @@ class ProcessFleet(FSMFleet):
 
     def replica_pids(self) -> Dict[int, Dict[str, Optional[int]]]:
         """Live pid per replica per shard (empty without replication)."""
-        pids: Dict[int, Dict[str, Optional[int]]] = {}
-        for shard in self.shards:
-            view = getattr(shard, "replica_group", None)
-            group = getattr(view, "group", None)
-            if group is not None:
-                pids[shard.index] = group.replica_pids()
-        return pids
+        return {
+            shard.index: shard.replica_group.replica_pids()
+            for shard in self.shards
+            if shard.replica_group is not None
+        }

@@ -4,23 +4,22 @@ Everything a shard does to its architectural state is one of five
 command kinds, and all five were already serialised through the shard's
 single driver before replication existed:
 
-* ``serve``     — a committed engine run (final state + cycles);
-* ``ram_write`` — one migration chunk's worth of one-write-per-cycle
-  RAM writes applied in a traffic gap;
-* ``erase``     — an injected fault (erase/upset) with its seed;
+* ``serve``     — a committed engine run (its cycle count);
+* ``ram_write`` — one migration chunk gap's worth of one-write-per-cycle
+  RAM writes, or one table segment publish;
+* ``erase``     — an injected fault (erase/upset);
 * ``retarget``  — a migration commit: the shard now realises a new
   target machine (RST-MUX retargeted, blend invariant restored);
 * ``membership`` — the group itself changed (add/remove/replace a
   replica) under a joint quorum.
 
 A :class:`ShardLog` assigns each command a monotonic index at append
-time and tracks the *commit index* — the highest entry applied on a
-quorum of replicas.  Entries are retained in a bounded ring: a replica
-whose applied index has fallen behind the oldest retained entry cannot
-catch up by replay and must take the snapshot path (the group's
-published tables + final state), which is exactly the
-``ExecSnapshot`` / ``table_version`` contract the exec layer already
-enforces.
+time and tracks the *commit index* — the highest entry recorded while
+a quorum of replicas was in sync.  Entries are retained in a bounded
+ring for inspection; replicas never replay it.  A replica that falls
+out of sync catches up from the group's published table segment, which
+is exactly the ``ExecSnapshot`` / ``table_version`` contract the exec
+layer already enforces.
 """
 
 from __future__ import annotations
@@ -29,13 +28,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..exec import killswitch
 from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 
 __all__ = [
     "ENTRY_KINDS",
     "LogEntry",
+    "MembershipError",
     "ReplicaConfig",
     "ReplicaGroupStatus",
     "ReplicaStatus",
@@ -47,18 +46,19 @@ ENTRY_KINDS = frozenset(
     {"serve", "ram_write", "erase", "retarget", "membership"}
 )
 
-#: Entries retained for replay before a laggard must snapshot-catch-up.
+#: Entries the log retains (older ones are dropped from the ring).
 DEFAULT_RETENTION = 1024
+
+
+class MembershipError(RuntimeError):
+    """A membership change was refused (invariant would break)."""
 
 
 @dataclass(frozen=True)
 class ReplicaConfig:
     """How many replicas a shard runs and how many must agree.
 
-    ``quorum=None`` means majority (``n // 2 + 1``).  ``effective()``
-    honours the ``REPRO_DISABLE_REPLICATION`` kill-switch by collapsing
-    to a single replica, so a fleet built with replication configured
-    still comes up (as plain shards) when the switch is thrown.
+    ``quorum=None`` means majority (``n // 2 + 1``).
     """
 
     n: int = 3
@@ -81,12 +81,6 @@ class ReplicaConfig:
     def resolved_quorum(self) -> int:
         """The configured quorum, defaulting to majority."""
         return self.majority if self.quorum is None else self.quorum
-
-    def effective(self) -> "ReplicaConfig":
-        """This config with the replication kill-switch applied."""
-        if killswitch.REPLICATION.disabled():
-            return ReplicaConfig(n=1, quorum=1)
-        return self
 
 
 @dataclass(frozen=True)
@@ -206,14 +200,6 @@ class ShardLog:
             if e.index > since_index and (kind is None or e.kind == kind)
         )
 
-    def can_replay_from(self, applied_index: int) -> bool:
-        """Whether a replica at ``applied_index`` can catch up by
-        replaying retained entries (else it must snapshot)."""
-        with self._lock:
-            if not self._entries:
-                return applied_index >= self._next_index - 1
-            return applied_index >= self._entries[0].index - 1
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -265,17 +251,6 @@ class ReplicaGroupStatus:
     def quorum_ok(self) -> bool:
         return self.in_sync >= self.quorum
 
-    @property
-    def lag(self) -> int:
-        """Commit index minus the slowest in-sync replica's applied
-        index (0 when every in-sync replica is current)."""
-        applied = [
-            r.applied_index for r in self.replicas if r.in_sync
-        ]
-        if not applied:
-            return self.commit_index
-        return max(0, self.commit_index - min(applied))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "shard": self.shard,
@@ -284,6 +259,5 @@ class ReplicaGroupStatus:
             "commit_index": self.commit_index,
             "in_sync": self.in_sync,
             "quorum_ok": self.quorum_ok,
-            "lag": self.lag,
             "replicas": [r.to_dict() for r in self.replicas],
         }

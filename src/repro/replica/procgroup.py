@@ -31,7 +31,9 @@ The group duck-types the :class:`WorkerSession` surface that
 :class:`~repro.procfleet.backend.ShmTableBackend` consumes
 (``start`` / ``publish`` / ``request`` / ``segment`` / ``retire`` /
 ``close`` / ``pid``), so the backend — and therefore the whole exec
-protocol — is replication-agnostic.
+protocol — is replication-agnostic.  The shard thread adds one call:
+:meth:`ProcReplicaGroup.record` logs each command it applied (a
+committed serve, a chunk gap, a migration commit, a fault).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import instruments as _instruments
 from ..obs import journal as _journal
@@ -50,10 +52,16 @@ from ..procfleet.session import (
     WorkerSession,
 )
 from .fingerprint import table_fingerprint
-from .group import MembershipError
-from .log import ReplicaConfig, ReplicaGroupStatus, ReplicaStatus, ShardLog
+from .log import (
+    LogEntry,
+    MembershipError,
+    ReplicaConfig,
+    ReplicaGroupStatus,
+    ReplicaStatus,
+    ShardLog,
+)
 
-__all__ = ["ProcReplicaGroup", "ProcReplicaView"]
+__all__ = ["ProcReplicaGroup"]
 
 
 @dataclass
@@ -78,7 +86,6 @@ class ProcReplicaGroup:
         start_method: Optional[str] = None,
         request_timeout_s: float = REQUEST_TIMEOUT_S,
     ):
-        config = config.effective()
         if len(slots) < config.n:
             raise ValueError(
                 f"replica group needs {config.n} control-block slots, "
@@ -298,6 +305,15 @@ class ProcReplicaGroup:
             if r.in_sync and r.session.alive()
         )
 
+    def record(self, kind: str, **payload: Any) -> LogEntry:
+        """Log one command the shard thread applied; it commits while
+        a quorum of replicas is in sync (the workers hold no state of
+        their own, so there is nothing further to fan out)."""
+        entry = self.log.append(kind, **payload)
+        if self.in_sync_count() >= self.quorum:
+            self.log.commit(entry.index, kind, self.quorum)
+        return entry
+
     def _recompute_quorum(self) -> int:
         majority = self.n // 2 + 1
         if self.config.quorum is not None:
@@ -393,7 +409,7 @@ class ProcReplicaGroup:
                     f"remove / replace"
                 )
             self.quorum = self._recompute_quorum()
-        entry = self.log.append(
+        self.record(
             "membership",
             op=op,
             replica=replica,
@@ -413,8 +429,6 @@ class ProcReplicaGroup:
         _instruments.REPLICA_MEMBERSHIP_CHANGES.inc(
             shard=self.shard, kind=op
         )
-        if self.in_sync_count() >= self.quorum:
-            self.log.commit(entry.index, "membership", self.quorum)
         return self.status()
 
     def _catch_up(self, replica: _ProcReplica) -> None:
@@ -511,80 +525,3 @@ class ProcReplicaGroup:
             f"ProcReplicaGroup(shard={self.shard!r}, n={self.n}, "
             f"quorum={self.quorum}, epoch={self._epoch})"
         )
-
-
-class ProcReplicaView:
-    """The shard-thread hook adapter over a :class:`ProcReplicaGroup`.
-
-    Thread-mode groups apply every log entry to follower
-    ``HardwareFSM`` instances; process-mode replicas are stateless, so
-    the hooks reduce to *recording the command stream* (append +
-    quorum-gated commit) — the group itself handles fan-out at the
-    transport layer (shared segment, serve rotation, failover).
-    """
-
-    def __init__(self, group: ProcReplicaGroup):
-        self.group = group
-        self.log = group.log
-
-    @property
-    def quorum(self) -> int:
-        return self.group.quorum
-
-    @property
-    def n(self) -> int:
-        return self.group.n
-
-    def _commit(self, entry) -> None:
-        if self.group.in_sync_count() >= self.group.quorum:
-            self.log.commit(entry.index, entry.kind, self.group.quorum)
-
-    def on_serve(self, final_state, n_cycles: int, visits) -> None:
-        self._commit(self.log.append("serve", cycles=n_cycles))
-
-    def on_chunk(self, job, used: int) -> None:
-        self._commit(
-            self.log.append(
-                "ram_write", cycles=used, target=job.target.name
-            )
-        )
-
-    def on_commit(self, job, leader_verified: bool) -> bool:
-        self._commit(
-            self.log.append(
-                "retarget",
-                target=job.target.name,
-                verified=leader_verified,
-            )
-        )
-        return leader_verified
-
-    def on_fault(self, inject) -> None:
-        self._commit(self.log.append("erase"))
-
-    def on_reseed(self, machine) -> None:
-        # Workers hold no architectural state; the next publish (the
-        # dispatcher rebuilding its backend) reinstalls the tables.
-        return None
-
-    def read_hardware(self):
-        # Reads already rotate over replicas inside group.request().
-        return None
-
-    def status(self) -> ReplicaGroupStatus:
-        return self.group.status()
-
-    def membership(
-        self, op: str, replica: Optional[str] = None
-    ) -> ReplicaGroupStatus:
-        return self.group.membership(op, replica)
-
-    def check_divergence(self, heal: bool = True) -> Dict[str, bool]:
-        return self.group.check_divergence(heal)
-
-    def inject_divergence(self, replica: str, seed: int = 0):
-        return self.group.inject_divergence(replica, index=seed)
-
-    def close(self) -> None:
-        # The owning worker closes the group through its session handle.
-        return None

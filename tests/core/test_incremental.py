@@ -9,6 +9,8 @@ from repro.core.incremental import (
     Chunk,
     IncrementalMigrator,
     chunks_to_program,
+    home_input,
+    home_repair,
     incremental_chunks,
     is_blend,
 )
@@ -20,7 +22,7 @@ from repro.workloads.library import (
     ones_detector,
     zeros_detector,
 )
-from repro.workloads.mutate import mutate_target, workload_pair
+from repro.workloads.mutate import grow_target, mutate_target, workload_pair
 from repro.workloads.random_fsm import random_fsm
 
 
@@ -65,6 +67,55 @@ class TestChunks:
         m, mp = fig6_pair
         with pytest.raises(ValueError):
             incremental_chunks(m, mp, i0="zz")
+
+    def test_home_input_avoids_edges_into_new_states(self):
+        # Search small grown pairs for one whose first input leads S0
+        # into the new state.
+        for seed in range(40):
+            source = random_fsm(n_states=3, n_inputs=2, n_outputs=2, seed=seed)
+            target = grow_target(source, 1, seed=seed)
+            s0 = target.reset_state
+            first = target.inputs[0]
+            if target.next_state(first, s0) in source.states:
+                continue
+            i0 = home_input(source, target)
+            assert target.next_state(i0, s0) in source.states
+            assert home_repair(source, target, i0).target == (
+                target.next_state(i0, s0)
+            )
+            return
+        pytest.fail("no pair redirects S0's first input into a new state")
+
+    def test_home_input_unchanged_without_growth(self):
+        src, tgt = ones_detector(), zeros_detector()
+        assert home_input(src, tgt) == tgt.inputs[0]
+        source = random_fsm(n_states=6, seed=2)
+        target = mutate_target(source, 5, seed=2)
+        assert home_input(source, target) == target.inputs[0]
+
+    def test_home_delta_into_a_new_state_runs_last(self):
+        # Every input leads S0 into a new state: earlier chunks repair
+        # the home entry to its source value; its delta is the last chunk.
+        source = random_fsm(n_states=3, n_inputs=2, n_outputs=2, seed=19)
+        target = grow_target(source, 2, seed=19)
+        s0 = target.reset_state
+        new_states = set(target.states) - set(source.states)
+        assert all(target.next_state(i, s0) in new_states
+                   for i in target.inputs)
+        i0 = home_input(source, target)
+        repair = home_repair(source, target, i0)
+        assert (repair.target, repair.output) == source.table[(i0, s0)]
+        chunks = incremental_chunks(source, target)
+        assert chunks[-1].delta.entry == (i0, s0)
+        for chunk in chunks[:-1]:
+            written = [
+                step.transition for step in chunk.steps
+                if step.transition is not None
+                and step.transition.entry == (i0, s0)
+                and step.kind.writes
+            ]
+            assert written[-1] == repair
+        assert chunks_to_program(chunks, source, target).is_valid()
 
     def test_cost_versus_jsr(self, fig6_pair):
         # bounded stalls cost roughly 2x JSR in total cycles

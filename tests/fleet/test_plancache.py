@@ -7,7 +7,7 @@ from repro.core.incremental import chunks_to_program, incremental_chunks
 from repro.core.jsr import jsr_program
 from repro.fleet import PlanCache, order_chunks
 from repro.workloads.library import ones_detector, zeros_detector
-from repro.workloads.mutate import grow_target
+from repro.workloads.mutate import grow_target, mutate_target
 from repro.workloads.random_fsm import random_fsm
 
 
@@ -149,6 +149,59 @@ class TestOrderChunks:
         source, target = ones_detector(), zeros_detector()
         chunks = incremental_chunks(source, target)
         assert order_chunks(chunks, source, target) == list(chunks)
+
+
+def first_hole(source, target, chunks):
+    """The index of the first chunk after which a state reachable from
+    the target reset over the serving inputs (those both machines
+    share) has an unconfigured entry, or ``None``."""
+    inputs = [i for i in source.inputs if i in set(target.inputs)]
+    table = dict(source.table)
+    for index, chunk in enumerate(chunks):
+        for step in chunk.steps:
+            if step.kind.writes:
+                trans = step.transition
+                table[trans.entry] = (trans.target, trans.output)
+        seen, todo = {target.reset_state}, [target.reset_state]
+        while todo:
+            state = todo.pop()
+            for symbol in inputs:
+                value = table.get((symbol, state))
+                if value is None:
+                    return index
+                if value[0] not in seen:
+                    seen.add(value[0])
+                    todo.append(value[0])
+    return None
+
+
+class TestGrowthSafety:
+    """Traffic runs between chunks: after every chunk of a plan, every
+    state reachable from reset must have a configured row."""
+
+    def test_growth_plans_never_expose_an_unconfigured_row(self):
+        holes = []
+        for n_states in (3, 4, 6):
+            for n_inputs in (2, 3):
+                for seed in range(40):
+                    source = random_fsm(
+                        n_states=n_states, n_inputs=n_inputs,
+                        n_outputs=2, seed=seed,
+                    )
+                    for grow in (1, 2, 3):
+                        target = grow_target(source, grow, seed=seed)
+                        chunks = PlanCache().chunks(source, target)
+                        hole = first_hole(source, target, chunks)
+                        if hole is not None:
+                            holes.append((n_states, n_inputs, seed, grow))
+        assert holes == []
+
+    def test_mutated_plans_never_expose_an_unconfigured_row(self):
+        for seed in range(80):
+            source = random_fsm(n_states=4, n_outputs=2, seed=seed)
+            target = mutate_target(source, 1 + seed % 6, seed=seed)
+            chunks = PlanCache().chunks(source, target)
+            assert first_hole(source, target, chunks) is None, seed
 
 
 class TestOptLevelKeying:

@@ -224,9 +224,7 @@ def _blocked_submits(fleet, submissions):
 
 def _datapath_outcome(fleet, words):
     """Everything a coalesced datapath-only run leaves behind: outputs,
-    ST-REG state, cycle and visit probes, and the replica log's serve
-    cycles and commit point.  Thread-mode followers must track the
-    leader's state and visit probes exactly."""
+    ST-REG state, and cycle and visit probes."""
     from repro.obs.probes import probe_hardware
 
     futures = _blocked_submits(fleet, [(word, None) for word in words])
@@ -234,31 +232,18 @@ def _datapath_outcome(fleet, words):
     fleet.drain()
     shard = fleet.shards[0]
     probe = probe_hardware(shard.hardware)
-    outcome = {
+    return {
         "outputs": outputs,
         "state": shard.hardware.state,
         "cycles": (probe.cycles_total, probe.cycles_normal),
         "visits": probe.state_visits,
     }
-    group = shard.replica_group
-    if group is not None:
-        serves = group.log.entries(kind="serve")
-        outcome["log"] = (
-            sum(entry.payload["cycles"] for entry in serves),
-            group.log.commit_index == group.log.last_index,
-        )
-        for follower in getattr(group, "_followers", {}).values():
-            assert follower.hardware.state == shard.hardware.state
-            assert (
-                probe_hardware(follower.hardware).state_visits
-                == probe.state_visits
-            )
-    return outcome
 
 
 class TestCoalescingAcrossSessions:
-    @pytest.mark.parametrize("replicas", [1, 3])
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "mode,replicas", [("thread", 1), ("process", 1), ("process", 3)]
+    )
     def test_datapath_only_run_matches_the_cycle_path(self, mode, replicas):
         # A blocked shard's datapath batches drain as one coalesced
         # 1-lane stream run; it must leave exactly what the netlist
@@ -270,19 +255,26 @@ class TestCoalescingAcrossSessions:
         # Pinned, so a forced REPRO_BACKEND leaves the two paths apart
         # (a process shard always serves through table-shm).
         table_engine = "python" if mode == "thread" else "auto"
-        outcomes, runs = [], []
-        for fleet_mode, engine in ((mode, table_engine), ("thread", "off")):
-            with make_fleet(
-                fleet_mode, machine, n_workers=1, engine=engine,
-                replication=ReplicaConfig(n=replicas),
-            ) as fleet:
-                outcomes.append(_datapath_outcome(fleet, words))
-                log = fleet.shards[0].replica_group.log
-                runs.append(len(log.entries(kind="serve")))
-        # The table path coalesced (one committed run, one log entry,
-        # per drained run); the netlist logs every batch.
-        assert runs[0] < len(words) == runs[1]
-        table, cycle = outcomes
+        # Replication is process-mode only: the process side runs a
+        # replica group of ``replicas`` workers and logs its runs.
+        replication = ReplicaConfig(n=replicas) if mode == "process" else None
+        with make_fleet(
+            mode, machine, n_workers=1, engine=table_engine,
+            replication=replication,
+        ) as fleet:
+            table = _datapath_outcome(fleet, words)
+            if replication is not None:
+                # The table path coalesced: one committed run, one log
+                # entry, per drained run, covering every symbol.
+                group = fleet.shards[0].replica_group
+                serves = group.log.entries(kind="serve")
+                assert 0 < len(serves) < len(words)
+                assert sum(e.payload["cycles"] for e in serves) == sum(
+                    map(len, words)
+                )
+                assert group.log.commit_index == group.log.last_index
+        with make_fleet("thread", machine, n_workers=1, engine="off") as fleet:
+            cycle = _datapath_outcome(fleet, words)
         # Every batch extends the one datapath chain.
         chain = machine.run([symbol for word in words for symbol in word])
         assert table["outputs"] == [

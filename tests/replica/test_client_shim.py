@@ -20,10 +20,11 @@ from repro.workloads.library import sequence_detector
 
 @pytest.fixture
 def client():
+    # Replication is a process-mode feature.
     handle = api.serve(
         sequence_detector("1011"),
         n_workers=2,
-        options=api.Options(replicas=3),
+        options=api.Options(replicas=3, fleet_mode="process"),
     )
     with handle:
         yield handle
@@ -53,7 +54,7 @@ class TestWarningFreeSurface:
             assert client.machine.name == "detect_1011"
             assert client.name
             assert client.engine
-            assert client.fleet_mode == "thread"
+            assert client.fleet_mode == "process"
             assert client.n_workers == 2
             assert client.replication is not None
         with pytest.raises(AttributeError):

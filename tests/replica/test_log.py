@@ -1,11 +1,10 @@
 """The replicated shard log: indexes, commits, retention, fingerprints.
 
 The log is the paper's one-write-per-cycle discipline made explicit:
-every mutation a shard performs is one ordered command, so replicating
-the shard is replaying the command stream.  These tests pin the log's
-contract — monotonic indexes, a closed command vocabulary, monotonic
-quorum commits, bounded retention with a snapshot escape hatch — and
-the table fingerprint that detects replica divergence.
+every mutation a shard performs is one ordered command.  These tests
+pin the log's contract — monotonic indexes, a closed command
+vocabulary, monotonic quorum commits, bounded retention — and the
+table fingerprint that detects replica divergence.
 """
 
 import pytest
@@ -44,17 +43,6 @@ class TestReplicaConfig:
     def test_quorum_must_fit_the_group(self, quorum):
         with pytest.raises(ValueError):
             ReplicaConfig(n=3, quorum=quorum)
-
-    def test_effective_is_identity_without_the_killswitch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_REPLICATION", raising=False)
-        config = ReplicaConfig(n=3)
-        assert config.effective() is config
-
-    def test_killswitch_collapses_to_one_replica(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_REPLICATION", "1")
-        collapsed = ReplicaConfig(n=5, quorum=4).effective()
-        assert collapsed.n == 1
-        assert collapsed.resolved_quorum() == 1
 
 
 class TestShardLog:
@@ -108,20 +96,10 @@ class TestShardLog:
         assert log.dropped == 2
         assert log.oldest_index == 3
 
-    def test_laggards_behind_retention_must_snapshot(self):
-        log = ShardLog("0", retention=3)
-        for _ in range(5):
-            log.append("serve")
-        # Oldest retained entry is index 3: a replica at 2 can replay
-        # (it needs 3, 4, 5); a replica at 1 is missing entry 2.
-        assert log.can_replay_from(2)
-        assert not log.can_replay_from(1)
-        assert log.can_replay_from(5)
-
-    def test_empty_log_replays_only_from_the_tip(self):
+    def test_empty_log_has_no_oldest_entry(self):
         log = ShardLog("0")
-        assert log.can_replay_from(0)
         assert log.oldest_index == 0
+        assert log.last_index == 0
 
 
 class TestGroupStatus:
@@ -141,9 +119,6 @@ class TestGroupStatus:
         assert status.in_sync == 2
         assert status.quorum_ok
 
-    def test_lag_ignores_out_of_sync_replicas(self):
-        assert self._status().lag == 2  # commit 7 - slowest in-sync 5
-
     def test_quorum_lost_when_too_few_in_sync(self):
         status = self._status(replicas=[
             ReplicaStatus("r0", applied_index=7, in_sync=True),
@@ -155,7 +130,7 @@ class TestGroupStatus:
     def test_to_dict_round_trips_the_summary(self):
         as_dict = self._status().to_dict()
         assert as_dict["quorum_ok"] is True
-        assert as_dict["lag"] == 2
+        assert as_dict["in_sync"] == 2
         assert [r["name"] for r in as_dict["replicas"]] == [
             "r0", "r1", "r2",
         ]

@@ -1,29 +1,36 @@
 """Process-mode replica groups: the acceptance scenarios.
 
-The issue's bar: a 3-replica group in process mode survives SIGKILL of
-one replica during a rolling migration with zero lost futures and no
-quorum loss, ``migration_timeline()`` still reconstructs zero downtime,
-and divergence injected into one replica is detected via fingerprint
+A 3-replica group in process mode survives SIGKILL of one replica
+during a rolling migration with zero lost futures and no quorum loss,
+``migration_timeline()`` still reconstructs zero downtime, and
+divergence injected into one replica is detected via fingerprint
 mismatch and healed by snapshot (segment republish) catch-up.
+Replication is process-mode only: a thread-mode fleet refuses it
+before any shard thread starts.
 """
 
 import os
 import signal
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
+from repro import api
+from repro.cli import main
 from repro.fleet import FSMFleet, MigrationScheduler
-from repro.obs import configure
+from repro.fleet.worker import MigrationJob, _Fault
+from repro.obs import configure, health
 from repro.obs.journal import (
     JOURNAL,
     REPLICA_CATCH_UP,
     REPLICA_DIVERGED,
     REPLICA_FAILOVER,
+    REPLICA_MEMBERSHIP,
     migration_timeline,
 )
-from repro.replica import ReplicaConfig
+from repro.replica import MembershipError, ReplicaConfig
 from repro.workloads.library import sequence_detector
 from repro.workloads.suite import traffic_words
 
@@ -81,6 +88,16 @@ class TestProcessGroupServing:
         for status in fleet.replicas().values():
             assert status.quorum_ok
             assert status.in_sync == 3
+
+    def test_replicas_report_in_sync_and_committed(self, fleet):
+        source, _ = pattern_pair()
+        for index, word in enumerate(traffic_words(source, 8, 8, seed=3)):
+            fleet.submit(index, word).result(timeout=60)
+        for status in fleet.replicas().values():
+            assert status.n == 3
+            assert status.quorum == 2
+            assert status.in_sync == 3
+        assert max(s.commit_index for s in fleet.replicas().values()) >= 1
 
     def test_sigkill_one_replica_zero_lost_futures(self, fleet):
         source, _ = pattern_pair()
@@ -195,7 +212,70 @@ class TestSigkillMidMigration:
         assert status.quorum_ok
 
 
+class TestMigrationProc:
+    def test_post_migration_divergence_is_clean(self, fleet):
+        source, target = pattern_pair()
+        common = [i for i in source.inputs if i in set(target.inputs)]
+        for index, word in enumerate(
+            traffic_words(source, 8, 8, seed=5, inputs=common)
+        ):
+            fleet.submit(index, word).result(timeout=60)
+        report = MigrationScheduler(fleet, stall_budget=12).rollout(target)
+        assert report.verified
+        for index, word in enumerate(traffic_words(target, 8, 8, seed=7)):
+            fleet.submit(index, word).result(timeout=60)
+        swept = fleet.check_divergence(heal=False)
+        assert swept and not any(
+            diverged
+            for shard_report in swept.values()
+            for diverged in shard_report.values()
+        )
+        for shard in fleet.shards:
+            kinds = [e.kind for e in shard.replica_group.log.entries()]
+            assert "retarget" in kinds
+
+
+class TestFaultsProc:
+    def test_quarantine_keeps_the_group_in_sync(self, fleet):
+        source, _ = pattern_pair()
+        upset = fleet.inject_fault(0, kind="erase", seed=7).result(
+            timeout=30
+        )
+        assert upset is not None
+        # The erase hits the parent's canonical datapath; serving trips
+        # it (the tables miss, the netlist replay raises), the shard
+        # quarantines and re-seeds, and the worker processes — which
+        # hold no state — stay in sync.
+        key = next(k for k in range(64) if fleet.shard_for(k) == 0)
+        futures = [
+            fleet.submit(key, w)
+            for w in traffic_words(source, 10, 8, seed=9)
+        ]
+        failures = sum(
+            1 for f in futures if f.exception(timeout=60) is not None
+        )
+        assert failures >= 1
+        for word in traffic_words(source, 6, 8, seed=13):
+            fleet.submit(key, word).result(timeout=60)
+        assert fleet.stats()[0].incidents >= 1
+        assert fleet.replicas()[0].in_sync == 3
+        group = fleet.shards[0].replica_group
+        assert group.log.entries(kind="erase")
+
+
 class TestDivergenceProc:
+    def test_desynced_replica_rejoins_quorum_accounting(self, fleet):
+        source, _ = pattern_pair()
+        for index, word in enumerate(traffic_words(source, 8, 8, seed=15)):
+            fleet.submit(index, word).result(timeout=60)
+        fleet.shards[0].replica_group.inject_divergence("r1", index=5)
+        fleet.check_divergence(heal=False)
+        status = fleet.replicas()[0]
+        assert status.in_sync == 2
+        assert status.quorum_ok  # 2 of 3 still >= quorum 2
+        fleet.check_divergence(heal=True)
+        assert fleet.replicas()[0].in_sync == 3
+
     def test_inject_detect_heal_by_republish(self, fleet):
         source, _ = pattern_pair()
         words = traffic_words(source, 8, 8, seed=14)
@@ -203,7 +283,7 @@ class TestDivergenceProc:
             fleet.submit(index, word).result(timeout=60)
 
         reply = fleet.shards[0].replica_group.inject_divergence(
-            "r2", seed=1
+            "r2", index=1
         )
         assert reply[0] == "corrupted"
 
@@ -243,6 +323,20 @@ class TestMembershipProc:
         assert lost == 0
         assert fleet.replica_pids()[0]["r1"] != old_pid
 
+    def test_replace_is_a_logged_joint_quorum_command(self, fleet):
+        status = fleet.replace_replica(0, "r1").result(timeout=60)
+        assert status.in_sync == 3
+        events = [
+            e for e in JOURNAL.events(type=REPLICA_MEMBERSHIP)
+            if e.fields["kind"] == "replace"
+        ]
+        assert events
+        assert events[-1].fields["joint_quorum"] == "2->2"
+        group = fleet.shards[0].replica_group
+        membership = group.log.entries(kind="membership")
+        assert membership[-1].payload["op"] == "replace"
+        assert group.log.commit_index == membership[-1].index
+
     def test_add_uses_the_spare_slot_then_remove(self, fleet):
         status = fleet.membership(0, "add").result(timeout=60)
         assert status.n == 4
@@ -252,3 +346,117 @@ class TestMembershipProc:
         # The slot is free again: a second add succeeds.
         status = fleet.membership(0, "add").result(timeout=60)
         assert status.n == 4
+
+
+def _quorum_detector(fleet):
+    return next(
+        d for d in health.check(fleet).detectors
+        if d.name == "replica-quorum"
+    )
+
+
+class TestQuorumHealth:
+    def test_replica_quorum_grades_divergence_and_heal(self, fleet):
+        source, _ = pattern_pair()
+        # Traffic publishes the tables the fingerprints compare against.
+        for index, word in enumerate(traffic_words(source, 8, 8, seed=20)):
+            fleet.submit(index, word).result(timeout=60)
+        assert _quorum_detector(fleet).status == health.STATUS_OK
+        fleet.shards[0].replica_group.inject_divergence("r1", index=2)
+        assert fleet.check_divergence(heal=False)[0]["r1"]
+        # Two of three in sync: quorum (2) still holds, so degraded.
+        degraded = _quorum_detector(fleet)
+        assert degraded.status == health.STATUS_DEGRADED
+        assert degraded.count == 1
+        fleet.check_divergence(heal=True)
+        assert _quorum_detector(fleet).status == health.STATUS_OK
+
+
+class TestLogStreamProc:
+    def test_one_serve_entry_per_committed_run(self, fleet):
+        source, _ = pattern_pair()
+        key = next(k for k in range(64) if fleet.shard_for(k) == 0)
+        words = traffic_words(source, 6, 8, seed=18)
+        # Awaiting each result keeps every batch its own committed run.
+        for word in words:
+            fleet.submit(key, word).result(timeout=60)
+        log = fleet.shards[0].replica_group.log
+        serves = log.entries(kind="serve")
+        assert len(serves) == len(words)
+        assert [e.payload["cycles"] for e in serves] == [8] * len(words)
+        assert log.commit_index == log.last_index
+
+
+class TestMembershipGuards:
+    def test_membership_refused_mid_migration(self, fleet):
+        source, target = pattern_pair()
+        shard = fleet.shards[0]
+        gate, entered = threading.Event(), threading.Event()
+
+        def blocker(_hw):
+            entered.set()
+            gate.wait(timeout=30)
+
+        # Hold the shard thread, hand it a migration job and queue the
+        # membership change behind the blocker: the job is in flight
+        # when the change is applied, whatever the scheduling.
+        shard.queue.put(_Fault(inject=blocker, future=Future()))
+        assert entered.wait(timeout=10)
+        job = shard.begin_migration(MigrationJob(
+            target=target,
+            chunks=fleet.plan_cache.chunks(source, target),
+            stall_budget=12,
+        ))
+        refused = fleet.membership(0, "add")
+        gate.set()
+        with pytest.raises(MembershipError, match="migration"):
+            refused.result(timeout=30)
+        assert job.done.wait(timeout=60)
+        assert job.verified
+        # After the commit the same change goes through.
+        assert fleet.membership(0, "add").result(timeout=60).n == 4
+
+    def test_fleet_without_replication_refuses_membership(self):
+        source, _ = pattern_pair()
+        pool = FSMFleet(source, n_workers=1)
+        try:
+            assert pool.replicas() == {}
+            with pytest.raises(RuntimeError, match="no replica group"):
+                pool.membership(0, "add").result(timeout=30)
+        finally:
+            pool.close()
+
+
+class TestThreadModeRefusesReplication:
+    """Followers in the leader's own process share its faults and its
+    heals, so thread mode refuses replication before any shard thread
+    starts."""
+
+    def test_fsmfleet_raises_before_any_shard_thread(self):
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match='fleet_mode="process"'):
+            FSMFleet(
+                pattern_pair()[0],
+                n_workers=2,
+                replication=ReplicaConfig(n=3),
+            )
+        assert not set(threading.enumerate()) - before
+
+    def test_api_serve_raises_before_any_shard_thread(self):
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match='fleet_mode="process"'):
+            api.serve(
+                pattern_pair()[0],
+                n_workers=2,
+                options=api.Options(replicas=3),
+            )
+        assert not set(threading.enumerate()) - before
+
+    @pytest.mark.parametrize("command", ["fleet", "serve"])
+    def test_cli_reports_an_operational_error(self, command, capsys):
+        before = set(threading.enumerate())
+        assert main([command, "--replicas", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert 'fleet_mode="process"' in err
+        assert not set(threading.enumerate()) - before
