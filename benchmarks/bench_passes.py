@@ -5,13 +5,18 @@ monolithic incremental form, the pipeline's flagship victim), optimizes
 each program at ``-O1`` and ``-O2``, and writes
 ``BENCH_pass_gains.json`` at the repository root: per-workload rows and
 a per-synthesiser summary with the mean percentage of steps eliminated
-at each level.
+at each level and the median synthesis wall time, plus the host's CPU
+count and Python and numpy versions.
 
 Used by the CI ``pass-gains`` job as a regression gate — the process
 exits non-zero if any ``-O2`` program comes out *longer* than its
-``-O0`` form, if any optimized program fails replay validation, or if
-no synthesiser reaches a 10% mean reduction at ``-O2`` (the pipeline's
-reason to exist).
+``-O0`` form, if any optimized program fails replay validation, if any
+``-O0`` or ``-O2`` program leaves the paper's bounds
+``|Td| <= len <= 3*(|Td|+1)`` (Thms. 4.2/4.3), or if no synthesiser
+reaches a 10% mean reduction at ``-O2`` (the pipeline's reason to
+exist).  The incremental form is held to the lower bound only: it pays
+about ``6*|Td|`` cycles for a table that is a source/target blend
+between chunks (:mod:`repro.core.incremental`).
 
 Run with ``make bench-passes``.
 """
@@ -19,11 +24,16 @@ Run with ``make bench-passes``.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import platform
+import statistics
 import sys
+from time import perf_counter
 
 from repro import api
 from repro.api import METHODS
+from repro.core.bounds import lower_bound, upper_bound
 from repro.core.incremental import chunks_to_program, incremental_chunks
 from repro.core.optimal import SearchLimitExceeded
 from repro.core.passes import optimise_program
@@ -32,6 +42,8 @@ from repro.workloads.suite import migration_suite
 LEVELS = ("O1", "O2")
 OPTIMAL_BUDGET = 60_000
 MIN_MEAN_PCT = 10.0  # acceptance: best synthesiser's -O2 mean reduction
+#: Synthesisers outside the Thm. 4.2 upper bound by construction.
+NO_UPPER_BOUND = ("incremental",)
 
 
 def _synthesise(method, source, target):
@@ -48,17 +60,49 @@ def _synthesise(method, source, target):
     )
 
 
+def _host() -> dict:
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
+
+
 def main() -> int:
     methods = tuple(METHODS) + ("incremental",)
     rows = []
     failures = []
+    synth_seconds = {method: [] for method in methods}
     for workload, factory in sorted(migration_suite().items()):
         source, target = factory()
+        lower = lower_bound(source, target)
         for method in methods:
+            upper = (
+                float("inf")
+                if method in NO_UPPER_BOUND
+                else upper_bound(source, target)
+            )
+
+            def check_bounds(level, program):
+                if not lower <= len(program) <= upper:
+                    failures.append(
+                        f"{workload} x {method} -{level}: {len(program)} "
+                        f"steps outside the bounds [{lower}, {upper}]"
+                    )
+
+            started = perf_counter()
             try:
                 base = _synthesise(method, source, target)
             except SearchLimitExceeded:
                 continue  # the exact search is a calibration tool only
+            synth_seconds[method].append(perf_counter() - started)
+            check_bounds("O0", base)
             for level in LEVELS:
                 optimized, report = optimise_program(base, level)
                 valid = optimized.is_valid()
@@ -91,10 +135,16 @@ def main() -> int:
                         f"{workload} x {method} -{level}: lengthened "
                         f"{len(base)} -> {len(optimized)}"
                     )
+                if level == "O2":
+                    check_bounds(level, optimized)
 
     summary = {}
     for method in methods:
         summary[method] = {}
+        if synth_seconds[method]:
+            summary[method]["synthesis_s_median"] = round(
+                statistics.median(synth_seconds[method]), 6
+            )
         for level in LEVELS:
             sample = [
                 r["pct_steps_eliminated"]
@@ -127,6 +177,7 @@ def main() -> int:
 
     payload = {
         "benchmark": "pass_gains",
+        "host": _host(),
         "levels": list(LEVELS),
         "rows": rows,
         "summary": summary,
@@ -135,6 +186,7 @@ def main() -> int:
                 "validation" in f for f in failures
             ),
             "o2_never_lengthens": not any("lengthened" in f for f in failures),
+            "within_bounds": not any("bounds" in f for f in failures),
             "best_o2": {"method": best_method, "mean_pct": best_pct},
         },
         "failures": failures,
@@ -145,7 +197,15 @@ def main() -> int:
 
     print(f"pass gains over {len(rows)} (workload, method, level) cells:")
     for method, stats in sorted(summary.items()):
-        for level, cell in sorted(stats.items()):
+        if "synthesis_s_median" in stats:
+            print(
+                f"  {method:12s} synthesis median "
+                f"{1e3 * stats['synthesis_s_median']:8.3f} ms"
+            )
+        for level in LEVELS:
+            if level not in stats:
+                continue
+            cell = stats[level]
             print(
                 f"  {method:12s} -{level}: mean "
                 f"{cell['mean_pct_steps_eliminated']:6.2f}% "

@@ -5,6 +5,11 @@ The paper encodes each individual as a permutation of the order in which
 the delta transitions are reconfigured; the decoder
 (:func:`repro.core.decode.decode_order`) turns the permutation into a
 program, and the fitness of an individual is the length of that program.
+Fitness never builds the program: a
+:class:`~repro.core.decode.LengthDecoder`, compiled once per run, returns
+that length from the int-coded genome directly.  Only the winning genome
+is materialised by :func:`~repro.core.decode.decode_order`, so the
+returned program is still built and validated step by step.
 The EA searches for the permutation with the shortest program — Table 2
 shows it beating the JSR heuristic "considerably ... sometimes by more
 than 50 %".
@@ -31,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs import instruments as _instruments
 from ..obs.instruments import record_synthesis
 from ..obs.tracing import span as _span
-from .decode import decode_order
-from .delta import delta_transitions
+from .decode import LengthDecoder, decode_order
 from .fsm import FSM, Input, Transition
 from .greedy import nearest_neighbour_order
 from .program import Program
@@ -159,7 +163,8 @@ def _evolve_program(
     **decode_kwargs,
 ) -> EAResult:
     rng = random.Random(config.seed)
-    deltas = delta_transitions(source, target)
+    decoder = LengthDecoder(source, target, i0=i0, **decode_kwargs)
+    deltas = decoder.deltas
 
     def decode(indices: Sequence[int]) -> Program:
         order = [deltas[idx] for idx in indices]
@@ -186,15 +191,14 @@ def _evolve_program(
         nonlocal evaluations
         key = tuple(genome)
         if key not in fitness_cache:
-            fitness_cache[key] = len(decode(genome))
+            fitness_cache[key] = decoder.length(key)
             evaluations += 1
         return fitness_cache[key]
 
     population: List[List[int]] = []
     if config.seed_with_greedy:
         greedy = nearest_neighbour_order(source, target)
-        index_of = {str(t): idx for idx, t in enumerate(deltas)}
-        population.append([index_of[str(t)] for t in greedy])
+        population.append(decoder.indices(greedy))
     while len(population) < config.population_size:
         genome = identity[:]
         rng.shuffle(genome)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 from ..obs.instruments import record_synthesis
 from ..obs.tracing import span as _span
-from .decode import decode_order, decoded_length
+from .decode import LengthDecoder, decode_order
 from .delta import delta_transitions
 from .fsm import FSM, Input, State, Transition
 from .paths import all_pairs_distances, table_of
@@ -89,29 +89,32 @@ def two_opt_order(
 ) -> List[Transition]:
     """Improve an ordering with 2-opt moves under the *exact* decoder cost.
 
-    Each candidate segment reversal is evaluated by decoding the full
-    ordering, so the objective is the true program length rather than an
-    estimate.  Stops at a local optimum or after ``max_rounds`` sweeps.
+    Each candidate segment reversal is scored by a
+    :class:`~repro.core.decode.LengthDecoder` compiled once per call, so
+    the objective is the true program length rather than an estimate.
+    Stops at a local optimum or after ``max_rounds`` sweeps.
     """
     current = list(
         order if order is not None else nearest_neighbour_order(source, target)
     )
     if len(current) < 3:
         return current
-    best_len = decoded_length(source, target, current, **decode_kwargs)
+    decoder = LengthDecoder(source, target, **decode_kwargs)
+    genome = decoder.indices(current)
+    best_len = decoder.length(genome)
     for _ in range(max_rounds):
         improved = False
-        for i in range(len(current) - 1):
-            for j in range(i + 1, len(current)):
-                candidate = current[:i] + current[i : j + 1][::-1] + current[j + 1 :]
-                cand_len = decoded_length(source, target, candidate, **decode_kwargs)
+        for i in range(len(genome) - 1):
+            for j in range(i + 1, len(genome)):
+                candidate = genome[:i] + genome[i : j + 1][::-1] + genome[j + 1 :]
+                cand_len = decoder.length(candidate)
                 if cand_len < best_len:
-                    current = candidate
+                    genome = candidate
                     best_len = cand_len
                     improved = True
         if not improved:
             break
-    return current
+    return [decoder.deltas[k] for k in genome]
 
 
 def greedy_program(

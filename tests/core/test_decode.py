@@ -1,8 +1,16 @@
 """Unit tests for the ordering decoder (paper Sec. 4.6 decoder semantics)."""
 
+import dataclasses
+import itertools
+
 import pytest
 
-from repro.core.decode import DecodeError, decode_order, decoded_length
+from repro.core.decode import (
+    DecodeError,
+    LengthDecoder,
+    decode_order,
+    decoded_length,
+)
 from repro.core.delta import delta_transitions
 from repro.core.program import StepKind
 from repro.workloads.library import (
@@ -44,6 +52,19 @@ class TestDecodeBasics:
         deltas = delta_transitions(m, mp)
         with pytest.raises(DecodeError, match="permutation"):
             decode_order(m, mp, deltas[:-1] + [deltas[0]])
+
+    def test_rejects_order_whose_str_collides(self, fig6_pair):
+        # Relabelling input "0" as the int 0 keeps every str() the same
+        # but names a total state outside the table domain.
+        m, mp = fig6_pair
+        deltas = delta_transitions(m, mp)
+        assert deltas[0].input == "0"
+        forged = [dataclasses.replace(deltas[0], input=0)] + deltas[1:]
+        assert sorted(map(str, forged)) == sorted(map(str, deltas))
+        with pytest.raises(DecodeError, match="permutation"):
+            decode_order(m, mp, forged)
+        with pytest.raises(DecodeError, match="permutation"):
+            decoded_length(m, mp, forged)
 
     def test_rejects_foreign_i0(self, fig6_pair):
         m, mp = fig6_pair
@@ -142,3 +163,52 @@ class TestDecodedLength:
             src, tgt = workload_pair(9, 5, seed=seed)
             deltas = delta_transitions(src, tgt)
             assert decoded_length(src, tgt, deltas) >= len(deltas)
+
+
+class TestLengthDecoder:
+    @pytest.mark.parametrize("smart_connect", [False, True])
+    @pytest.mark.parametrize("use_temporary", [True, False])
+    @pytest.mark.parametrize("start", [None, "S0", "S3"])
+    def test_every_fig6_permutation_matches_decode_order(
+        self, fig6_pair, smart_connect, use_temporary, start
+    ):
+        m, mp = fig6_pair
+        for i0 in mp.inputs:
+            options = dict(
+                i0=i0,
+                start=start,
+                smart_connect=smart_connect,
+                use_temporary=use_temporary,
+            )
+            decoder = LengthDecoder(m, mp, **options)
+            for perm in itertools.permutations(range(len(decoder.deltas))):
+                order = [decoder.deltas[k] for k in perm]
+                try:
+                    want = len(decode_order(m, mp, order, **options))
+                except DecodeError:
+                    with pytest.raises(DecodeError, match="unreachable"):
+                        decoder.length(perm)
+                    continue
+                assert decoder.length(perm) == want
+
+    def test_indices_round_trip(self, fig6_pair):
+        m, mp = fig6_pair
+        decoder = LengthDecoder(m, mp)
+        order = decoder.deltas[::-1]
+        assert decoder.indices(order) == [3, 2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "indices", [[0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], [0, 1, 2, 3, 0]]
+    )
+    def test_length_rejects_non_permutation(self, fig6_pair, indices):
+        decoder = LengthDecoder(*fig6_pair)
+        with pytest.raises(DecodeError, match="permutation"):
+            decoder.length(indices)
+
+    def test_rejects_foreign_i0(self, fig6_pair):
+        with pytest.raises(ValueError, match="not an input symbol"):
+            LengthDecoder(*fig6_pair, i0="zz")
+
+    def test_trivial_migration(self, detector):
+        decoder = LengthDecoder(detector, detector)
+        assert decoder.length([]) == len(decode_order(detector, detector, []))

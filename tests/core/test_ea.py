@@ -149,3 +149,58 @@ class TestEAProgramWrapper:
         program = ea_program(m, mp, config=fast_ea)
         assert program.method == "ea"
         assert program.is_valid()
+
+
+#: ``evolve_program`` trajectories recorded before fitness moved to the
+#: length-only decoder: (pair, config, history, evaluations, order).  Any
+#: change to the RNG call sequence or to a fitness value moves them.
+PINNED_TRAJECTORIES = [
+    (
+        lambda: (fig6_m(), fig6_m_prime()),
+        EAConfig(population_size=16, generations=10, seed=7),
+        [10, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8],
+        21,
+        [("1", "S2", "S3", "0"), ("1", "S3", "S3", "1"),
+         ("0", "S3", "S0", "0"), ("0", "S1", "S0", "0")],
+    ),
+    (
+        lambda: workload_pair(10, 8, seed=2),
+        EAConfig(population_size=20, generations=15, seed=3),
+        [17, 17, 17, 17, 17, 17, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15],
+        107,
+        [("a0", "q0", "q3", "y0"), ("a1", "q9", "q4", "y0"),
+         ("a0", "q4", "q4", "y0"), ("a1", "q4", "q7", "y0"),
+         ("a0", "q7", "q1", "y0"), ("a0", "q6", "q6", "y0"),
+         ("a1", "q6", "q5", "y1"), ("a0", "q3", "q2", "y1")],
+    ),
+    (
+        lambda: workload_pair(14, 10, seed=5),
+        EAConfig(population_size=24, generations=20, seed=11),
+        [25, 23, 23] + [21] * 18,
+        163,
+        [("a0", "q10", "q3", "y1"), ("a0", "q3", "q11", "y0"),
+         ("a0", "q6", "q13", "y1"), ("a0", "q9", "q11", "y1"),
+         ("a0", "q11", "q11", "y1"), ("a0", "q1", "q1", "y0"),
+         ("a1", "q1", "q0", "y1"), ("a1", "q10", "q7", "y1"),
+         ("a0", "q4", "q11", "y0"), ("a0", "q0", "q2", "y1")],
+    ),
+]
+
+
+class TestPinnedTrajectory:
+    @pytest.mark.parametrize(
+        "make_pair,config,history,evaluations,order",
+        PINNED_TRAJECTORIES,
+        ids=["fig6", "pair-10-8-s2", "pair-14-10-s5"],
+    )
+    def test_trajectory_unchanged(
+        self, make_pair, config, history, evaluations, order
+    ):
+        source, target = make_pair()
+        result = evolve_program(source, target, config=config)
+        assert result.history == history
+        assert result.evaluations == evaluations
+        assert [
+            (t.input, t.source, t.target, t.output) for t in result.order
+        ] == order
+        assert result.best_length == history[-1] == len(result.program)

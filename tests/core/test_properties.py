@@ -8,14 +8,17 @@ and migrations:
 * every heuristic's program really migrates M into M' and respects the
   ``|Td|`` lower bound (Thm. 4.3);
 * the delta set is exactly the disagreement set of the two tables;
-* decoding any permutation of the delta set yields a valid program.
+* decoding any permutation of the delta set yields a valid program;
+* the length-only decoder the EA scores with agrees with the program
+  decoder on every permutation and option.
 """
 
 import random as _random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.decode import decode_order
+from repro.core.decode import DecodeError, LengthDecoder, decode_order
 from repro.core.delta import delta_count, delta_transitions
 from repro.core.ea import EAConfig, evolve_program
 from repro.core.fsm import FSM
@@ -47,6 +50,20 @@ def migrations(draw):
         target = grow_target(target, draw(st.integers(1, 2)),
                              seed=draw(st.integers(0, 10_000)))
     return source, target
+
+
+@st.composite
+def grown_migrations(draw):
+    """A pair that only adds states (or, reversed, only drops them).
+
+    Every delta touches a new state, so without temporary transitions
+    many orderings cannot be decoded at all.
+    """
+    source = draw(machines())
+    capacity = len(source.inputs) * len(source.states)
+    grown = grow_target(source, draw(st.integers(1, min(3, capacity))),
+                        seed=draw(st.integers(0, 10_000)))
+    return (grown, source) if draw(st.booleans()) else (source, grown)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,6 +102,37 @@ def test_decode_any_permutation_is_valid(pair, shuffle_seed):
     rng.shuffle(deltas)
     program = decode_order(source, target, deltas)
     assert program.is_valid()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(migrations(), grown_migrations(), st.tuples(machines(), machines())),
+    st.integers(0, 1_000_000),
+)
+def test_length_decoder_matches_decode_order(pair, shuffle_seed):
+    source, target = pair
+    rng = _random.Random(shuffle_seed)
+    for i0 in target.inputs:
+        for start in (None, source.reset_state, target.reset_state):
+            for smart_connect in (False, True):
+                for use_temporary in (True, False):
+                    options = dict(
+                        i0=i0,
+                        start=start,
+                        smart_connect=smart_connect,
+                        use_temporary=use_temporary,
+                    )
+                    decoder = LengthDecoder(source, target, **options)
+                    perm = list(range(len(decoder.deltas)))
+                    rng.shuffle(perm)
+                    order = [decoder.deltas[k] for k in perm]
+                    try:
+                        want = len(decode_order(source, target, order, **options))
+                    except DecodeError:
+                        with pytest.raises(DecodeError):
+                            decoder.length(perm)
+                        continue
+                    assert decoder.length(perm) == want
 
 
 @settings(max_examples=25, deadline=None)
