@@ -21,10 +21,13 @@ repository root:
   (``>= 3.0`` at 4 workers) asserts only when the machine actually has
   4 CPUs to scale onto — on smaller hosts the JSON records the
   measurement and the reason the gate was skipped;
-* **migration downtime** — a 4-worker fleet serves traffic while a
-  rolling migration upgrades every shard; the probe-measured service
-  downtime must be zero and the rollout hardware-verified.  The same
-  proof runs once more across worker processes.
+* **migration downtime** — a 4-worker fleet serves traffic while
+  rolling migrations move every shard back and forth between the pair;
+  the probe-measured service downtime must be zero and every rollout
+  hardware-verified.  The row records the rollout wall p50 and the
+  table rebuilds per rollout (view compiles; in process mode, segment
+  publishes), with the host's CPU count.  The same proof runs once
+  more across worker processes.
 
 Run with ``make bench-fleet``.
 """
@@ -38,7 +41,9 @@ import sys
 import threading
 import time
 
+from repro import obs
 from repro.fleet import FSMFleet, MigrationScheduler
+from repro.obs import instruments as _instruments
 from repro.workloads.suite import suite_pair, traffic_words
 
 WORKLOAD = "ctrl/pattern-1011-to-0110"
@@ -47,6 +52,9 @@ REQUESTS = 240
 BATCH = 24
 LINK_LATENCY_S = 0.002  # one modelled device round-trip per batch
 SEED = 0
+#: Rollouts per migration row, alternating target and source, so the
+#: row reports a rollout wall p50 rather than one sample.
+MIGRATION_ROLLOUTS = 9
 
 #: Process-mode traffic: fewer, much larger batches — the point is
 #: worker-side compute (~600ns/symbol of pure-Python table stepping)
@@ -133,7 +141,10 @@ def _run_proc_traffic(n_workers: int) -> dict:
     }
 
 
-def _run_proc_migration() -> dict:
+def _run_migration(fleet_mode: str) -> dict:
+    """Roll a 4-worker fleet back and forth between the pair under
+    traffic: downtime, verification, and per-rollout wall and table
+    rebuilds (compiles; process mode: segment publishes)."""
     source, target = suite_pair(WORKLOAD)
     words = traffic_words(
         source,
@@ -142,93 +153,87 @@ def _run_proc_migration() -> dict:
         seed=SEED,
         inputs=[i for i in source.inputs if i in set(target.inputs)],
     )
+    obs.configure(metrics=True)
     fleet = FSMFleet(
         source, n_workers=4, family=[target], queue_depth=256,
-        name="bench-proc-migration", fleet_mode="process",
+        name=f"bench-{fleet_mode}-migration", fleet_mode=fleet_mode,
     )
-    holder: dict = {}
+    reports = []
 
-    def rollout() -> None:
-        holder["report"] = MigrationScheduler(
-            fleet, stall_budget=12
-        ).rollout(target)
+    def rollouts() -> None:
+        scheduler = MigrationScheduler(fleet, stall_budget=12)
+        for hop in range(MIGRATION_ROLLOUTS):
+            reports.append(
+                scheduler.rollout(source if hop % 2 else target)
+            )
 
-    thread = threading.Thread(target=rollout)
-    futures = []
-    for index, word in enumerate(words):
-        if index == REQUESTS // 4:
-            thread.start()
-        futures.append(fleet.submit(index, word))
-    thread.join()
-    for future in futures:
-        future.result(timeout=60)
-    report = holder["report"]
-    pids = sorted(set(fleet.worker_pids().values()))
-    fleet.close()
-    return {
+    try:
+        # The first quarter of the traffic warms every shard (its first
+        # compile and publish), so the counters below see the rollouts.
+        warm = REQUESTS // 4
+        futures = [fleet.submit(i, w) for i, w in enumerate(words[:warm])]
+        for future in futures:
+            future.result(timeout=60)
+        compiles = _instruments.ENGINE_COMPILES.value(origin="hardware")
+        publishes = _publishes(fleet)
+        thread = threading.Thread(target=rollouts)
+        thread.start()
+        for index, word in enumerate(words[warm:], warm):
+            futures.append(fleet.submit(index, word))
+        thread.join()
+        for future in futures:
+            future.result(timeout=60)
+        compiles = (
+            _instruments.ENGINE_COMPILES.value(origin="hardware") - compiles
+        )
+        publishes = _publishes(fleet) - publishes
+        pids = (
+            set(fleet.worker_pids().values())
+            if fleet_mode == "process" else set()
+        )
+    finally:
+        fleet.close()
+        obs.configure()
+    walls = sorted(report.wall_seconds for report in reports)
+    first = reports[0]
+    row = {
         "workers": 4,
-        "worker_processes": len(pids),
-        "stall_budget": report.stall_budget,
-        "migration_chunks": report.analysis.chunks_total,
-        "migration_cycles": report.migration_cycles,
-        "service_downtime_cycles": report.service_downtime_cycles,
-        "zero_downtime": report.zero_downtime,
-        "hardware_verified": report.verified,
+        "cpus": _cpus(),
+        "stall_budget": first.stall_budget,
+        "migration_chunks": first.analysis.chunks_total,
+        "migration_cycles": first.migration_cycles,
+        "rollouts": len(reports),
+        "rollout_wall_p50_ms": round(walls[len(walls) // 2] * 1e3, 3),
+        "compiles_per_rollout": round(compiles / len(reports), 2),
+        "publishes_per_rollout": round(publishes / len(reports), 2),
+        "service_downtime_cycles": sum(
+            r.service_downtime_cycles for r in reports
+        ),
+        "zero_downtime": all(r.zero_downtime for r in reports),
+        "hardware_verified": all(r.verified for r in reports),
         "batches_served_during_rollout": sum(
-            shard.batches_served_during for shard in report.shards
+            shard.batches_served_during
+            for r in reports
+            for shard in r.shards
         ),
     }
+    if pids:
+        row["worker_processes"] = len(pids)
+    return row
 
 
-def _run_migration() -> dict:
-    source, target = suite_pair(WORKLOAD)
-    words = traffic_words(
-        source,
-        REQUESTS,
-        BATCH,
-        seed=SEED,
-        inputs=[i for i in source.inputs if i in set(target.inputs)],
+def _publishes(fleet) -> float:
+    """Segments published so far across the fleet's shards."""
+    return sum(
+        _instruments.PROCFLEET_PUBLISHES.value(shard=shard.label)
+        for shard in fleet.shards
     )
-    fleet = FSMFleet(
-        source, n_workers=4, family=[target], queue_depth=256,
-        name="bench-migration",
-    )
-    holder: dict = {}
-
-    def rollout() -> None:
-        holder["report"] = MigrationScheduler(
-            fleet, stall_budget=12
-        ).rollout(target)
-
-    thread = threading.Thread(target=rollout)
-    futures = []
-    for index, word in enumerate(words):
-        if index == REQUESTS // 4:
-            thread.start()
-        futures.append(fleet.submit(index, word))
-    thread.join()
-    for future in futures:
-        future.result(timeout=60)
-    report = holder["report"]
-    fleet.close()
-    return {
-        "workers": 4,
-        "stall_budget": report.stall_budget,
-        "migration_chunks": report.analysis.chunks_total,
-        "migration_cycles": report.migration_cycles,
-        "service_downtime_cycles": report.service_downtime_cycles,
-        "zero_downtime": report.zero_downtime,
-        "hardware_verified": report.verified,
-        "batches_served_during_rollout": sum(
-            shard.batches_served_during for shard in report.shards
-        ),
-    }
 
 
 def main() -> int:
     throughput = [_run_traffic(n, LINK_LATENCY_S) for n in WORKER_COUNTS]
     gil_bound = [_run_traffic(n, 0.0) for n in (1, 4)]
-    migration = _run_migration()
+    migration = _run_migration("thread")
 
     cpus = _cpus()
     proc_rows = [_run_proc_traffic(n) for n in PROC_WORKER_COUNTS]
@@ -237,7 +242,7 @@ def main() -> int:
     }
     proc_scaling = round(proc_by_workers[4] / proc_by_workers[1], 2)
     proc_gated = cpus >= PROC_GATE_CPUS
-    proc_migration = _run_proc_migration()
+    proc_migration = _run_migration("process")
 
     by_workers = {row["workers"]: row["steps_per_sec"] for row in throughput}
     scaling = round(by_workers[4] / by_workers[1], 2)
@@ -285,7 +290,11 @@ def main() -> int:
     out = pathlib.Path(__file__).resolve().parent.parent / (
         "BENCH_fleet_throughput.json"
     )
-    out.write_text(json.dumps(result, indent=2) + "\n")
+    # Read-modify-write: `make bench-aio` and `make bench-replica` keep
+    # their own sections in the same document.
+    document = json.loads(out.read_text()) if out.exists() else {}
+    document.update(result)
+    out.write_text(json.dumps(document, indent=2) + "\n")
     print(json.dumps(result, indent=2))
 
     ok = (

@@ -28,9 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from .alphabet import Alphabet
 from .delta import delta_count
@@ -39,6 +42,8 @@ from .fsm import FSM
 from .jsr import jsr_program
 from .passes import OptLevel, PassPipeline, normalise_level
 from .program import Program
+
+T = TypeVar("T")
 
 
 def fsm_fingerprint(fsm: FSM) -> str:
@@ -75,14 +80,77 @@ def make_synthesiser(
     raise ValueError(f"unknown synthesiser {synthesiser!r}")
 
 
-class SynthesisCache:
+#: Entries a plan memo keeps, least recently used out first.  Callers
+#: revisit recent pairs (a rollout per shard, a hop back along a chain);
+#: an unbounded memo would hold every pair a long-running fleet ever
+#: planned.
+MEMO_ENTRIES = 64
+
+
+class FutureMemo:
+    """Thread-safe, bounded memo that computes each key once.
+
+    The first caller for a key computes while later callers block on a
+    shared :class:`~concurrent.futures.Future`; a failure propagates to
+    every waiter and is *not* cached, so a later call retries.  At most
+    :attr:`max_entries` keys are kept, evicting the least recently used.
+    """
+
+    #: The bound; :class:`MigrationGraph` widens its own cache's to its
+    #: family.
+    max_entries = MEMO_ENTRIES
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._futures: "OrderedDict[Hashable, Future]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable, compute: Callable[[], T]) -> Tuple[T, bool]:
+        """``(value, hit)`` for ``key``, running ``compute`` on a miss."""
+        with self._lock:
+            future = self._futures.get(key)
+            owner = future is None
+            if owner:
+                future = self._futures[key] = Future()
+                self.misses += 1
+                if len(self._futures) > self.max_entries:
+                    self._futures.popitem(last=False)
+            else:
+                self._futures.move_to_end(key)
+                self.hits += 1
+        if not owner:
+            return future.result(), True
+        try:
+            value = compute()
+        except BaseException as exc:
+            with self._lock:
+                if self._futures.get(key) is future:
+                    del self._futures[key]
+            future.set_exception(exc)
+            raise
+        future.set_result(value)
+        return value, False
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._futures)
+
+    def cache_info(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._futures),
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+
+class SynthesisCache(FutureMemo):
     """Thread-safe memoisation of ``(source, target) -> Program``.
 
     Keys are fingerprint pairs, so structurally equal machines share
-    entries.  The first caller for a key synthesises while later callers
-    block on a shared :class:`~concurrent.futures.Future`; a synthesiser
-    failure is propagated to every waiter and *not* cached, so a later
-    call retries.
+    entries; each is synthesised once, a failure is not cached, and the
+    entries are bounded, as for every :class:`FutureMemo`.
 
     When an ``opt_level`` is given, the synthesised program is run
     through the standard :class:`~repro.core.passes.PassPipeline` before
@@ -97,6 +165,7 @@ class SynthesisCache:
         synthesiser: Callable[[FSM, FSM], Program],
         opt_level: OptLevel = None,
     ):
+        super().__init__()
         self._synth = synthesiser
         self.opt_level = normalise_level(opt_level)
         self._pipeline = (
@@ -104,51 +173,25 @@ class SynthesisCache:
             if self.opt_level != "O0"
             else None
         )
-        self._lock = threading.Lock()
-        self._futures: Dict[Tuple[str, str, str], "Future[Program]"] = {}
-        self.hits = 0
-        self.misses = 0
 
     def program(self, source: FSM, target: FSM) -> Program:
+        return self.lookup(source, target)[0]
+
+    def lookup(self, source: FSM, target: FSM) -> Tuple[Program, bool]:
+        """``(program, hit)`` for one ordered pair."""
         key = (
             fsm_fingerprint(source),
             fsm_fingerprint(target),
             self.opt_level,
         )
-        with self._lock:
-            future = self._futures.get(key)
-            owner = future is None
-            if owner:
-                future = Future()
-                self._futures[key] = future
-                self.misses += 1
-            else:
-                self.hits += 1
-        if not owner:
-            return future.result()
-        try:
+
+        def synthesise() -> Program:
             program = self._synth(source, target)
             if self._pipeline is not None:
                 program, _report = self._pipeline.run(program)
-        except BaseException as exc:
-            with self._lock:
-                self._futures.pop(key, None)
-            future.set_exception(exc)
-            raise
-        future.set_result(program)
-        return program
+            return program
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._futures)
-
-    def cache_info(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._futures),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        return self.get(key, synthesise)
 
 
 @dataclass
@@ -194,6 +237,11 @@ class MigrationGraph:
         self.machines: Dict[str, FSM] = {m.name: m for m in machines}
         self._synth = make_synthesiser(synthesiser, ea_config)
         self._cache = SynthesisCache(self._synth, opt_level=opt_level)
+        # Every sweep (cost matrix, routing) visits each ordered pair, so
+        # the graph's cache holds the whole family: a smaller one would
+        # re-synthesise every pair on every sweep.
+        n = len(self.machines)
+        self._cache.max_entries = max(MEMO_ENTRIES, n * (n - 1))
         self.opt_level = self._cache.opt_level
 
     @property

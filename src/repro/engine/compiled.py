@@ -232,11 +232,13 @@ class CompiledFSM:
         next_table = [_UNSET] * size
         out_table = [_UNSET] * size
         version = hw.table_version
-        for i_code, i_sym in enumerate(inputs):
+        f_words, g_words = hw.f_ram.dump(), hw.g_ram.dump()
+        width = hw.state_enc.width
+        for i_code in range(len(inputs)):
             for s_code in range(n_states):
-                ram_addr = hw._address(i_sym, states[s_code]).value
-                f_word = hw.f_ram.peek(ram_addr)
-                g_word = hw.g_ram.peek(ram_addr)
+                ram_addr = (i_code << width) | s_code  # input @ state
+                f_word = f_words.get(ram_addr)
+                g_word = g_words.get(ram_addr)
                 addr = i_code * n_states + s_code
                 if f_word is not None and f_word < n_states:
                     next_table[addr] = f_word

@@ -13,20 +13,24 @@ traffic never crosses an unconfigured row (see :func:`order_chunks`).
 Keys are structural fingerprints (:func:`repro.core.plan.fsm_fingerprint`),
 so renamed-but-identical machines share entries, and both caches
 deduplicate concurrent misses: the first caller computes, later callers
-block on the shared future.
+block on the shared future.  Both keep only the most recently used
+:data:`~repro.core.plan.MEMO_ENTRIES` pairs.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.ea import EAConfig
 from ..core.fsm import FSM, Input
 from ..core.incremental import Chunk, incremental_chunks
 from ..core.passes import OptLevel, normalise_level, optimise_chunks
-from ..core.plan import SynthesisCache, fsm_fingerprint, make_synthesiser
+from ..core.plan import (
+    FutureMemo,
+    SynthesisCache,
+    fsm_fingerprint,
+    make_synthesiser,
+)
 from ..core.program import Program
 from ..obs import instruments as _instruments
 
@@ -85,20 +89,15 @@ class PlanCache:
         self._programs = SynthesisCache(
             make_synthesiser(synthesiser, ea_config), opt_level=opt_level
         )
-        self._lock = threading.Lock()
-        self._chunks: Dict[
-            Tuple[str, str, Optional[str], str], "Future[List[Chunk]]"
-        ] = {}
-        self.chunk_hits = 0
-        self.chunk_misses = 0
+        self._chunks = FutureMemo()
 
     # ------------------------------------------------------------------
     def program(self, source: FSM, target: FSM) -> Program:
         """The (cached) monolithic reconfiguration program for one pair."""
-        before = self._programs.misses
-        program = self._programs.program(source, target)
-        result = "miss" if self._programs.misses > before else "hit"
-        _instruments.PLAN_CACHE_REQUESTS.inc(kind="program", result=result)
+        program, hit = self._programs.lookup(source, target)
+        _instruments.PLAN_CACHE_REQUESTS.inc(
+            kind="program", result="hit" if hit else "miss"
+        )
         return program
 
     def chunks(
@@ -117,21 +116,8 @@ class PlanCache:
             None if i0 is None else repr(i0),
             self.opt_level,
         )
-        with self._lock:
-            future = self._chunks.get(key)
-            owner = future is None
-            if owner:
-                future = Future()
-                self._chunks[key] = future
-                self.chunk_misses += 1
-            else:
-                self.chunk_hits += 1
-        _instruments.PLAN_CACHE_REQUESTS.inc(
-            kind="chunks", result="miss" if owner else "hit"
-        )
-        if not owner:
-            return future.result()
-        try:
+
+        def plan() -> List[Chunk]:
             ordered = order_chunks(
                 incremental_chunks(source, target, i0=i0), source, target
             )
@@ -139,24 +125,20 @@ class PlanCache:
             # threads the planned blend table through the chunks in
             # execution order, so the order it sees must be the order
             # the workers will run.
-            ordered = optimise_chunks(
+            return optimise_chunks(
                 ordered, source, target, i0=i0, level=self.opt_level
             )
-        except BaseException as exc:
-            with self._lock:
-                self._chunks.pop(key, None)
-            future.set_exception(exc)
-            raise
-        future.set_result(ordered)
+
+        ordered, hit = self._chunks.get(key, plan)
+        _instruments.PLAN_CACHE_REQUESTS.inc(
+            kind="chunks", result="hit" if hit else "miss"
+        )
         return ordered
 
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/entry counts for both layers (programs and chunks)."""
-        with self._lock:
-            chunk_info = {
-                "entries": len(self._chunks),
-                "hits": self.chunk_hits,
-                "misses": self.chunk_misses,
-            }
-        return {"programs": self._programs.cache_info(), "chunks": chunk_info}
+        return {
+            "programs": self._programs.cache_info(),
+            "chunks": self._chunks.cache_info(),
+        }

@@ -20,9 +20,10 @@ datapath enforces.  The worker loop interleaves three duties:
   batches through the cycle-accurate backend from the exact same
   state, so behaviour (including fault semantics and quarantine) is
   identical whichever backend serves;
-* **migrating** — between batches (and in idle gaps) run whole safe
-  chunks of the pending gradual migration, never exceeding the stall
-  budget per gap, exactly the paper's one-entry-per-cycle rollout;
+* **migrating** — after each served run, and back to back while the
+  queue is empty, run one gap of whole safe chunks of the pending
+  gradual migration, never exceeding the stall budget per gap, exactly
+  the paper's one-entry-per-cycle rollout;
 * **healing** — a batch that raises (e.g. an injected SRAM fault)
   quarantines the shard: the future gets the error, the datapath is
   re-seeded from the reset state of the committed machine, an active
@@ -58,16 +59,14 @@ from ..obs.probes import ProbeReport, probe_hardware
 from ..obs.tracing import span as _span
 from ..replica.log import MembershipError
 
-#: Queue sentinel asking the worker thread to exit.
+#: Queue sentinels: exit (after any migration in flight), and wake an
+#: idle worker for a new migration job.
 _STOP = object()
+_WAKE = object()
 
 #: Upper bound on batches coalesced into one backend run (handed to the
 #: dispatcher, which owns the coalescing policy).
 _MAX_COALESCE = 32
-
-#: How long an idle worker waits for a batch before it runs the next
-#: migration chunk (or notices a stop request) anyway.
-_POLL_INTERVAL_S = 0.002
 
 
 @dataclass
@@ -191,7 +190,6 @@ class ShardWorker(threading.Thread):
         #: restart from the new reset state on their next batch.
         self._sessions: Dict[Hashable, State] = {}
         self._job: Optional[MigrationJob] = None
-        self._stopping = threading.Event()
         # Pre-bound metric handles: the serving loop publishes the same
         # label sets thousands of times per second, so validate and
         # canonicalise them once here.  The timing histograms sample
@@ -269,12 +267,17 @@ class ShardWorker(threading.Thread):
 
     # -- migration -----------------------------------------------------
     def begin_migration(self, job: MigrationJob) -> MigrationJob:
-        """Hand the shard its migration job (picked up between batches)."""
+        """Hand the shard its migration job and wake the worker (never
+        blocks: a full queue means a busy worker, which ticks anyway)."""
         if self._job is not None and not self._job.done.is_set():
             raise RuntimeError(
                 f"shard {self.index} already has a migration in flight"
             )
         self._job = job
+        try:
+            self.queue.put_nowait(_WAKE)
+        except queue.Full:
+            pass
         return job
 
     def _migrating(self) -> bool:
@@ -651,14 +654,8 @@ class ShardWorker(threading.Thread):
             )
 
     # -- main loop -----------------------------------------------------
-    def stop(self) -> None:
-        """Ask the worker to exit once its queue (and migration) drain."""
-        self._stopping.set()
-
     def _handle_control(self, item) -> None:
-        if item is _STOP:
-            self._stopping.set()
-        elif isinstance(item, _Fault):
+        if isinstance(item, _Fault):
             try:
                 result = item.inject(self.hardware)
             except Exception as exc:
@@ -689,33 +686,40 @@ class ShardWorker(threading.Thread):
             except Exception as exc:
                 item.future.set_exception(exc)
 
-    def run(self) -> None:  # pragma: no cover - exercised via the pool
-        while True:
+    def _next_item(self):
+        """The next queue item; ``None`` when a job is in flight and the
+        queue is empty.  Blocks only with neither work nor a job."""
+        if self._migrating():
+            time.sleep(0)  # yield the GIL between back-to-back gaps
             try:
-                item = self.queue.get(timeout=_POLL_INTERVAL_S)
+                return self.queue.get_nowait()
             except queue.Empty:
-                self._migration_tick()
-                job = self._job
-                if self._stopping.is_set() and (
-                    job is None or job.done.is_set()
-                ):
-                    return
-                continue
+                return None
+        return self.queue.get()
+
+    def run(self) -> None:  # pragma: no cover - exercised via the pool
+        # A turn serves at most one run, then runs at most one gap.
+        stopping = False
+        while True:
+            item = self._next_item()
             if isinstance(item, _Batch):
                 # Coalesce whatever is already waiting behind this batch
                 # (up to the next control item, which arrived after them
                 # and is handled after them) into one backend run.
-                batches, control = self._coalesce(item)
+                batches, item = self._coalesce(item)
                 try:
-                    self._migration_tick()
                     self._serve_run(batches)
                 finally:
                     for _ in batches:
                         self.queue.task_done()
-            else:
-                control = item
-            if control is not None:
+            if item is not None:
                 try:
-                    self._handle_control(control)
+                    if item is _STOP:
+                        stopping = True
+                    elif item is not _WAKE:
+                        self._handle_control(item)
                 finally:
                     self.queue.task_done()
+            self._migration_tick()
+            if stopping and not self._migrating():
+                return

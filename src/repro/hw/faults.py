@@ -115,21 +115,6 @@ def erase_entry(
     )
 
 
-def _safe_entry(hw: HardwareFSM, i: Input, s: State):
-    """Like :meth:`HardwareFSM.table_entry` but tolerant of garbage codes.
-
-    An upset can flip a stored code beyond the alphabet (e.g. state code
-    7 in a 6-state superset).  Such a word decodes to no symbol; for
-    fault analysis it simply means "this entry is corrupted and must be
-    rewritten", so it is reported as ``None`` (unusable) rather than
-    raising.
-    """
-    try:
-        return hw.table_entry(i, s)
-    except ValueError:
-        return None
-
-
 def _entry_of_address(hw: HardwareFSM, address: int) -> Tuple[Input, State]:
     s_width = hw.state_enc.width
     state_code = address & ((1 << s_width) - 1)
@@ -148,7 +133,7 @@ def corrupted_entries(hw: HardwareFSM, intended: FSM) -> List[Transition]:
     """
     wrong = []
     for trans in intended.transitions():
-        if _safe_entry(hw, trans.input, trans.source) != (
+        if hw.table_entry(trans.input, trans.source) != (
             trans.target,
             trans.output,
         ):
@@ -170,7 +155,7 @@ def scrub_program(hw: HardwareFSM, intended: FSM) -> Program:
     outputs = list(hw.output_enc.alphabet.symbols)
     for i in inputs:
         for s in states:
-            current = _safe_entry(hw, i, s)
+            current = hw.table_entry(i, s)
             if current is None:
                 # Unconfigured rows — and rows whose stored code an upset
                 # pushed outside the alphabet — are absent from the

@@ -182,23 +182,34 @@ class HardwareFSM:
         return self.f_ram.version + self.g_ram.version + self._retargets
 
     def table_entry(self, i: Input, s: State) -> Optional[Tuple[State, Output]]:
-        """Decode one (F-RAM, G-RAM) entry; ``None`` when unconfigured."""
+        """Decode one (F-RAM, G-RAM) entry; ``None`` when unconfigured or
+        when a word holds a code that names no symbol (an upset)."""
         addr = self._address(i, s).value
         f_word = self.f_ram.peek(addr)
         g_word = self.g_ram.peek(addr)
         if f_word is None or g_word is None:
             return None
-        return (
-            self.state_enc.decode(BitVector(f_word, self.state_enc.width)),
-            self.output_enc.decode(BitVector(g_word, self.output_enc.width)),
-        )
+        states = self.state_enc.alphabet.symbols
+        outputs = self.output_enc.alphabet.symbols
+        if f_word >= len(states) or g_word >= len(outputs):
+            return None
+        return states[f_word], outputs[g_word]
 
     def realises(self, fsm: FSM) -> bool:
-        """True when the RAMs hold ``fsm``'s table on its whole domain."""
-        return all(
-            self.table_entry(t.input, t.source) == (t.target, t.output)
-            for t in fsm.transitions()
-        )
+        """True when the RAMs hold ``fsm``'s table on its whole domain
+        (compared as int codes: a garbage word is a mismatch)."""
+        f_words, g_words = self.f_ram.dump(), self.g_ram.dump()
+        in_code = self.input_enc.alphabet.index
+        st_code = self.state_enc.alphabet.index
+        out_code = self.output_enc.alphabet.index
+        width = self.state_enc.width
+        for t in fsm.transitions():
+            addr = (in_code(t.input) << width) | st_code(t.source)
+            if (f_words.get(addr), g_words.get(addr)) != (
+                st_code(t.target), out_code(t.output)
+            ):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Clocking

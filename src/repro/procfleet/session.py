@@ -52,6 +52,11 @@ ENV_START_METHOD = "REPRO_PROC_START"
 #: wedged and replaced; generous because it only bounds pathology.
 REQUEST_TIMEOUT_S = 60.0
 
+#: Serialises spawns: a worker forked by another shard thread mid-spawn
+#: inherits this spawn's child-side fds, so this worker's exit sentinel
+#: stays unreadable until that one exits and ``join`` waits it out.
+_SPAWN_LOCK = threading.Lock()
+
 
 class WorkerCrashed(TableMiss):
     """The worker died (or wedged) mid-request; replay cycle-accurately.
@@ -118,7 +123,7 @@ class WorkerSession:
 
     def start(self) -> None:
         """Spawn the worker process (idempotent while alive)."""
-        with self._lock:
+        with self._lock, _SPAWN_LOCK:
             if self.alive():
                 return
             parent_conn, child_conn = self._mp.Pipe(duplex=True)

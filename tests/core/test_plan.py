@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.ea import EAConfig
 from repro.core.jsr import jsr_program
-from repro.core.plan import MigrationGraph, Route, plan_supersets
+from repro.core.plan import (
+    MEMO_ENTRIES,
+    MigrationGraph,
+    Route,
+    plan_supersets,
+)
 from repro.hw.machine import HardwareFSM
 from repro.workloads.library import (
     fig6_m,
@@ -277,6 +282,26 @@ class TestSynthesisCacheThreading:
         assert info["misses"] == 2
         assert info["hits"] == 1
         assert info["entries"] == 2
+
+    def test_family_larger_than_the_cache_synthesises_each_pair_once(self):
+        # 9 machines = 72 ordered pairs, more than the cache keeps:
+        # sweeping the matrix again must not re-synthesise.
+        chain = [random_fsm(n_states=4, seed=1, name="m0")]
+        for k in range(1, 9):
+            chain.append(mutate_target(chain[-1], 2, seed=k, name=f"m{k}"))
+        pairs = len(chain) * (len(chain) - 1)
+        assert pairs > MEMO_ENTRIES
+        calls = []
+
+        def counting(source, target):
+            calls.append((source.name, target.name))
+            return jsr_program(source, target)
+
+        graph = MigrationGraph(chain, synthesiser=counting)
+        graph.cost_matrix()
+        graph.routing_gains()
+        assert len(calls) == pairs
+        assert graph.cache_info()["entries"] == pairs
 
     def test_fingerprint_accessor(self):
         from repro.core.plan import fsm_fingerprint

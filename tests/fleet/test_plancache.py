@@ -5,6 +5,7 @@ import threading
 from repro.core.fsm import FSM
 from repro.core.incremental import chunks_to_program, incremental_chunks
 from repro.core.jsr import jsr_program
+from repro.core.plan import MEMO_ENTRIES
 from repro.fleet import PlanCache, order_chunks
 from repro.workloads.library import ones_detector, zeros_detector
 from repro.workloads.mutate import grow_target, mutate_target
@@ -253,3 +254,54 @@ class TestOptLevelKeying:
     def test_spelled_levels_normalised(self):
         cache = PlanCache(synthesiser="jsr", opt_level="-o2")
         assert cache.opt_level == "O2"
+
+
+def chain_of(n, seed=3):
+    """``n`` machines, each two deltas from the one before."""
+    chain = [random_fsm(n_states=4, seed=seed, name="c0")]
+    for k in range(1, n):
+        chain.append(mutate_target(chain[-1], 2, seed=k, name=f"c{k}"))
+    return chain
+
+
+class TestBound:
+    def test_chunk_cache_stays_at_the_bound(self):
+        cache = PlanCache()
+        chain = chain_of(MEMO_ENTRIES + 12)
+        for source, target in zip(chain, chain[1:]):
+            cache.chunks(source, target)
+        info = cache.cache_info()["chunks"]
+        assert info["entries"] == MEMO_ENTRIES
+        assert info["misses"] == len(chain) - 1
+
+    def test_program_cache_stays_at_the_bound(self):
+        cache = PlanCache(synthesiser="jsr")
+        chain = chain_of(MEMO_ENTRIES + 12)
+        for source, target in zip(chain, chain[1:]):
+            cache.program(source, target)
+        assert cache.cache_info()["programs"]["entries"] == MEMO_ENTRIES
+
+    def test_repeated_pair_hits_and_the_least_recent_goes_first(self):
+        synth = CountingSynthesiser()
+        cache = PlanCache(synthesiser=synth)
+        chain = chain_of(MEMO_ENTRIES + 2)
+        a, b = chain[0], chain[1]
+        cache.chunks(a, b)
+        cache.chunks(b, a)
+        assert cache.chunks(a, b) == cache.chunks(a, b)  # A→B→A→B hits
+        assert cache.cache_info()["chunks"]["hits"] == 2
+        cache.program(a, b)
+        # Fill the rest of the memo: A→B stays (used most recently of
+        # the two), then one more pair pushes B→A out.
+        others = list(zip(chain[1:], chain[2:]))
+        for source, target in others[:MEMO_ENTRIES - 2]:
+            cache.chunks(source, target)
+        hits = cache.cache_info()["chunks"]["hits"]
+        cache.chunks(a, b)
+        assert cache.cache_info()["chunks"]["hits"] == hits + 1
+        cache.chunks(*others[MEMO_ENTRIES - 2])
+        misses = cache.cache_info()["chunks"]["misses"]
+        cache.chunks(b, a)
+        assert cache.cache_info()["chunks"]["misses"] == misses + 1
+        assert cache.program(a, b) is cache.program(a, b)
+        assert synth.calls == 1

@@ -57,6 +57,26 @@ class TestInjectUpset:
         assert "RAM[" in text and "bit" in text
 
 
+class TestRealisesOnGarbage:
+    def test_garbage_state_code_is_a_mismatch_not_an_error(self):
+        # fig6_m has 3 states in 2 bits: flipping bit 1 of F-RAM[1]
+        # (entry ('0', 'S1'), code 1) leaves code 3, which names no
+        # state.  realises must answer False, not fail to decode.
+        machine = fig6_m()
+        hw = HardwareFSM(machine)
+        upset = inject_upset(hw, seed=0, ram="F", entry=("0", "S1"))
+        assert (upset.address, upset.bit) == (1, 1)
+        assert hw.f_ram.peek(upset.address) == 3
+        assert hw.realises(machine) is False
+        assert hw.table_entry("0", "S1") is None  # unusable, not an error
+
+    def test_garbage_output_code_is_a_mismatch(self):
+        machine = fig6_m()
+        hw = HardwareFSM(machine, extra_outputs=("0", "1", "x"))
+        hw.g_ram.load({0: 3})  # 3 outputs in 2 bits: code 3 is garbage
+        assert hw.realises(machine) is False
+
+
 class TestDetection:
     def test_conformance_testing_detects_upsets(self, detector):
         for seed in range(6):

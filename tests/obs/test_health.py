@@ -2,11 +2,13 @@
 
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro import obs
 from repro.fleet import FSMFleet
+from repro.fleet.worker import _Fault
 from repro.obs import health
 from repro.obs import journal as jr
 from repro.obs.journal import Journal
@@ -142,11 +144,45 @@ class TestFleetVitals:
         assert "journal:" in text
 
 
+def _burst_behind_each_job(fleet, word, futures, size=4):
+    """Make every shard serve in the middle of its migration.
+
+    When a shard is handed its job, a gate item holds the worker while
+    a burst of batches is queued behind the gate; the job is posted,
+    then the gate opens.  Each turn of the shard loop serves before it
+    runs a chunk gap, so with more than one gap per migration the burst
+    is served before the job can finish — by construction, not timing.
+    """
+    keys = {}
+    k = 0
+    while len(keys) < fleet.n_workers:
+        keys.setdefault(fleet.shard_for(f"burst-{k}"), f"burst-{k}")
+        k += 1
+    for shard in fleet.shards:
+
+        def begin(job, shard=shard, begin=shard.begin_migration):
+            gate = threading.Event()
+            shard.queue.put(
+                _Fault(inject=lambda hw: gate.wait(10), future=Future())
+            )
+            for _ in range(size):
+                futures.append(fleet.submit(keys[shard.index], word))
+            try:
+                return begin(job)
+            finally:
+                gate.set()
+
+        shard.begin_migration = begin
+
+
 class TestRolloutUnderTraffic:
     def test_zero_downtime_rollouts_keep_the_fleet_ok(self):
         # A healthy rollout is not an incident: serving between chunks
         # runs on the (recompiled) tables, so no backend fallback is
         # journaled and the fallback-spike detector stays quiet.
+        # Mid-migration serving is made certain by a burst queued behind
+        # each shard's job (see _burst_behind_each_job), since an idle
+        # shard runs its chunk gaps back to back.
         obs.configure(journal=True)
         try:
             chain = [random_fsm(n_states=12, n_outputs=2, seed=4)]
@@ -169,6 +205,7 @@ class TestRolloutUnderTraffic:
                         key += 1
                         time.sleep(0.001)
 
+                _burst_behind_each_job(fleet, words[0], futures)
                 sender = threading.Thread(target=traffic)
                 sender.start()
                 try:
@@ -176,6 +213,12 @@ class TestRolloutUnderTraffic:
                     for target in chain[1:]:
                         report = fleet.migrate(target)
                         assert report.verified and report.zero_downtime
+                        # More than one chunk gap per shard: the premise
+                        # of the burst construction.
+                        assert (
+                            report.analysis.total_cycles
+                            > report.stall_budget
+                        )
                         assert report.shards and all(
                             shard.batches_served_during
                             for shard in report.shards
