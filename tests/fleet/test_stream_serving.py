@@ -317,3 +317,56 @@ class TestCoalescingAcrossSessions:
         finally:
             fleet.close()
             obs.configure()
+
+    @pytest.mark.skipif(
+        not numpy_available(),
+        reason="numpy unavailable: the run must be served by table-numpy",
+    )
+    def test_session_with_two_queued_batches_is_one_ragged_numpy_lane(self):
+        # Session 0 queues two batches behind the blocked worker, so the
+        # drained run's lane for it is twice as long as every other
+        # lane.  The whole run is one table-numpy stream batch, and each
+        # future still gets its own slice of its session's chain.
+        from repro import obs
+        from repro.obs import journal as _journal
+        from repro.workloads.random_fsm import random_fsm
+
+        machine = random_fsm(n_states=16, n_inputs=4, n_outputs=4, seed=5)
+        step = {
+            (t.source, t.input): (t.target, t.output)
+            for t in machine.transitions()
+        }
+        words = traffic_words(machine, 32, 16, seed=3)
+        submissions = [(words[0], 0)] + [
+            (word, i) for i, word in enumerate(words[1:31], start=1)
+        ] + [(words[31], 0)]
+        obs.configure(journal=True)
+        fleet = FSMFleet(
+            machine, n_workers=1, queue_depth=256, engine="numpy"
+        )
+        try:
+            futures = _blocked_submits(fleet, submissions)
+            got = [future.result(timeout=10) for future in futures]
+            events = [
+                event.fields
+                for event in _journal.JOURNAL.events(
+                    type=_journal.EXEC_STREAM_BATCH
+                )
+            ]
+        finally:
+            fleet.close()
+            obs.configure()
+        states = {}
+        want = []
+        for word, session in submissions:
+            state = states.get(session, machine.reset_state)
+            outputs = []
+            for symbol in word:
+                state, output = step[state, symbol]
+                outputs.append(output)
+            states[session] = state
+            want.append(outputs)
+        assert got == want
+        assert {
+            "backend": "table-numpy", "streams": 31, "symbols": 32 * 16,
+        }.items() <= events[0].items()
