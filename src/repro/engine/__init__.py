@@ -12,7 +12,7 @@ Public surface:
   unset and enough lanes amortize it);
 * :class:`StreamBatch` / :class:`StreamRun` / :class:`StreamTables` —
   the multi-stream plane: many independent sessions encoded once and
-  stepped together through dtype-packed tables;
+  stepped together through pre-scaled lane-gather tables;
 * :class:`EngineError` / :class:`UnconfiguredEntry` — failure modes that
   mirror the cycle-accurate datapath's, so callers can fall back to it.
 
