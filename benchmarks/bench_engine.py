@@ -25,7 +25,8 @@ if:
 * numpy is available but its batch kernel fails a 5x speedup over
   per-cycle serving, or
 * numpy is available and a multi-stream row misses its gate against
-  the per-stream ``run_word`` loop (medians of interleaved repeats):
+  the per-stream ``run_word`` loop (thread-CPU medians of interleaved
+  repeats; the wall-clock medians are recorded beside them):
   the kernel 5x at 64 and 512 lanes, full ``word_runs()``
   materialisation 2x at 512 lanes, and raw words (encode + kernel +
   ``word_runs()``) 1x at the fleet's coalesced shape of 32 lanes x 64
@@ -163,33 +164,45 @@ def backend_rows(machine, words):
 
 
 def _interleaved_medians(fns, repeats: int = STREAM_REPEATS) -> dict:
-    """Median seconds per call of each callable over ``repeats``
-    rounds, each round timing :data:`STREAM_CALLS` back-to-back calls
-    of every callable in turn (after one untimed warm-up round), so a
-    slow phase of the host lands on every side alike."""
+    """Median ``(wall, thread-CPU)`` seconds per call of each callable
+    over ``repeats`` rounds, each round timing :data:`STREAM_CALLS`
+    back-to-back calls of every callable in turn (after one untimed
+    warm-up round), so a slow phase of the host lands on every side
+    alike.  The thread-CPU clock leaves out the time this thread spends
+    descheduled, which the wall clock counts on a loaded host."""
     for fn in fns.values():
         fn()
-    samples = {name: [] for name in fns}
+    wall = {name: [] for name in fns}
+    cpu = {name: [] for name in fns}
     for _ in range(repeats):
         for name, fn in fns.items():
-            started = time.perf_counter()
+            wall_started = time.perf_counter()
+            cpu_started = time.thread_time()
             for _ in range(STREAM_CALLS):
                 fn()
-            samples[name].append(
-                (time.perf_counter() - started) / STREAM_CALLS
+            cpu[name].append(
+                (time.thread_time() - cpu_started) / STREAM_CALLS
             )
-    return {name: statistics.median(s) for name, s in samples.items()}
+            wall[name].append(
+                (time.perf_counter() - wall_started) / STREAM_CALLS
+            )
+    return {
+        name: (statistics.median(wall[name]), statistics.median(cpu[name]))
+        for name in fns
+    }
 
 
 def stream_rows(machine):
     """The multi-stream plane: (n_streams × n_symbols) batches.
 
     For each lane count, rows over the *same* words, timed as medians
-    of interleaved repeats: the per-stream baseline (a ``run_word``
-    loop, which eagerly builds per-symbol output lists), the stream
-    plane on both kernels from a pre-encoded batch (state propagation
-    + final states, the product vectorized consumers like the EA's
-    ``match_counts`` scoring read), the numpy plane *with* full
+    of interleaved repeats on the wall and thread-CPU clocks (speedups,
+    and so the gates, read the thread-CPU medians; the wall-clock
+    speedup is recorded beside them): the per-stream baseline (a
+    ``run_word`` loop, which eagerly builds per-symbol output lists),
+    the stream plane on both kernels from a pre-encoded batch (state
+    propagation + final states, the product vectorized consumers like
+    the EA's ``match_counts`` scoring read), the numpy plane *with* full
     per-stream ``WordRun`` materialisation, and the numpy plane from
     raw words (encode + kernel + ``word_runs()``: what the fleet pays
     per coalesced run).
@@ -224,13 +237,16 @@ def stream_rows(machine):
             ).word_runs()
         medians = _interleaved_medians(fns)
         row = {"streams": n, "n_symbols": n_symbols}
-        base = medians["per_stream_python"]
-        for name, seconds in medians.items():
+        base_wall, base_cpu = medians["per_stream_python"]
+        for name, (wall, cpu) in medians.items():
             row[name] = {
-                "seconds": seconds, "symbols_per_s": n_symbols / seconds,
+                "seconds": wall,
+                "cpu_seconds": cpu,
+                "symbols_per_s": n_symbols / wall,
             }
             if name.startswith("stream_numpy"):
-                row[name]["speedup_vs_per_stream"] = base / seconds
+                row[name]["speedup_vs_per_stream"] = base_cpu / cpu
+                row[name]["wall_speedup_vs_per_stream"] = base_wall / wall
         if not numpy_available():
             row["stream_numpy"] = {
                 "skipped": "numpy unavailable: stream-kernel gates "
@@ -252,7 +268,7 @@ def stream_failures(rows) -> list:
                 failures.append(
                     f"{name} at {row['streams']} streams: "
                     f"{gate['speedup_vs_per_stream']:.2f}x < {floor}x "
-                    "over the per-stream python loop (medians)"
+                    "over the per-stream python loop (thread-CPU medians)"
                 )
     return failures
 
@@ -416,7 +432,8 @@ def main() -> int:
             numpy_part = f"numpy skipped ({row['stream_numpy']['skipped']})"
         else:
             numpy_part = ", ".join(
-                f"{label} {row[name]['speedup_vs_per_stream']:.2f}x"
+                f"{label} {row[name]['speedup_vs_per_stream']:.2f}x "
+                f"(wall {row[name]['wall_speedup_vs_per_stream']:.2f}x)"
                 for label, name in (
                     ("kernel", "stream_numpy"),
                     ("materialised", "stream_numpy_materialised"),
@@ -425,7 +442,7 @@ def main() -> int:
             )
         print(
             f"  streams {row['streams']:4d} (numpy vs per-stream, "
-            f"medians): {numpy_part}"
+            f"thread-CPU medians): {numpy_part}"
         )
     print(
         f"  ea evaluate_population ({ea['population']} candidates x "

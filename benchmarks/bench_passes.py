@@ -1,22 +1,26 @@
-"""Pass-pipeline gains benchmark: what does -O1/-O2 actually buy?
+"""Pass-pipeline gains benchmark: what does -O2 actually buy?
 
 Runs every named suite workload through every synthesiser (plus the
 monolithic incremental form, the pipeline's flagship victim), optimizes
-each program at ``-O1`` and ``-O2``, and writes
-``BENCH_pass_gains.json`` at the repository root: per-workload rows and
-a per-synthesiser summary with the mean percentage of steps eliminated
-at each level and the median synthesis wall time, plus the host's CPU
-count and Python and numpy versions.
+each program at ``-O2``, and writes ``BENCH_pass_gains.json`` at the
+repository root: per-workload rows, a per-synthesiser summary with the
+mean percentage of steps eliminated and the median synthesis wall time,
+a ``fires`` table (synthesiser x pass: how many times each ``-O2`` pass
+was accepted and removed steps or writes, read from
+``OptReport.results``), plus the host's CPU count and Python and numpy
+versions.
 
 Used by the CI ``pass-gains`` job as a regression gate — the process
 exits non-zero if any ``-O2`` program comes out *longer* than its
 ``-O0`` form, if any optimized program fails replay validation, if any
 ``-O0`` or ``-O2`` program leaves the paper's bounds
-``|Td| <= len <= 3*(|Td|+1)`` (Thms. 4.2/4.3), or if no synthesiser
+``|Td| <= len <= 3*(|Td|+1)`` (Thms. 4.2/4.3), if no synthesiser
 reaches a 10% mean reduction at ``-O2`` (the pipeline's reason to
-exist).  The incremental form is held to the lower bound only: it pays
-about ``6*|Td|`` cycles for a table that is a source/target blend
-between chunks (:mod:`repro.core.incremental`).
+exist), or if any ``-O2`` pass fires zero times over all cells (a pass
+that never changes a program does not earn its place).  The incremental
+form is held to the lower bound only: it pays about ``6*|Td|`` cycles
+for a table that is a source/target blend between chunks
+(:mod:`repro.core.incremental`).
 
 Run with ``make bench-passes``.
 """
@@ -36,10 +40,10 @@ from repro.api import METHODS
 from repro.core.bounds import lower_bound, upper_bound
 from repro.core.incremental import chunks_to_program, incremental_chunks
 from repro.core.optimal import SearchLimitExceeded
-from repro.core.passes import optimise_program
+from repro.core.passes import PassPipeline
 from repro.workloads.suite import migration_suite
 
-LEVELS = ("O1", "O2")
+LEVEL = "O2"
 OPTIMAL_BUDGET = 60_000
 MIN_MEAN_PCT = 10.0  # acceptance: best synthesiser's -O2 mean reduction
 #: Synthesisers outside the Thm. 4.2 upper bound by construction.
@@ -76,9 +80,12 @@ def _host() -> dict:
 
 def main() -> int:
     methods = tuple(METHODS) + ("incremental",)
+    pipeline = PassPipeline.for_level(LEVEL)
+    pass_names = [pss.name for pss in pipeline.passes]
     rows = []
     failures = []
     synth_seconds = {method: [] for method in methods}
+    fires = {method: dict.fromkeys(pass_names, 0) for method in methods}
     for workload, factory in sorted(migration_suite().items()):
         source, target = factory()
         lower = lower_bound(source, target)
@@ -103,40 +110,40 @@ def main() -> int:
                 continue  # the exact search is a calibration tool only
             synth_seconds[method].append(perf_counter() - started)
             check_bounds("O0", base)
-            for level in LEVELS:
-                optimized, report = optimise_program(base, level)
-                valid = optimized.is_valid()
-                pct = (
-                    100.0 * (len(base) - len(optimized)) / len(base)
-                    if len(base)
-                    else 0.0
+            optimized, report = pipeline.run(base)
+            for result in report.results:
+                fires[method][result.name] += result.fired
+            valid = optimized.is_valid()
+            pct = (
+                100.0 * (len(base) - len(optimized)) / len(base)
+                if len(base)
+                else 0.0
+            )
+            rows.append(
+                {
+                    "workload": workload,
+                    "method": method,
+                    "level": LEVEL,
+                    "steps_o0": len(base),
+                    "steps": len(optimized),
+                    "writes_o0": base.write_count,
+                    "writes": optimized.write_count,
+                    "pct_steps_eliminated": round(pct, 2),
+                    "seconds": round(report.seconds, 6),
+                    "valid": valid,
+                }
+            )
+            if not valid:
+                failures.append(
+                    f"{workload} x {method} -{LEVEL}: optimized program "
+                    "failed replay validation"
                 )
-                rows.append(
-                    {
-                        "workload": workload,
-                        "method": method,
-                        "level": level,
-                        "steps_o0": len(base),
-                        "steps": len(optimized),
-                        "writes_o0": base.write_count,
-                        "writes": optimized.write_count,
-                        "pct_steps_eliminated": round(pct, 2),
-                        "seconds": round(report.seconds, 6),
-                        "valid": valid,
-                    }
+            if len(optimized) > len(base):
+                failures.append(
+                    f"{workload} x {method} -{LEVEL}: lengthened "
+                    f"{len(base)} -> {len(optimized)}"
                 )
-                if not valid:
-                    failures.append(
-                        f"{workload} x {method} -{level}: optimized program "
-                        "failed replay validation"
-                    )
-                if len(optimized) > len(base):
-                    failures.append(
-                        f"{workload} x {method} -{level}: lengthened "
-                        f"{len(base)} -> {len(optimized)}"
-                    )
-                if level == "O2":
-                    check_bounds(level, optimized)
+            check_bounds(LEVEL, optimized)
 
     summary = {}
     for method in methods:
@@ -145,15 +152,11 @@ def main() -> int:
             summary[method]["synthesis_s_median"] = round(
                 statistics.median(synth_seconds[method]), 6
             )
-        for level in LEVELS:
-            sample = [
-                r["pct_steps_eliminated"]
-                for r in rows
-                if r["method"] == method and r["level"] == level
-            ]
-            if not sample:
-                continue
-            summary[method][level] = {
+        sample = [
+            r["pct_steps_eliminated"] for r in rows if r["method"] == method
+        ]
+        if sample:
+            summary[method][LEVEL] = {
                 "workloads": len(sample),
                 "mean_pct_steps_eliminated": round(
                     sum(sample) / len(sample), 2
@@ -163,7 +166,7 @@ def main() -> int:
 
     best_method, best_pct = max(
         (
-            (method, stats.get("O2", {}).get("mean_pct_steps_eliminated", 0.0))
+            (method, stats.get(LEVEL, {}).get("mean_pct_steps_eliminated", 0.0))
             for method, stats in summary.items()
         ),
         key=lambda pair: pair[1],
@@ -174,13 +177,23 @@ def main() -> int:
             f"the pipeline must reach {MIN_MEAN_PCT}% on at least one "
             "synthesiser"
         )
+    fire_totals = {
+        name: sum(fires[method][name] for method in methods)
+        for name in pass_names
+    }
+    for name, total in fire_totals.items():
+        if not total:
+            failures.append(
+                f"-{LEVEL} pass {name} fired 0 times over {len(rows)} cells"
+            )
 
     payload = {
         "benchmark": "pass_gains",
         "host": _host(),
-        "levels": list(LEVELS),
+        "level": LEVEL,
         "rows": rows,
         "summary": summary,
+        "fires": fires,
         "criteria": {
             "zero_validity_regressions": not any(
                 "validation" in f for f in failures
@@ -188,6 +201,7 @@ def main() -> int:
             "o2_never_lengthens": not any("lengthened" in f for f in failures),
             "within_bounds": not any("bounds" in f for f in failures),
             "best_o2": {"method": best_method, "mean_pct": best_pct},
+            "every_pass_fires": all(fire_totals.values()),
         },
         "failures": failures,
     }
@@ -195,24 +209,26 @@ def main() -> int:
     out = out / "BENCH_pass_gains.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print(f"pass gains over {len(rows)} (workload, method, level) cells:")
+    print(f"pass gains over {len(rows)} (workload, method) cells at -{LEVEL}:")
     for method, stats in sorted(summary.items()):
         if "synthesis_s_median" in stats:
             print(
                 f"  {method:12s} synthesis median "
                 f"{1e3 * stats['synthesis_s_median']:8.3f} ms"
             )
-        for level in LEVELS:
-            if level not in stats:
-                continue
-            cell = stats[level]
+        if LEVEL in stats:
+            cell = stats[LEVEL]
             print(
-                f"  {method:12s} -{level}: mean "
+                f"  {method:12s} -{LEVEL}: mean "
                 f"{cell['mean_pct_steps_eliminated']:6.2f}% "
                 f"(max {cell['max_pct_steps_eliminated']:.2f}%, "
                 f"{cell['workloads']} workloads)"
             )
-    print(f"best -O2: {best_method} at {best_pct}% mean steps eliminated")
+    print(f"best -{LEVEL}: {best_method} at {best_pct}% mean steps eliminated")
+    print(
+        "fires: "
+        + ", ".join(f"{name} {total}" for name, total in fire_totals.items())
+    )
     print(f"written: {out}")
     if failures:
         print("\nFAILURES:", file=sys.stderr)

@@ -37,9 +37,6 @@ import asyncio
 from concurrent.futures import Future as _CFuture
 from typing import Dict, Hashable, Optional, Sequence
 
-from ..obs import instruments as _instruments
-from ..obs import journal as _journal
-
 __all__ = ["AdmissionTimeout", "submit_async"]
 
 #: Fallback poll interval while awaiting admission: waiters are pulsed
@@ -142,8 +139,8 @@ def _bridge(cf: _CFuture, loop: asyncio.AbstractEventLoop) -> asyncio.Future:
     )
 
     def _propagate_cancel(done: asyncio.Future) -> None:
-        if done.cancelled() and cf.cancel():
-            _instruments.AIO_SUBMITS.inc(outcome="cancelled")
+        if done.cancelled():
+            cf.cancel()
 
     af.add_done_callback(_propagate_cancel)
     return af
@@ -186,12 +183,6 @@ async def submit_async(
         except FleetOverloaded as exc:
             if ingest == "reject":
                 raise
-            _instruments.AIO_ADMISSION_WAITS.inc(shard=str(exc.shard))
-            _journal.JOURNAL.record(
-                _journal.AIO_ADMISSION_WAIT,
-                shard=str(exc.shard),
-                depth=exc.depth,
-            )
             if deadline is not None and loop.time() >= deadline:
                 raise AdmissionTimeout(
                     exc.shard, admission_timeout_s
@@ -204,12 +195,4 @@ async def submit_async(
         # Someone is parked on admission: pulse the gate when this
         # batch completes (completion == a queue slot drained).
         cf.add_done_callback(lambda _done: gate.pulse_threadsafe())
-    try:
-        outputs = await _bridge(cf, loop)
-    except asyncio.CancelledError:
-        raise
-    except BaseException:
-        _instruments.AIO_SUBMITS.inc(outcome="error")
-        raise
-    _instruments.AIO_SUBMITS.inc(outcome="ok")
-    return outputs
+    return await _bridge(cf, loop)

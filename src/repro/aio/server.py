@@ -118,7 +118,6 @@ class IngestServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        _instruments.AIO_CONNECTIONS.inc()
         try:
             while True:
                 try:

@@ -74,7 +74,7 @@ class Options:
     ``method``
         Synthesiser to dispatch (one of :data:`METHODS`).
     ``opt_level``
-        Pass-pipeline level (``"O0"``/``"O1"``/``"O2"``, any spelling
+        Pass-pipeline level (``"O0"``/``"O2"``, any spelling
         :func:`repro.core.passes.normalise_level` accepts); ``None``
         means "don't run the pipeline" where that is meaningful
         (:func:`optimise` itself defaults to ``"O2"``).

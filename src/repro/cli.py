@@ -25,7 +25,7 @@ cycle-accurate datapath and verifies the migration; ``stats`` replays a
 simulation and prints the hardware probe report (mode occupancy, RAM
 writes, state visits, downtime).
 
-Synthesis commands accept ``--opt-level {O0,O1,O2}`` to run the
+Synthesis commands accept ``--opt-level {O0,O2}`` to run the
 replay-validated optimization pass pipeline over the synthesised
 program; ``optimize`` runs the pipeline explicitly and prints the
 per-pass cost report (steps/writes eliminated, acceptance, wall time).
@@ -776,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--opt-level",
             metavar="LEVEL",
             default=default,
-            help="optimization pass-pipeline level: O0 (none), O1, or O2 "
+            help="optimization pass-pipeline level: O0 (none) or O2 "
                  f"(default {default or 'O0'})",
         )
 

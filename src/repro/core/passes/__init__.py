@@ -3,8 +3,8 @@
 Every pass maps a valid :class:`~repro.core.program.Program` to an
 equivalent one that is no longer, and every pass application is gated by
 :class:`PassPipeline` behind full replay validation — see
-:mod:`repro.core.passes.pipeline` for the ``-O0`` / ``-O1`` / ``-O2``
-level definitions and :mod:`repro.core.passes.chunks` for the
+:mod:`repro.core.passes.pipeline` for the ``-O0`` / ``-O2`` level
+definitions and :mod:`repro.core.passes.chunks` for the
 traffic-safe variant used on live-migration chunk plans.
 """
 
@@ -18,10 +18,8 @@ from .pipeline import (
     PassPipeline,
     normalise_level,
     optimise_program,
-    passes_for_level,
 )
 from .resets import CollapseResets
-from .traverse import ShortenTraverses
 
 __all__ = [
     "OPT_LEVELS",
@@ -33,11 +31,9 @@ __all__ = [
     "Pass",
     "PassPipeline",
     "PassResult",
-    "ShortenTraverses",
     "normalise_level",
     "optimise_chunks",
     "optimise_program",
-    "passes_for_level",
     "pre_states",
     "value_dead",
 ]

@@ -70,6 +70,14 @@ class PassResult:
         """Steps removed (0 for a no-op or rejected pass)."""
         return self.steps_before - self.steps_after if self.accepted else 0
 
+    @property
+    def fired(self) -> bool:
+        """Accepted and removed steps or writes: the pipeline's fixpoint
+        test, and what ``make bench-passes`` counts per pass."""
+        return self.accepted and (
+            self.eliminated > 0 or self.writes_after < self.writes_before
+        )
+
     def to_json(self) -> Dict[str, Any]:
         return {
             "name": self.name,

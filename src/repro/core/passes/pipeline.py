@@ -13,20 +13,20 @@ Opt levels (mirroring compiler convention):
     No passes; the synthesiser's program ships verbatim.  Thm. 4.2's
     ``3·(|T_d|+1)`` JSR bound is the ``-O0`` baseline the benchmarks
     compare against.
-``-O1``
-    The cheap structural passes: dead-write elimination and reset
-    collapsing, one round.
 ``-O2``
-    All passes (adds repair/temporary coalescing and traverse-path
-    shortening), iterated to a fixpoint — each pass exposes victims for
+    Dead-write elimination, repair/temporary coalescing and reset
+    collapsing, iterated to a fixpoint — each pass exposes victims for
     the others (a coalesced repair leaves a double reset behind), so the
-    pipeline loops until a full round changes nothing.
+    pipeline loops until a full round changes nothing (at most four
+    rounds).  No pass rewrites traverse runs: the Sec. 4.6 decoder joins
+    consecutive deltas by a path of at most one transition, or else by
+    reset + temporary, so the runs it emits are already shortest.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from ...obs import instruments as _instruments
 from ...obs.tracing import span as _span
@@ -35,12 +35,11 @@ from .base import OptReport, Pass, PassResult
 from .coalesce import CoalesceRepairs
 from .dead_writes import EliminateDeadWrites
 from .resets import CollapseResets
-from .traverse import ShortenTraverses
 
 OptLevel = Union[str, int, None]
 
 #: Canonical names of the supported opt levels.
-OPT_LEVELS: Tuple[str, ...] = ("O0", "O1", "O2")
+OPT_LEVELS: Tuple[str, ...] = ("O0", "O2")
 
 
 def normalise_level(level: OptLevel) -> str:
@@ -53,28 +52,12 @@ def normalise_level(level: OptLevel) -> str:
     text = str(level).strip().lstrip("-")
     if text.upper().startswith("O"):
         text = text[1:]
-    if text in ("0", "1", "2"):
+    if f"O{text}" in OPT_LEVELS:
         return f"O{text}"
     raise ValueError(
         f"unknown opt level {level!r}; expected one of "
         f"{', '.join(OPT_LEVELS)} (any of the spellings -O2 / O2 / 2)"
     )
-
-
-def passes_for_level(level: OptLevel) -> List[Pass]:
-    """Fresh pass instances for one named opt level."""
-    name = normalise_level(level)
-    if name == "O0":
-        return []
-    passes: List[Pass] = [EliminateDeadWrites(), CollapseResets()]
-    if name == "O2":
-        passes = [
-            EliminateDeadWrites(),
-            CoalesceRepairs(),
-            CollapseResets(),
-            ShortenTraverses(),
-        ]
-    return passes
 
 
 class PassPipeline:
@@ -102,12 +85,14 @@ class PassPipeline:
 
     @classmethod
     def for_level(cls, level: OptLevel) -> "PassPipeline":
-        """The standard pipeline for ``-O0`` / ``-O1`` / ``-O2``."""
+        """The standard pipeline for ``-O0`` (no passes) or ``-O2``."""
         name = normalise_level(level)
+        if name == "O0":
+            return cls((), level=name)
         return cls(
-            passes_for_level(name),
+            (EliminateDeadWrites(), CoalesceRepairs(), CollapseResets()),
             level=name,
-            max_rounds=4 if name == "O2" else 1,
+            max_rounds=4,
         )
 
     def run(self, program: Program) -> Tuple[Program, OptReport]:
@@ -135,20 +120,13 @@ class PassPipeline:
                 for pss in self.passes:
                     current, result = self._run_gated(pss, current)
                     report.results.append(result)
-                    changed = changed or (
-                        result.accepted
-                        and (
-                            result.eliminated > 0
-                            or result.writes_after < result.writes_before
-                        )
-                    )
+                    changed = changed or result.fired
                 if not changed:
                     break
             sp.attrs["steps_after"] = len(current)
         report.steps_after = len(current)
         report.writes_after = current.write_count
         report.seconds = perf_counter() - started
-        _instruments.PIPELINE_PROGRAMS.inc(level=self.level)
         if self.passes:
             current = self._annotate(current, report)
         return current, report
@@ -189,11 +167,6 @@ class PassPipeline:
             "accepted" if final is not program else "noop"
         )
         _instruments.PASS_RUNS.inc(outcome=outcome, **{"pass": pss.name})
-        _instruments.PASS_SECONDS.observe(seconds, **{"pass": pss.name})
-        if result.eliminated > 0:
-            _instruments.PASS_STEPS_ELIMINATED.inc(
-                result.eliminated, **{"pass": pss.name}
-            )
         return final, result
 
     @staticmethod

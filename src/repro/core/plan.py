@@ -218,7 +218,7 @@ class MigrationGraph:
         ``"ea"`` (default) or ``"jsr"``, or any callable
         ``(source, target) -> Program``.
     opt_level:
-        Optional pass-pipeline level (``"O0"``/``"O1"``/``"O2"``); every
+        Optional pass-pipeline level (``"O0"``/``"O2"``); every
         cached program is optimized at this level before use, so route
         costs and routing gains are computed over the optimized lengths.
     """

@@ -98,7 +98,7 @@ class FSMFleet:
         when omitted.
     opt_level:
         Pass-pipeline level for the fleet's migration plans (``"O0"`` /
-        ``"O1"`` / ``"O2"``); forwarded to the created
+        ``"O2"``); forwarded to the created
         :class:`~repro.fleet.plancache.PlanCache`.  Ignored when an
         explicit ``plan_cache`` is supplied (the cache owns its level).
     engine:

@@ -471,10 +471,6 @@ class ShardWorker(threading.Thread):
         skipped = len(batches) - len(live)
         if skipped:
             self.stats.cancelled += skipped
-            _instruments.FLEET_CANCELLED.inc(skipped, shard=self.label)
-            _journal.JOURNAL.record(
-                _journal.FLEET_CANCELLED, shard=self.label, count=skipped
-            )
         return live
 
     def _serve_run_traced(self, batches: List[_Batch], sp) -> None:

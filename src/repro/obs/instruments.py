@@ -52,20 +52,6 @@ PASS_RUNS = REGISTRY.counter(
     "Optimization pass executions, by pass and outcome "
     "(accepted / noop / rejected).",
 )
-PASS_STEPS_ELIMINATED = REGISTRY.counter(
-    "repro_pass_steps_eliminated_total",
-    "Program steps removed by accepted optimization passes, by pass.",
-)
-PASS_SECONDS = REGISTRY.histogram(
-    "repro_pass_seconds",
-    "Wall time of one optimization pass run (including the replay gate), "
-    "by pass.",
-    buckets=SECONDS_BUCKETS,
-)
-PIPELINE_PROGRAMS = REGISTRY.counter(
-    "repro_pipeline_programs_total",
-    "Programs run through the pass pipeline, by opt level.",
-)
 
 # -- exact search ------------------------------------------------------
 OPTIMAL_EXPANSIONS = REGISTRY.counter(
@@ -187,28 +173,9 @@ REPLICA_MEMBERSHIP_CHANGES = REGISTRY.counter(
 )
 
 # -- asyncio ingestion plane ------------------------------------------
-FLEET_CANCELLED = REGISTRY.counter(
-    "repro_fleet_cancelled_total",
-    "Queued batches skipped because their future was cancelled before "
-    "serving started (the queue slot is freed, no symbols step).",
-)
-AIO_SUBMITS = REGISTRY.counter(
-    "repro_aio_submits_total",
-    "Batches submitted through the asyncio bridge, by outcome "
-    "(ok / error / cancelled).",
-)
-AIO_ADMISSION_WAITS = REGISTRY.counter(
-    "repro_aio_admission_waits_total",
-    "Saturation encounters where an async submitter awaited a queue "
-    "slot instead of receiving FleetOverloaded.",
-)
 AIO_FRAMES = REGISTRY.counter(
     "repro_aio_frames_total",
     "Frames served by the asyncio ingestion server, by op.",
-)
-AIO_CONNECTIONS = REGISTRY.counter(
-    "repro_aio_connections_total",
-    "Client connections accepted by the asyncio ingestion server.",
 )
 
 # -- batch execution engine -------------------------------------------

@@ -75,8 +75,6 @@ EXEC_INVALIDATE = "exec.invalidate"
 EXEC_STALE_SNAPSHOT = "exec.stale_snapshot"
 SERVE_BATCH = "serve.batch"
 FLEET_SATURATION = "fleet.saturation"
-FLEET_CANCELLED = "fleet.cancelled"
-AIO_ADMISSION_WAIT = "aio.admission.wait"
 FLEET_QUARANTINE = "fleet.quarantine"
 FLEET_RESEED = "fleet.reseed"
 MIGRATION_ROLLOUT_BEGIN = "migration.rollout.begin"
@@ -130,15 +128,6 @@ EVENT_TYPES: Dict[str, Any] = {
     ),
     FLEET_SATURATION: (
         "a submission was rejected by backpressure (queue full)",
-        ("depth",),
-    ),
-    FLEET_CANCELLED: (
-        "queued batches were skipped: their futures were cancelled "
-        "before serving started",
-        ("count",),
-    ),
-    AIO_ADMISSION_WAIT: (
-        "an async submitter awaited admission on a saturated shard",
         ("depth",),
     ),
     FLEET_QUARANTINE: (

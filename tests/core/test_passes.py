@@ -11,11 +11,9 @@ from repro.core.passes import (
     EliminateDeadWrites,
     Pass,
     PassPipeline,
-    ShortenTraverses,
     normalise_level,
     optimise_chunks,
     optimise_program,
-    passes_for_level,
 )
 from repro.core.program import (
     Program,
@@ -25,6 +23,8 @@ from repro.core.program import (
     write_step,
 )
 from repro.fleet.plancache import order_chunks
+from repro.obs import configure
+from repro.obs.instruments import PASS_RUNS
 from repro.workloads.library import fig6_m, fig6_m_prime, sequence_detector
 from repro.workloads.suite import migration_suite
 
@@ -39,25 +39,28 @@ class TestLevels:
     @pytest.mark.parametrize(
         "spelling,expected",
         [
-            ("O2", "O2"), ("-O2", "O2"), ("o1", "O1"), (0, "O0"),
+            ("O2", "O2"), ("-O2", "O2"), ("o2", "O2"), (0, "O0"),
             ("2", "O2"), (None, "O0"), ("-o0", "O0"),
         ],
     )
     def test_normalise_spellings(self, spelling, expected):
         assert normalise_level(spelling) == expected
 
-    @pytest.mark.parametrize("bad", ["O3", "fast", "", "-O9", 7])
+    @pytest.mark.parametrize(
+        "bad", ["O3", "fast", "", "-O9", 7, "O1", "-O1", "o1", "1"]
+    )
     def test_bad_levels_raise(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected one of O0, O2"):
             normalise_level(bad)
 
     def test_level_pass_sets(self):
-        assert passes_for_level("O0") == []
-        names1 = [p.name for p in passes_for_level("O1")]
-        names2 = [p.name for p in passes_for_level("O2")]
-        assert "dead-writes" in names1 and "collapse-resets" in names1
-        assert set(names1) < set(names2)
-        assert "coalesce-repairs" in names2 and "shorten-traverses" in names2
+        assert OPT_LEVELS == ("O0", "O2")
+        assert PassPipeline.for_level("O0").passes == ()
+        o2 = PassPipeline.for_level("O2")
+        assert [p.name for p in o2.passes] == [
+            "dead-writes", "coalesce-repairs", "collapse-resets",
+        ]
+        assert o2.max_rounds == 4
 
     def test_o0_is_identity(self):
         source, target = fig6_m(), fig6_m_prime()
@@ -196,6 +199,22 @@ class TestPipelineGate:
         assert not result.accepted
         assert "lengthened" in result.reason
 
+    @pytest.mark.parametrize(
+        "bad", [_LyingPass, _CrashingPass, _PaddingPass],
+        ids=lambda cls: cls.name,
+    )
+    def test_refusal_counts_one_rejected_run(self, bad):
+        pipeline = PassPipeline([bad()], level="test")
+        labels = {"pass": bad.name}
+        configure(metrics=True)
+        try:
+            pipeline.run(self._program())
+            assert PASS_RUNS.value(outcome="rejected", **labels) == 1
+            assert PASS_RUNS.value(outcome="accepted", **labels) == 0
+            assert PASS_RUNS.value(outcome="noop", **labels) == 0
+        finally:
+            configure(metrics=False)
+
     def test_good_passes_still_run_after_a_bad_one(self):
         program = self._program()
         pipeline = PassPipeline(
@@ -254,14 +273,6 @@ class TestIndividualPasses:
             if s.kind is StepKind.WRITE_DELTA
         ]
         assert deltas == kept  # delta writes are the migration: untouchable
-
-    def test_shorten_traverses_never_lengthens(self):
-        for name in GROW:
-            source, target = _pair(name)
-            program = jsr_program(source, target)
-            shortened = ShortenTraverses().run(program)
-            assert len(shortened) <= len(program)
-            assert shortened.is_valid()
 
 
 class TestChunkOptimiser:

@@ -62,10 +62,15 @@ class TestOptions:
 
     def test_opt_level_spellings_normalised(self):
         assert api.Options(opt_level=2).opt_level == "O2"
-        assert api.Options(opt_level="-O1").opt_level == "O1"
+        assert api.Options(opt_level="-O2").opt_level == "O2"
         assert api.Options(opt_level="o0").opt_level == "O0"
         with pytest.raises(ValueError):
             api.Options(opt_level="O9")
+
+    @pytest.mark.parametrize("spelling", ["O1", "-O1", "o1", 1])
+    def test_o1_is_rejected(self, spelling):
+        with pytest.raises(ValueError, match="expected one of O0, O2"):
+            api.Options(opt_level=spelling)
 
     def test_frozen(self):
         opts = api.Options()
@@ -111,7 +116,7 @@ class TestFacadeFlows:
     def test_migrate_verifies_on_hardware(self):
         outcome = api.migrate(
             fig6_m(), fig6_m_prime(),
-            options=api.Options(method="jsr", opt_level="O1"),
+            options=api.Options(method="jsr", opt_level="O2"),
         )
         assert outcome.verified
         assert bool(outcome)

@@ -379,13 +379,22 @@ class TestOptLevelFlag:
     def test_synth_accepts_opt_level(self, kiss_files, capsys):
         src, tgt = kiss_files
         assert main(
-            ["synth", src, tgt, "--method", "jsr", "--opt-level", "o1"]
+            ["synth", src, tgt, "--method", "jsr", "--opt-level", "o2"]
         ) == 0
         assert "reconfiguration program" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spelling", ["O1", "-O1", "o1", "1"])
+    def test_o1_is_rejected(self, kiss_files, capsys, spelling):
+        src, tgt = kiss_files
+        assert main(
+            ["synth", src, tgt, "--method", "jsr", f"--opt-level={spelling}"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "unknown opt level" in err and "O0, O2" in err
+
     def test_suite_with_opt_level(self, capsys):
         assert main(
-            ["suite", "--method", "jsr", "--opt-level", "O1"]
+            ["suite", "--method", "jsr", "--opt-level", "O2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "suite x jsr -O1" in out
+        assert "suite x jsr -O2" in out
