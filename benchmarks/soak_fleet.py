@@ -26,6 +26,7 @@ import sys
 import threading
 import time
 
+from repro.api import ENGINE_MODES
 from repro.fleet import FleetOverloaded, FSMFleet, MigrationScheduler
 from repro.workloads.suite import suite_pair, traffic_words
 
@@ -41,8 +42,8 @@ def main(argv=None) -> int:
     parser.add_argument("--opt-level", default="O2")
     parser.add_argument(
         "--engine", default="auto",
-        choices=("auto", "numpy", "python", "off"),
-        help="batch-engine mode for the serving hot path (default auto, "
+        choices=ENGINE_MODES,
+        help="execution backend for the serving hot path (default auto, "
              "so the soak covers coalesced engine serving)",
     )
     args = parser.parse_args(argv)

@@ -35,6 +35,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 from .core.fsm import FSM
 from .core.program import Program
+from .exec.registry import canonical, spellings
 
 __all__ = [
     "METHODS",
@@ -54,8 +55,9 @@ __all__ = [
 #: The synthesis methods the facade (and the CLI's ``--method``) accepts.
 METHODS = ("jsr", "ea", "greedy", "tsp", "optimal")
 
-#: Engine modes accepted by :class:`Options` (see ``repro.engine``).
-ENGINE_MODES = ("auto", "numpy", "python", "off")
+#: Execution backend spellings accepted by :class:`Options` ``engine``
+#: (the registry's names and aliases, see :mod:`repro.exec`).
+ENGINE_MODES = spellings()
 
 #: Fleet serving substrates accepted by :class:`Options` (see
 #: ``repro.fleet`` / ``repro.procfleet``).
@@ -84,13 +86,11 @@ class Options:
         Enable the process-wide metrics registry for this call
         (equivalent to ``repro.obs.configure(metrics=True)``).
     ``engine``
-        Batch-engine mode for :func:`serve` / :func:`compile_fsm`
-        (one of :data:`ENGINE_MODES`).
-    ``backend``
-        Explicit execution backend (``"cycle"``, ``"table-py"``,
-        ``"table-numpy"`` or an engine-mode alias); ``None`` defers to
-        ``engine`` / the ``REPRO_BACKEND`` environment variable /
-        auto selection, in that order (see :mod:`repro.exec`).
+        Execution backend for :func:`serve` / :func:`compile_fsm` /
+        :func:`evaluate_population` (one of :data:`ENGINE_MODES`:
+        ``"cycle"`` / ``"off"``, ``"table"``, ``"table-shm"`` /
+        ``"shm"``); ``"auto"`` defers to the ``REPRO_BACKEND``
+        environment variable, then to ``table`` (see :mod:`repro.exec`).
     ``extra_states``
         W-method bound on implementation state growth for
         :func:`verify`.
@@ -122,7 +122,6 @@ class Options:
     seed: int
     metrics: bool
     engine: str
-    backend: Optional[str]
     extra_states: int
     fleet_mode: str
     ingest: str
@@ -136,7 +135,6 @@ class Options:
         seed: int = 0,
         metrics: bool = False,
         engine: str = "auto",
-        backend: Optional[str] = None,
         extra_states: int = 0,
         fleet_mode: str = "thread",
         ingest: str = "wait",
@@ -150,15 +148,7 @@ class Options:
             from .core.passes import normalise_level
 
             opt_level = normalise_level(opt_level)
-        if engine not in ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine mode {engine!r}; expected one of "
-                f"{ENGINE_MODES}"
-            )
-        if backend is not None:
-            from .exec import canonical
-
-            backend = canonical(backend)  # ValueError on unknown names
+        canonical(engine)  # ValueError listing the accepted spellings
         if extra_states < 0:
             raise ValueError("extra_states must be non-negative")
         if fleet_mode not in FLEET_MODES:
@@ -181,14 +171,7 @@ class Options:
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "metrics", bool(metrics))
         object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "extra_states", int(extra_states))
-
-    @property
-    def execution(self) -> str:
-        """The effective execution preference: ``backend`` when pinned,
-        else the ``engine`` mode (resolved by :mod:`repro.exec`)."""
-        return self.backend if self.backend is not None else self.engine
 
 
 def _options(options: Optional[Options]) -> Options:
@@ -375,7 +358,7 @@ def serve(
         n_workers=n_workers,
         family=family,
         opt_level=opts.opt_level,
-        engine=opts.execution,
+        engine=opts.engine,
         **fleet_kwargs,
     )
     return FleetClient(fleet, ingest=opts.ingest)
@@ -421,7 +404,7 @@ def compile_fsm(machine, *, options: Optional[Options] = None):
     opts = _options(options)
     from .exec import compile_tables
 
-    return compile_tables(machine, preference=opts.execution)
+    return compile_tables(machine, preference=opts.engine)
 
 
 def evaluate_population(
@@ -436,9 +419,9 @@ def evaluate_population(
     candidate replays every ``(input_word, expected_outputs)`` trace as
     one lane of a multi-stream batch, scored by the fraction of
     expected outputs reproduced.  The execution backend comes from
-    ``options`` (``backend`` / ``engine``), resolved stream-aware.
+    ``options.engine``.
     """
     opts = _options(options)
     from .core.ea import evaluate_population as _evaluate
 
-    return _evaluate(candidates, traces, backend=opts.execution)
+    return _evaluate(candidates, traces, backend=opts.engine)

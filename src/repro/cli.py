@@ -153,10 +153,13 @@ def cmd_vhdl(args) -> int:
 
 def cmd_suite(args) -> int:
     level = _opt_level(args)
-    rows = run_migration_suite(
-        method=args.method, seed=args.seed, opt_level=level,
-        engine=args.engine,
-    )
+    try:
+        rows = run_migration_suite(
+            method=args.method, seed=args.seed, opt_level=level,
+            engine=args.engine,
+        )
+    except ValueError as exc:  # a REPRO_BACKEND naming no backend
+        raise CliError(str(exc)) from None
     for row in rows:
         if not row["valid"]:
             print(f"INVALID: {row['workload']}", file=sys.stderr)
@@ -655,7 +658,7 @@ def cmd_stats(args) -> int:
     publish(report)
     print(report.render())
     from .engine import numpy_available
-    from .engine.streams import STREAM_THRESHOLD
+    from .engine.streams import STREAM_THRESHOLD, stream_kernel
     from .exec import resolve
 
     if numpy_available():
@@ -665,11 +668,14 @@ def cmd_stats(args) -> int:
             "numpy absent — pure-Python batch kernel; "
             "pip install repro[fast]"
         )
-    print(f"\nengine: backend={resolve('auto')} ({numpy_note})")
+    try:
+        backend = resolve("auto")
+    except ValueError as exc:  # a REPRO_BACKEND naming no backend
+        raise CliError(str(exc)) from None
+    print(f"\nengine: backend={backend} ({numpy_note})")
     print(
-        f"streams: >={STREAM_THRESHOLD} concurrent streams dispatch to "
-        f"{resolve('auto', streams=STREAM_THRESHOLD)} "
-        "(pin one kernel with REPRO_BACKEND=table-py|table-numpy)"
+        f"streams: >={STREAM_THRESHOLD} concurrent streams run on the "
+        f"{stream_kernel(STREAM_THRESHOLD)} kernel"
     )
     if verdict is not None:
         print()
@@ -693,9 +699,6 @@ def cmd_backends(args) -> int:
         row = {"backend": spec.name}
         for flag, value in spec.capabilities.flags().items():
             row[flag.replace("_", "-")] = _mark(value)
-        # identity, not a flag: widest packed-table dtype of the
-        # backend's stream kernel ("-" = no packed stream plane)
-        row["stream-dtype"] = spec.capabilities.max_stream_dtype or "-"
         row["available"] = availability
         rows.append(row)
     print(format_table(rows, title="registered execution backends"))
@@ -710,16 +713,11 @@ def cmd_backends(args) -> int:
         print("kill switches engaged:")
         for env, reason in engaged.items():
             print(f"  {env}: {reason}")
-    preference = args.backend if args.backend is not None else args.engine
+    preference = args.engine
     try:
-        opts = Options(
-            engine=args.engine,
-            **({} if args.backend is None else {"backend": args.backend}),
-        )
-    except ValueError as exc:
+        pick = resolve(preference)
+    except ValueError as exc:  # a bad REPRO_BACKEND spelling
         raise CliError(str(exc)) from None
-    try:
-        pick = resolve(opts.execution)
     except BackendUnavailable as exc:
         print(
             f"\ndispatcher pick for {preference!r}: ERROR — {exc}",
@@ -766,9 +764,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=ENGINE_MODES,
             default=default,
-            help="batch execution engine: auto (numpy when available), "
-                 "numpy, python, or off (cycle-accurate per-symbol "
-                 f"serving; default {default})",
+            help="execution backend: auto (table unless REPRO_BACKEND "
+                 "says otherwise), table (dense tables; the stream "
+                 "kernel is picked per call), table-shm/shm, or "
+                 "cycle/off (cycle-accurate per-symbol serving; "
+                 f"default {default})",
         )
 
     def add_opt_level(p, default: Optional[str] = None) -> None:
@@ -951,13 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
              "availability, and the dispatcher's pick",
     )
     add_engine(p)
-    p.add_argument(
-        "--backend",
-        default=None,
-        help="explicit backend pin (cycle, table-py, table-numpy, or an "
-             "engine-mode alias); default: defer to --engine / "
-             "REPRO_BACKEND",
-    )
     p.set_defaults(func=cmd_backends)
 
     p = sub.add_parser(

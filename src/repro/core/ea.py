@@ -269,9 +269,9 @@ def evaluate_population(
     whole-batch :class:`~repro.exec.TableMiss` falls back to per-stream
     replay to isolate the failing lanes.
 
-    ``backend`` resolves through the execution registry with the trace
-    count as the stream width, so ``"auto"`` picks the python kernel
-    for narrow trace sets and the numpy stream kernel once the lanes
+    ``backend`` resolves through the execution registry and must come
+    out as ``"table"``; the engine then picks the python kernel for
+    narrow trace sets and the numpy stream kernel once the lanes
     amortize it.  ``"off"``/``"cycle"`` is rejected: a population is
     pure table evaluation, there is no datapath to be cycle-accurate
     against.
@@ -287,8 +287,8 @@ def evaluate_population(
     traces = list(traces)
     if not traces:
         raise ValueError("evaluate_population needs at least one trace")
-    name = resolve(backend, streams=len(traces))
-    if name not in TableBackend.CAPABILITIES:
+    name = resolve(backend)
+    if name != "table":
         raise ValueError(
             f"population scoring needs an in-process table backend, "
             f"not {name!r}: candidates are behavioural machines with "
@@ -320,7 +320,7 @@ def evaluate_population(
         backend=name,
     ):
         for candidate in candidates:
-            table = TableBackend.from_fsm(candidate, backend=name)
+            table = TableBackend.from_fsm(candidate)
             batch = batch_for(table.compiled.inputs)
             counts: Optional[List[int]] = None
             if batch is not None:

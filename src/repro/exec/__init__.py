@@ -1,20 +1,21 @@
 """Unified execution-backend layer (protocol, registry, dispatch).
 
-One serving stack, many interchangeable substrates: the cycle-accurate
-Fig. 5 netlist, the pure-Python dense-table kernel and the numpy
-kernel all implement one :class:`ExecutionBackend` protocol, register
-in one process-wide registry, and are chosen by one policy-driven
-:class:`Dispatcher`.  The fleet hot path, ``api.compile_fsm``, the
-workload suite and the CLI all dispatch through here — no caller picks
-a backend by hand.
+One serving stack, three interchangeable substrates: the
+cycle-accurate Fig. 5 netlist (``cycle``), the dense tables in process
+(``table``) and the dense tables in shared memory behind worker
+processes (``table-shm``).  All implement one :class:`ExecutionBackend`
+protocol, register in one process-wide registry, and are chosen by one
+policy-driven :class:`Dispatcher`.  The fleet hot path,
+``api.compile_fsm``, the workload suite and the CLI all dispatch
+through here — no caller picks a backend by hand.
 
 Selection precedence: explicit pin (a backend name or engine-mode
-alias) > the ``REPRO_BACKEND`` environment variable > auto.  Auto is
-stream-count aware through the engine's one lane-count policy
-(:func:`repro.engine.stream_kernel`): ``table-py`` for a few streams (a
-single sequential stream runs fastest in the pure-Python loop),
-``table-numpy`` when enough independent streams amortize the lane
-kernel (and numpy is importable and not disabled via
+alias) > the ``REPRO_BACKEND`` environment variable > auto, which is
+``table``.  The stream kernel is not a backend choice: ``table`` takes
+it per call from the engine's one lane-count policy
+(:func:`repro.engine.stream_kernel`) — the pure-Python loop for a few
+streams, the numpy lane kernel once enough independent streams
+amortize it (and numpy is importable and not disabled via
 ``REPRO_DISABLE_NUMPY``).  Availability is re-checked at every
 dispatch, and a forced-but-unavailable backend raises
 :class:`BackendUnavailable` with the reason spelled out.
@@ -44,6 +45,7 @@ from .registry import (
     register,
     resolve,
     specs,
+    spellings,
 )
 
 __all__ = [
@@ -69,4 +71,5 @@ __all__ = [
     "resolve",
     "run_streams",
     "specs",
+    "spellings",
 ]

@@ -8,9 +8,9 @@ dispatcher and the fleet hot path only ever see that contract.
   cycle (traces, probe counters, exact fault behaviour), read from the
   live RAMs.
 * :class:`TableBackend` wraps a :class:`~repro.engine.CompiledFSM`
-  snapshot of the tables; ``table-py`` and ``table-numpy`` are two thin
-  instances that differ only in the stream kernel they pass per call,
-  so a shard's dispatcher serves both from one compiled view.  Batched
+  snapshot of the tables; each stream call takes its kernel (the
+  pure-Python loop or the numpy lane kernel) from the engine's
+  lane-count policy, :func:`~repro.engine.streams.stream_kernel`.  Batched
   runs commit their architectural effect back to the source hardware
   through ``commit_engine_run``; anything the tables cannot serve raises
   :class:`~repro.exec.protocol.TableMiss` *before* the hardware is
@@ -29,7 +29,7 @@ from typing import Dict, Optional, Sequence
 
 from ..core.fsm import FSM, Input, Output, State
 from ..engine.compiled import CompiledFSM, EngineError, WordRun
-from ..engine.streams import StreamBatch
+from ..engine.streams import StreamBatch, stream_kernel
 from ..hw.machine import HardwareFSM
 from ..obs import journal as _journal
 from ..obs.tracing import span as _span
@@ -94,11 +94,7 @@ class CycleBackend:
     """
 
     name = "cycle"
-    capabilities = Capabilities(
-        batchable=False,
-        cycle_accurate=True,
-        needs_numpy=False,
-    )
+    capabilities = Capabilities(cycle_accurate=True)
 
     def __init__(self, hardware: HardwareFSM):
         self.hardware = hardware
@@ -173,55 +169,34 @@ class CycleBackend:
 class TableBackend:
     """A dense-table snapshot (``repro.engine``) as an execution backend.
 
-    ``table-py`` and ``table-numpy`` are the same class over the same
-    kind of compiled view; ``name`` only picks the kernel
-    :meth:`run_streams` passes (``"python"`` / ``"numpy"``).  A single
-    stream (:meth:`run_batch`) is the ``run_word`` loop under either
-    name.  When bound to live hardware, committed runs fast-forward the
+    A single stream (:meth:`run_batch`) is the ``run_word`` loop; many
+    streams (:meth:`run_streams`) run on the kernel
+    :func:`~repro.engine.streams.stream_kernel` picks for their count.
+    When bound to live hardware, committed runs fast-forward the
     datapath's architectural state; when lowered straight from a
     behavioural FSM (``hardware is None``) the backend is a pure
     function of ``(start, symbols)``.
     """
 
-    CAPABILITIES = {
-        "table-py": Capabilities(
-            batchable=True,
-            cycle_accurate=False,
-            needs_numpy=False,
-        ),
-        "table-numpy": Capabilities(
-            batchable=True,
-            cycle_accurate=False,
-            needs_numpy=True,
-            max_stream_dtype="int32",
-        ),
-    }
+    name = "table"
+    capabilities = Capabilities(batchable=True)
 
     def __init__(
-        self,
-        compiled: CompiledFSM,
-        hardware: Optional[HardwareFSM] = None,
-        name: str = "table-py",
+        self, compiled: CompiledFSM, hardware: Optional[HardwareFSM] = None
     ):
         self.compiled = compiled
         self.hardware = hardware
-        self.name = name
-        self.capabilities = self.CAPABILITIES[name]
-        #: The stream kernel this name stands for.
-        self.kernel = "numpy" if self.capabilities.needs_numpy else "python"
 
     # -- construction --------------------------------------------------
     @classmethod
-    def from_hardware(
-        cls, hw: HardwareFSM, backend: str = "table-py"
-    ) -> "TableBackend":
+    def from_hardware(cls, hw: HardwareFSM) -> "TableBackend":
         """Snapshot a live datapath's RAMs (version-stamped)."""
-        return cls(CompiledFSM.from_hardware(hw), hw, canonical(backend))
+        return cls(CompiledFSM.from_hardware(hw), hw)
 
     @classmethod
-    def from_fsm(cls, fsm: FSM, backend: str = "table-py") -> "TableBackend":
+    def from_fsm(cls, fsm: FSM) -> "TableBackend":
         """Lower a behavioural machine (no hardware binding)."""
-        return cls(CompiledFSM.from_fsm(fsm), None, canonical(backend))
+        return cls(CompiledFSM.from_fsm(fsm))
 
     # -- protocol ------------------------------------------------------
     def step(self, symbol: Input) -> Optional[Output]:
@@ -256,10 +231,11 @@ class TableBackend:
         """Serve many independent streams through the stream plane.
 
         Per-stream start states (``None`` entries mean reset), never
-        commits, results in submission order.  Under ``table-numpy`` the
+        commits, results in submission order.  On the numpy kernel the
         whole call is a handful of packed-table gathers
-        (:meth:`repro.engine.CompiledFSM.run_stream_batch`); ``table-py``
-        serves the identical contract as a ``run_word`` loop.
+        (:meth:`repro.engine.CompiledFSM.run_stream_batch`); the python
+        kernel serves the identical contract as a ``run_word`` loop.
+        The kernel is picked once per call and named on the span.
         Anything any stream cannot serve raises :class:`TableMiss` for
         the whole call — the table run mutated nothing, so the caller
         replays per-stream to isolate and reproduce the exact failure.
@@ -269,19 +245,19 @@ class TableBackend:
         EA scores whole populations this way).
         """
         batched = isinstance(words, StreamBatch)
+        n = words.n if batched else len(words)
+        kernel = stream_kernel(n)
         with _span(
-            "engine.run_streams",
-            backend=self.name,
-            streams=words.n if batched else len(words),
+            "engine.run_streams", backend=self.name, streams=n, kernel=kernel
         ):
             try:
                 if batched:
                     run = self.compiled.run_stream_batch(
-                        words, starts=starts, kernel=self.kernel
+                        words, starts=starts, kernel=kernel
                     )
                 else:
                     run = self.compiled.run_streams(
-                        words, starts=starts, kernel=self.kernel
+                        words, starts=starts, kernel=kernel
                     )
                 return run.word_runs()
             except EngineError as exc:
@@ -301,12 +277,16 @@ class TableBackend:
         per-symbol ``WordRun`` materialisation that
         :meth:`run_streams` performs.
         """
+        kernel = stream_kernel(batch.n)
         with _span(
-            "engine.run_streams", backend=self.name, streams=batch.n
+            "engine.run_streams",
+            backend=self.name,
+            streams=batch.n,
+            kernel=kernel,
         ):
             try:
                 return self.compiled.run_stream_batch(
-                    batch, starts=starts, kernel=self.kernel
+                    batch, starts=starts, kernel=kernel
                 )
             except EngineError as exc:
                 raise TableMiss(str(exc)) from exc
@@ -327,16 +307,16 @@ class TableBackend:
         )
 
     def __repr__(self) -> str:
-        return f"TableBackend({self.name!r}, {self.compiled!r})"
+        return f"TableBackend({self.compiled!r})"
 
 
 def compile_tables(machine, preference: str = "auto") -> CompiledFSM:
     """Lower ``machine`` into dense tables (``api.compile_fsm`` core).
 
     Accepts a behavioural :class:`FSM` or a live :class:`HardwareFSM`;
-    ``preference`` takes backend names and engine-mode aliases.  The
-    compiled view holds tables only (its stream kernel is picked per
-    call), so the preference is validated, not stored: ``"off"`` /
+    ``preference`` takes any :func:`~repro.exec.registry.spellings`
+    entry.  The compiled view holds tables only (its stream kernel is
+    picked per call), so the preference is validated, not stored: ``"off"`` /
     ``"cycle"`` is rejected — compiling with the engine off is a
     contradiction — and a forced-unavailable backend raises
     :class:`~repro.exec.protocol.BackendUnavailable` at this boundary,

@@ -8,10 +8,9 @@ same rule holds before, during and after a live migration:
 * a cached table view is reused only while it is fresh — any RAM
   write, erase, fault injection, retarget or wholesale hardware
   replacement (quarantine) invalidates and recompiles transparently.
-  ``table-py`` and ``table-numpy`` share one compiled view per shard
-  (they differ only in the stream kernel they pass per call), so a
-  shard alternating between single-session and wide stream batches
-  compiles once per ``table_version``, not once per kernel;
+  The view serves every stream width (the engine picks the kernel per
+  call), so a shard alternating between single-session and wide
+  stream batches compiles once per ``table_version``;
 * a live migration needs no rule of its own: chunks run only between
   runs, and :mod:`repro.core.incremental`'s blend invariant makes the
   table between two chunks a well-defined machine (every entry M's or
@@ -22,7 +21,7 @@ same rule holds before, during and after a live migration:
   nothing;
 * a *forced* backend that is unavailable fails fast at construction
   (:class:`~repro.exec.protocol.BackendUnavailable`), but one that
-  becomes unavailable mid-serve (``REPRO_DISABLE_NUMPY`` flipped in a
+  becomes unavailable mid-serve (``REPRO_DISABLE_SHM`` flipped in a
   live process) degrades to the netlist instead of failing traffic.
 
 Every decision is published to
@@ -39,8 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from ..engine import streams as _streams
-from ..engine.compiled import CompiledFSM, EngineError
+from ..engine.compiled import EngineError
 from ..hw.machine import HardwareFSM
 from ..obs import instruments as _instruments
 from ..obs import journal as _journal
@@ -76,7 +74,7 @@ class Dispatcher:
     """Backend selection policy for one serving context (one shard).
 
     ``mode`` is any accepted backend spelling (``auto``, ``cycle`` /
-    ``off``, ``table-py`` / ``python``, ``table-numpy`` / ``numpy``).
+    ``off``, ``table``, ``table-shm`` / ``shm``).
     Construction validates it and fails fast when a forced backend is
     unavailable — a fleet must refuse to start on an impossible
     request, not discover it batch by batch.
@@ -100,15 +98,8 @@ class Dispatcher:
         self._factory = factory
         #: The most recent :class:`Decision` (health-surface vitals).
         self.last_decision: Optional[Decision] = None
-        #: The one compiled view the in-process table backends share,
-        #: and the thin ``table-py`` / ``table-numpy`` backends over it.
-        #: Auto resolution is stream-count aware, so one shard
-        #: legitimately alternates between the two names (single-session
-        #: vs wide stream batches); sharing the view keeps the
-        #: alternation from ever recompiling.
-        self._view: Optional[CompiledFSM] = None
-        self._kernels: Dict[str, TableBackend] = {}
-        #: Other table-serving backends (``table-shm``) by name.
+        #: Table-serving backends by name, each over the shard's one
+        #: compiled view (rebuilt when the view goes stale).
         self._tables: Dict[str, object] = {}
         #: The last table backend a decision served with (the one a
         #: subsequent :meth:`miss` is about).
@@ -131,9 +122,8 @@ class Dispatcher:
         """The backend to serve ``hw``'s next run with, per policy.
 
         ``streams`` is how many independent streams the caller is about
-        to serve in one job: auto resolution picks the lane kernel only
-        when that many streams can amortize it (below the threshold a
-        single sequential stream runs fastest in the pure-Python loop).
+        to serve in one job; it is recorded on the decision (the table
+        backend picks its kernel from the count it is handed per call).
         """
         with _span("exec.dispatch", mode=self.mode) as sp:
             decision = self._select(hw, streams)
@@ -143,7 +133,7 @@ class Dispatcher:
 
     def _select(self, hw: HardwareFSM, streams: int = 1) -> Decision:
         try:
-            want = resolve(self.mode, streams=streams)
+            want = resolve(self.mode)
         except BackendUnavailable:
             # The forced backend vanished mid-serve (environment flip):
             # degrade to the always-available netlist over failing
@@ -159,10 +149,7 @@ class Dispatcher:
                 self.cycle_backend(hw), "policy", streams=streams
             )
         try:
-            if want in TableBackend.CAPABILITIES:
-                table, reason = self._view_table(want, hw)
-            else:
-                table, reason = self._registry_table(want, hw)
+            table, reason = self._table_backend(want, hw)
         except EngineError:
             self._fallback("error", want)
             return self._decide(
@@ -172,33 +159,14 @@ class Dispatcher:
         self._table = table
         return self._decide(table, reason, streams=streams)
 
-    def _view_table(self, want: str, hw: HardwareFSM):
-        """``(backend, reason)`` for an in-process table kernel: a thin
-        :class:`TableBackend` over the shard's one compiled view,
-        recompiled only when the view has gone stale."""
-        view = self._view
-        if view is not None and not view.is_stale(hw):
-            reason = "cached"
-        else:
-            if view is not None:
-                view.invalidate(
-                    reason="stale" if view.source is hw else "replaced"
-                )
-            view = self._view = CompiledFSM.from_hardware(hw)
-            self._kernels = {}
-            reason = "compiled"
-        table = self._kernels.get(want)
-        if table is None:
-            table = self._kernels[want] = TableBackend(view, hw, want)
-        return table, reason
-
-    def _registry_table(self, want: str, hw: HardwareFSM):
-        """``(backend, reason)`` for any other table-serving backend.
+    def _table_backend(self, want: str, hw: HardwareFSM):
+        """``(backend, reason)`` for a table-serving backend, rebuilt
+        only when its compiled view has gone stale.
 
         The caller's factory gets first refusal (the process fleet
         binds its worker session this way); anything else builds
-        through its registry spec — so a registered backend like
-        ``table-shm`` serves through the same policy with no dispatcher
+        through its registry spec — so ``table`` and ``table-shm``
+        serve through the same policy with no dispatcher
         special-casing.
         """
         table = self._tables.get(want)
@@ -237,23 +205,14 @@ class Dispatcher:
     def invalidate(self, reason: str = "explicit") -> None:
         """Drop every cached backend (quarantine replaced the
         hardware; the next :meth:`select` re-binds and recompiles)."""
-        if self._view is not None:
-            self._view.invalidate(reason=reason)
         for table in self._tables.values():
             table.invalidate(reason=reason)
-        self._view = None
-        self._kernels = {}
         self._tables.clear()
         self._table = None
         self._cycle = None
         _journal.JOURNAL.record(
             _journal.EXEC_INVALIDATE, shard=self.shard, reason=reason
         )
-
-    def pick(self, streams: int = 1) -> str:
-        """The backend name :meth:`select` would serve with right now
-        (quiescent, nothing cached) — the CLI's "what would run?"."""
-        return resolve(self.mode, streams=streams)
 
     # ------------------------------------------------------------------
     def _fallback(self, reason: str, backend_name: str) -> None:
@@ -306,7 +265,6 @@ class Dispatcher:
                 reason=reason,
                 degraded=degraded,
                 streams=streams,
-                threshold=_streams.STREAM_THRESHOLD,
             )
         return decision
 

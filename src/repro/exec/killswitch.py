@@ -1,7 +1,7 @@
 """One source of truth for the ``REPRO_DISABLE_*`` kill switches.
 
 Three subsystems can be forced off via the environment without
-uninstalling anything: numpy (the fast table kernels), shared memory
+uninstalling anything: numpy (the lane stream kernel), shared memory
 (the worker-process backend) and the shm frame ring (sessions fall
 back to pure pipe framing).  Before this module each switch was a bare
 ``os.environ.get`` scattered at its point of use with its own reason
@@ -58,7 +58,7 @@ class KillSwitch:
 NUMPY = KillSwitch(
     env="REPRO_DISABLE_NUMPY",
     subject="numpy",
-    fallback="pure-Python table kernels",
+    fallback="the pure-Python stream kernel",
 )
 SHM = KillSwitch(
     env="REPRO_DISABLE_SHM",

@@ -1,18 +1,17 @@
 """The execution-backend protocol: one contract, many substrates.
 
 The paper's Fig. 5 datapath is one *substrate* for running a
-reconfigurable FSM.  The batch engine added two more (dense tables in
-pure Python and numpy), and related work runs the same semantics on
-replicated services and ReRAM crossbars.  This module pins down the
-contract every substrate implements so the serving stack above
-(:mod:`repro.fleet`, :mod:`repro.api`, the CLI) never needs to know
-which one it is talking to:
+reconfigurable FSM.  The batch engine added dense tables (in process,
+or in shared memory behind worker processes), and related work runs
+the same semantics on replicated services and ReRAM crossbars.  This
+module pins down the contract every substrate implements so the
+serving stack above (:mod:`repro.fleet`, :mod:`repro.api`, the CLI)
+never needs to know which one it is talking to:
 
 * :class:`ExecutionBackend` — ``step`` / ``run_batch`` / ``snapshot`` /
   ``restore`` / ``invalidate``;
 * :class:`Capabilities` — declared, static flags the dispatcher's
-  policy reads (*can* this backend batch?  is it cycle-accurate?
-  does it need numpy?);
+  policy reads (*can* this backend batch?  is it cycle-accurate?);
 * :class:`ExecSnapshot` — the architectural state a backend can be
   restored to: the ST-REG contents plus the RAM ``table_version`` the
   state was captured against (a restore against mutated tables raises
@@ -57,8 +56,8 @@ class BackendUnavailable(ExecError):
 
     Raised by the shared resolver when a backend is *forced* — by name,
     by ``backend=`` option or by ``REPRO_BACKEND`` — but its
-    prerequisites are missing (e.g. ``table-numpy`` without numpy, or
-    with ``REPRO_DISABLE_NUMPY`` set).  Auto selection never raises
+    prerequisites are missing (e.g. ``table-shm`` with
+    ``REPRO_DISABLE_SHM`` set).  Auto selection never raises
     this: it only considers available backends.
     """
 
@@ -98,20 +97,12 @@ class Capabilities:
     #: Clocks the real netlist: per-cycle traces, probe counters and
     #: exact fault behaviour (``UninitialisedRead``, decoder errors).
     cycle_accurate: bool = False
-    #: Requires the optional numpy extra to be importable and enabled.
-    needs_numpy: bool = False
-    #: Widest dtype the backend's stream plane packs tables into
-    #: (``""`` when it has no packed stream plane — it serves streams,
-    #: if at all, as a plain per-stream loop).
-    max_stream_dtype: str = ""
 
     def flags(self) -> Dict[str, bool]:
-        """The boolean flags as a dict, in declaration order (CLI
-        listing; ``max_stream_dtype`` is identity, not a flag)."""
+        """The flags as a dict, in declaration order (CLI listing)."""
         return {
             "batchable": self.batchable,
             "cycle_accurate": self.cycle_accurate,
-            "needs_numpy": self.needs_numpy,
         }
 
 

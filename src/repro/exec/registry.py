@@ -6,29 +6,23 @@ three places with three different rules: ``engine/compiled.py`` checked
 its own fail-fast, and ``api.py`` special-cased ``"off"``.  This module
 owns the question:
 
-* :func:`register` / :func:`specs` — the registry.  Four built-ins:
-  ``cycle`` (the Fig. 5 netlist), ``table-py`` and ``table-numpy``
-  (the dense-table kernels) and ``table-shm`` (dense tables in shared
-  memory served by worker processes, see :mod:`repro.procfleet`).
-  Legacy engine-mode spellings (``off``, ``python``, ``numpy``,
-  ``shm``) are aliases, so every pre-exec call site keeps its
-  vocabulary.
-* :func:`resolve` — (preference, stream count) → concrete backend
-  name.  Precedence: an explicit pin beats the ``REPRO_BACKEND``
-  environment variable, which beats auto selection.  Auto is
-  *stream-count aware* through the engine's one lane-count policy
-  (:func:`repro.engine.streams.stream_kernel`): a single FSM stream is
-  inherently sequential, so auto picks ``table-py`` below
-  :data:`~repro.engine.streams.STREAM_THRESHOLD` concurrent streams
-  and ``table-numpy`` only when enough independent streams amortize
-  the lane kernel.  Availability — including ``REPRO_DISABLE_NUMPY`` —
-  is re-checked at *every* call, so flipping the environment
-  mid-process is honoured at dispatch time, and a forced-but-unavailable
-  backend raises :class:`~repro.exec.protocol.BackendUnavailable` with
-  the reason spelled out instead of silently degrading.
+* :func:`register` / :func:`specs` — the registry.  Three built-ins:
+  ``cycle`` (the Fig. 5 netlist), ``table`` (the dense tables, served
+  in process) and ``table-shm`` (dense tables in shared memory served
+  by worker processes, see :mod:`repro.procfleet`).  The engine-mode
+  spellings ``off`` and ``shm`` are aliases.
+* :func:`resolve` — preference → concrete backend name.  Precedence:
+  an explicit pin beats the ``REPRO_BACKEND`` environment variable,
+  which beats auto selection (``table``).  Availability — including
+  ``REPRO_DISABLE_SHM`` — is re-checked at *every* call, so flipping
+  the environment mid-process is honoured at dispatch time, and a
+  forced-but-unavailable backend raises
+  :class:`~repro.exec.protocol.BackendUnavailable` with the reason
+  spelled out instead of silently degrading.
 
-``table-py`` and ``table-numpy`` are two names over the same compiled
-tables: they differ only in the stream kernel they pass per call.
+Which stream kernel ``table`` runs (the pure-Python loop or the numpy
+lane kernel) is not a backend choice: the engine picks it per call
+from the lane count (:func:`repro.engine.streams.stream_kernel`).
 """
 
 from __future__ import annotations
@@ -37,9 +31,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from ..engine.compiled import numpy_available
-from ..engine.streams import stream_kernel
-from . import killswitch
 from .protocol import BackendUnavailable, Capabilities
 
 __all__ = [
@@ -50,19 +41,15 @@ __all__ = [
     "register",
     "resolve",
     "specs",
+    "spellings",
 ]
 
 #: Environment variable forcing the dispatcher's backend choice for
 #: ``auto`` preferences (explicit pins always win over it).
 ENV_BACKEND = "REPRO_BACKEND"
 
-#: Legacy engine-mode spellings accepted everywhere a backend name is.
-ALIASES = {
-    "off": "cycle",
-    "python": "table-py",
-    "numpy": "table-numpy",
-    "shm": "table-shm",
-}
+#: Engine-mode spellings accepted everywhere a backend name is.
+ALIASES = {"off": "cycle", "shm": "table-shm"}
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,7 @@ class BackendSpec:
     capabilities: Capabilities
     summary: str
     #: Re-checked at every resolve: availability may change at runtime
-    #: (``REPRO_DISABLE_NUMPY`` is honoured per call, not per import).
+    #: (``REPRO_DISABLE_SHM`` is honoured per call, not per import).
     available: Callable[[], bool]
     #: Human-readable reason shown when a forced backend is unavailable.
     unavailable_reason: Callable[[], Optional[str]]
@@ -130,21 +117,25 @@ def get(name: str) -> BackendSpec:
 def canonical(preference: Optional[str]) -> str:
     """Normalise a preference to a registered name or ``"auto"``.
 
-    Accepts registered names, the legacy engine-mode aliases and
-    ``None`` / ``"auto"``; anything else raises ``ValueError`` listing
-    the accepted spellings.
+    Accepts :func:`spellings`; anything else raises ``ValueError``
+    listing them.
     """
     _ensure_builtins()
     if preference is None or preference == "auto":
         return "auto"
     name = ALIASES.get(preference, preference)
     if name not in _REGISTRY:
-        accepted = ("auto",) + names() + tuple(ALIASES)
         raise ValueError(
             f"unknown execution backend {preference!r}; expected one of "
-            f"{accepted}"
+            f"{spellings()}"
         )
     return name
+
+
+def spellings() -> Tuple[str, ...]:
+    """Every accepted backend spelling: ``auto``, the registered names
+    and the aliases (the CLI's ``--engine`` choices)."""
+    return ("auto",) + names() + tuple(ALIASES)
 
 
 def _forced_by_env() -> Optional[str]:
@@ -168,36 +159,22 @@ def _require_available(name: str) -> str:
     return spec.name
 
 
-def resolve(preference: Optional[str] = None, streams: int = 1) -> str:
-    """(preference, stream count) → the concrete backend name.
+def resolve(preference: Optional[str] = None) -> str:
+    """Preference → the concrete backend name.
 
-    Explicit pin > ``REPRO_BACKEND`` > auto.  Auto follows the engine's
-    lane-count policy (:func:`~repro.engine.streams.stream_kernel`):
-    ``table-numpy`` when ``streams`` can amortize the lane kernel and
-    numpy is importable and not disabled, else ``table-py``.  A forced
-    backend that is unavailable *right now* raises
+    Explicit pin > ``REPRO_BACKEND`` > auto, which is ``table``.  A
+    forced backend that is unavailable *right now* raises
     :class:`BackendUnavailable`; auto never does.
     """
     name = canonical(preference)
     if name == "auto":
-        name = _forced_by_env() or "auto"
-    if name == "auto":
-        numpy_lanes = stream_kernel(streams) == "numpy"
-        name = "table-numpy" if numpy_lanes else "table-py"
+        name = _forced_by_env() or "table"
     return _require_available(name)
 
 
 def _register_builtins() -> None:
     # Deferred import: backends.py imports this module for the caps.
     from .backends import CycleBackend, TableBackend
-
-    def _numpy_reason() -> Optional[str]:
-        if numpy_available():
-            return None
-        return killswitch.NUMPY.reason() or (
-            "numpy is not installed "
-            "(install the 'fast' extra: pip install repro[fast])"
-        )
 
     register(BackendSpec(
         name="cycle",
@@ -208,27 +185,21 @@ def _register_builtins() -> None:
         build=CycleBackend,
     ))
     register(BackendSpec(
-        name="table-py",
-        capabilities=TableBackend.CAPABILITIES["table-py"],
-        summary="dense-table kernel, pure-Python loop",
+        name="table",
+        capabilities=TableBackend.capabilities,
+        summary=(
+            "dense tables in process; the engine picks the stream "
+            "kernel per call (pure-Python loop or numpy lanes)"
+        ),
         available=lambda: True,
         unavailable_reason=lambda: None,
-        build=lambda hw: TableBackend.from_hardware(hw, backend="table-py"),
-    ))
-    register(BackendSpec(
-        name="table-numpy",
-        capabilities=TableBackend.CAPABILITIES["table-numpy"],
-        summary="dense-table kernel, vectorized lane batches",
-        available=numpy_available,
-        unavailable_reason=_numpy_reason,
-        build=lambda hw: TableBackend.from_hardware(hw, backend="table-numpy"),
+        build=TableBackend.from_hardware,
     ))
 
     # The shared-memory process backend registers through the same
     # registry so one resolver answers for it; construction is deferred
     # (repro.procfleet pulls in multiprocessing machinery) and
-    # availability honours the REPRO_DISABLE_SHM kill-switch the same
-    # way table-numpy honours REPRO_DISABLE_NUMPY.
+    # availability honours the REPRO_DISABLE_SHM kill-switch.
     def _shm_available() -> bool:
         from ..procfleet.backend import shm_available
 
@@ -244,16 +215,9 @@ def _register_builtins() -> None:
 
         return standalone_backend(hw)
 
-    def _shm_capabilities() -> Capabilities:
-        return Capabilities(
-            batchable=True,
-            cycle_accurate=False,
-            needs_numpy=False,
-        )
-
     register(BackendSpec(
         name="table-shm",
-        capabilities=_shm_capabilities(),
+        capabilities=Capabilities(batchable=True),
         summary=(
             "dense tables in shared memory, served by worker processes"
         ),

@@ -174,7 +174,7 @@ class FleetClient:
 
     @property
     def engine(self) -> str:
-        """The fleet's execution mode (``auto`` / ``python`` / ...)."""
+        """The fleet's execution mode (``auto`` / ``table`` / ...)."""
         return self._fleet.engine
 
     @property

@@ -16,7 +16,10 @@ Köster & Teich datapath.  Clients talk to the pool through one call:
 * every shard queue is bounded; a full queue rejects *immediately* with
   :class:`FleetOverloaded` (explicit backpressure, no hidden buffering);
 * a shard whose datapath raises is quarantined and re-seeded from the
-  reset state while the rest of the fleet keeps serving.
+  reset state while the rest of the fleet keeps serving;
+* ``engine=`` names the one execution backend every shard serves on
+  (``auto`` = ``table``, or ``cycle`` / ``table-shm``); which stream
+  kernel a ``table`` run takes is the engine's choice per run.
 
 Live migration of the whole fleet to a new machine is the job of
 :class:`repro.fleet.migration.MigrationScheduler`, reachable through
@@ -102,13 +105,14 @@ class FSMFleet:
         :class:`~repro.fleet.plancache.PlanCache`.  Ignored when an
         explicit ``plan_cache`` is supplied (the cache owns its level).
     engine:
-        Batch-execution mode for the serving hot path: ``"auto"``
-        (default; compiled tables, numpy when available), ``"numpy"``
-        (require the numpy backend), ``"python"`` (compiled tables,
-        pure-Python kernel) or ``"off"`` (cycle-accurate per-symbol
-        serving only).  Serving behaviour — outputs, FIFO completion
-        order, backpressure, fault semantics — is identical in every
-        mode; the engine only changes throughput (see ``docs/engine.md``).
+        Execution backend for the serving hot path: ``"auto"``
+        (default; ``REPRO_BACKEND`` if set, else ``"table"``),
+        ``"table"`` (compiled tables; the engine picks the stream
+        kernel per run from its lane count) or ``"cycle"`` / ``"off"``
+        (cycle-accurate per-symbol serving only).  Serving behaviour —
+        outputs, FIFO completion order, backpressure, fault semantics —
+        is identical in every mode; the backend only changes throughput
+        (see ``docs/engine.md``).
     fleet_mode:
         ``"thread"`` (default) serves every shard from a worker thread
         in this process; ``"process"`` returns a

@@ -163,7 +163,7 @@ class ShardWorker(threading.Thread):
     ):
         super().__init__(name=f"{fleet_name}-shard-{index}", daemon=True)
         # Validates the mode and fails fast on an impossible request
-        # (e.g. a forced numpy backend without numpy installed).
+        # (e.g. a forced table-shm backend with REPRO_DISABLE_SHM set).
         self.dispatcher = self._make_dispatcher(engine, index)
         self.engine_mode = engine
         self.index = index

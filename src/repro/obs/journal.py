@@ -100,7 +100,7 @@ REPLICA_MEMBERSHIP = "replica.membership"
 EVENT_TYPES: Dict[str, Any] = {
     DISPATCH_DECISION: (
         "dispatcher picked a backend for one serving run",
-        ("backend", "reason", "degraded", "streams", "threshold"),
+        ("backend", "reason", "degraded", "streams"),
     ),
     EXEC_STREAM_BATCH: (
         "one multi-stream batch was served through the stream plane",
@@ -124,7 +124,8 @@ EVENT_TYPES: Dict[str, Any] = {
     ),
     SERVE_BATCH: (
         "one coalesced batch run completed",
-        ("backend", "path", "batches", "symbols", "downtime_delta"),
+        ("backend", "path", "batches", "symbols", "downtime_delta",
+         "streams"),
     ),
     FLEET_SATURATION: (
         "a submission was rejected by backpressure (queue full)",

@@ -29,7 +29,7 @@ tables once and retries — convergence toward the newest tables, never
 silent service from old ones.
 
 The module also owns the registry leg: :func:`shm_available` /
-:func:`shm_unavailable_reason` (``REPRO_DISABLE_SHM`` mirrors the numpy
+:func:`shm_unavailable_reason` (honouring the ``REPRO_DISABLE_SHM``
 kill-switch) and :func:`standalone_backend`, the ``build`` hook that
 lazily shares one single-worker session process-wide.
 """
@@ -90,14 +90,7 @@ class ShmTableBackend:
     """Dense tables in shared memory, served by a worker process."""
 
     name = "table-shm"
-    capabilities = Capabilities(
-        batchable=True,
-        cycle_accurate=False,
-        # The worker serves lanes on the pure-Python kernel (the
-        # segment format carries no packed stream plane), so there is
-        # no dtype ceiling to report.
-        needs_numpy=False,
-    )
+    capabilities = Capabilities(batchable=True)
 
     def __init__(self, machine, session: WorkerSession):
         if isinstance(machine, HardwareFSM):

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.fsm import FSM
 from ..exec import Dispatcher
-from ..exec.registry import resolve
+from ..exec.registry import canonical, resolve
 from ..fleet.pool import FSMFleet
 from ..fleet.worker import _MAX_COALESCE, ShardWorker
 from ..hw.machine import HardwareFSM
@@ -43,10 +43,10 @@ from .session import WorkerSession
 
 __all__ = ["ProcShardWorker", "ProcessFleet"]
 
-#: Engine spellings a process fleet accepts: the serving substrate is
-#: the shm worker pool, so only "auto" (mapped to table-shm) and the
-#: backend's own names make sense.
-_PROC_ENGINES = ("auto", "table-shm", "shm")
+#: Backends a process fleet accepts (canonical names): the serving
+#: substrate is the shm worker pool, so only "auto" (mapped to
+#: table-shm) and table-shm itself (alias "shm") make sense.
+_PROC_ENGINES = ("auto", "table-shm")
 
 
 class ProcShardWorker(ShardWorker):
@@ -118,13 +118,14 @@ class ProcessFleet(FSMFleet):
         start_method: Optional[str] = None,
         **kwargs,
     ):
-        if engine not in _PROC_ENGINES:
+        # canonical: ValueError on a spelling no backend has
+        if canonical(engine) not in _PROC_ENGINES:
             from ..engine.compiled import EngineError
 
             raise EngineError(
                 f"fleet_mode='process' serves through the table-shm "
-                f"backend; engine must be one of {_PROC_ENGINES}, "
-                f"not {engine!r}"
+                f"backend; engine must be 'auto', 'table-shm' or "
+                f"'shm', not {engine!r}"
             )
         # Fail fast (BackendUnavailable) before any process or segment
         # exists — e.g. REPRO_DISABLE_SHM, or a platform without shm.

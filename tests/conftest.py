@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core.ea import EAConfig
+from repro.engine import streams as _streams
 from repro.workloads.library import (
     fig6_m,
     fig6_m_prime,
@@ -15,6 +18,47 @@ from repro.workloads.library import (
     zeros_detector,
 )
 from repro.workloads.mutate import workload_pair
+
+
+@pytest.fixture
+def steer_kernel(monkeypatch):
+    """``steer(kernel)`` makes the engine's lane-count policy
+    (:func:`repro.engine.streams.stream_kernel`) pick ``kernel`` at
+    every lane count, through its one knob, ``STREAM_THRESHOLD``."""
+
+    def steer(kernel: str) -> None:
+        threshold = 1 if kernel == "numpy" else sys.maxsize
+        monkeypatch.setattr(_streams, "STREAM_THRESHOLD", threshold)
+
+    return steer
+
+
+@pytest.fixture
+def stream_kernels(monkeypatch):
+    """``stream_kernels()``: the ``kernel`` attribute of every
+    ``engine.run_streams`` span recorded since the test began (tracing
+    is on for the test)."""
+    from repro.obs.tracing import TRACER
+
+    monkeypatch.setattr(TRACER, "enabled", True)
+    TRACER.clear()
+    yield lambda: [
+        record.attrs.get("kernel") for record in TRACER.spans
+        if record.name == "engine.run_streams"
+    ]
+    TRACER.clear()
+
+
+@pytest.fixture
+def engine(request, steer_kernel):
+    """Indirect ``engine`` parameter for fleet tests: a kernel name
+    (``python`` / ``numpy``) serves on ``table`` with that kernel
+    steered; any backend spelling passes through unchanged."""
+    leg = request.param
+    if leg not in ("python", "numpy"):
+        return leg
+    steer_kernel(leg)
+    return "table"
 
 
 @pytest.fixture

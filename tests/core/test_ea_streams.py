@@ -4,8 +4,8 @@ Each candidate replays every ``(input_word, expected_outputs)`` trace
 as one lane of a multi-stream batch; the score is the fraction of
 expected outputs reproduced.  The scores must be exactly what the
 scalar per-candidate, per-trace ``run_word`` loop computes — on both
-table kernels — and the entry point must reject backends that cannot
-serve a population in-process.
+stream kernels of the ``table`` backend — and the entry point must
+reject backends that cannot serve a population in-process.
 """
 
 import pytest
@@ -18,6 +18,9 @@ from repro.workloads.mutate import mutate_target
 from repro.workloads.random_fsm import random_fsm
 from repro.workloads.suite import traffic_words
 
+#: ``auto``, and the ``table`` backend with its stream kernel steered;
+#: those ids keep the names the two kernels had as separate backends
+#: before they merged into ``table``.
 BACKENDS_HERE = [
     b for b in ("table-py", "auto") + (
         ("table-numpy",) if numpy_available() else ()
@@ -25,24 +28,25 @@ BACKENDS_HERE = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _skip_env_steered_auto(request):
-    # REPRO_BACKEND steers `auto` (the backend-matrix CI legs force it
-    # per backend); when it lands on a serving substrate with no
-    # in-process tables the population scorer rightly refuses — skip
-    # the auto leg rather than fight the environment.
-    backend = getattr(request, "param", None)
-    if "backend" in getattr(request, "fixturenames", ()):
-        backend = request.getfixturevalue("backend")
-    if backend == "auto":
-        from repro.exec import TableBackend, resolve
+@pytest.fixture
+def backend(name, steer_kernel):
+    """The ``backend=`` preference for the ``name`` leg."""
+    if name == "auto":
+        from repro.exec import resolve
 
-        resolved = resolve("auto", streams=12)
-        if resolved not in TableBackend.CAPABILITIES:
+        # REPRO_BACKEND steers `auto` (the backend-matrix CI legs force
+        # it per backend); when it lands on a serving substrate with no
+        # in-process tables the population scorer rightly refuses —
+        # skip the auto leg rather than fight the environment.
+        resolved = resolve("auto")
+        if resolved != "table":
             pytest.skip(
                 f"auto resolves to {resolved!r} here (REPRO_BACKEND), "
                 "which has no in-process table kernel"
             )
+        return "auto"
+    steer_kernel("numpy" if name == "table-numpy" else "python")
+    return "table"
 
 
 def scalar_scores(candidates, traces):
@@ -71,7 +75,7 @@ def make_traces(machine, n=12, length=8, seed=0):
     return [(w, machine.run(w)) for w in words]
 
 
-@pytest.mark.parametrize("backend", BACKENDS_HERE)
+@pytest.mark.parametrize("name", BACKENDS_HERE)
 class TestScores:
     def test_matches_the_scalar_reference(self, backend):
         machine = ones_detector()
@@ -123,26 +127,25 @@ class TestContract:
             evaluate_population([ones_detector()], [])
 
     def test_non_table_backend_rejected(self):
-        with pytest.raises(ValueError, match="in-process table backend"):
-            evaluate_population(
-                [ones_detector()],
-                make_traces(ones_detector()),
-                backend="cycle",
-            )
+        for backend in ("cycle", "table-shm"):
+            with pytest.raises(ValueError, match="in-process table backend"):
+                evaluate_population(
+                    [ones_detector()],
+                    make_traces(ones_detector()),
+                    backend=backend,
+                )
 
     def test_empty_population_is_empty(self):
         traces = make_traces(ones_detector())
-        assert evaluate_population([], traces, backend="table-py") == []
+        assert evaluate_population([], traces, backend="table") == []
 
     def test_api_facade_round_trips(self):
         machine = ones_detector()
         traces = make_traces(machine, seed=5)
         candidates = [machine, mutate_target(machine, 1, seed=2)]
-        via_core = evaluate_population(
-            candidates, traces, backend="table-py"
-        )
+        via_core = evaluate_population(candidates, traces, backend="table")
         via_api = api.evaluate_population(
-            candidates, traces, options=api.Options(backend="table-py")
+            candidates, traces, options=api.Options(engine="table")
         )
         assert via_api == pytest.approx(via_core)
 

@@ -26,24 +26,35 @@ from repro.hw.memory import UninitialisedRead
 from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
 from repro.workloads.suite import traffic_words
 
+#: The one ``table`` backend with its stream kernel steered; the ids
+#: keep the names the two kernels had as separate backends before they
+#: merged into ``table``.
 TABLE_BACKENDS = ["table-py"] + (
     ["table-numpy"] if numpy_available() else []
 )
+
+#: Every spelling that names no backend: the kernels are the engine's
+#: choice, not a backend's.
+REJECTED = ("python", "numpy", "table-py", "table-numpy")
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
+    monkeypatch.delenv("REPRO_DISABLE_SHM", raising=False)
+
+
+@pytest.fixture
+def kernel(name, steer_kernel):
+    """The kernel the ``name`` leg stands for, steered for the test."""
+    kernel = "numpy" if name == "table-numpy" else "python"
+    steer_kernel(kernel)
+    return kernel
 
 
 def _all_backends(hw):
-    backends = [CycleBackend(hw)]
-    backends += [
-        TableBackend.from_hardware(hw, backend=name)
-        for name in TABLE_BACKENDS
-    ]
-    return backends
+    return [CycleBackend(hw), TableBackend.from_hardware(hw)]
 
 
 class TestProtocolConformance:
@@ -133,21 +144,26 @@ class TestCycleBackend:
 
 
 @pytest.mark.parametrize("name", TABLE_BACKENDS)
+@pytest.mark.usefixtures("kernel")
 class TestTableBackend:
-    def test_name_and_capabilities_derived_from_kernel(self, name):
-        hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw, backend=name)
-        assert backend.name == name
+    def test_name_and_capabilities_derived_from_kernel(
+        self, name, kernel, stream_kernels
+    ):
+        # One name and one capability set whichever kernel serves; the
+        # kernel is picked per stream call and named on its span.
+        fsm = ones_detector()
+        backend = TableBackend.from_hardware(HardwareFSM(fsm))
+        assert backend.name == "table"
         assert backend.capabilities.batchable
         assert not backend.capabilities.cycle_accurate
-        assert backend.capabilities.needs_numpy == (name == "table-numpy")
-        expected = "numpy" if name == "table-numpy" else "python"
-        assert backend.kernel == expected
+        runs = backend.run_streams([["1", "1"], ["0", "1"]])
+        assert [run.outputs for run in runs] == [["0", "1"], ["0", "0"]]
+        assert stream_kernels() == [kernel]
 
     def test_committed_batch_fast_forwards_the_datapath(self, name):
         fsm = ones_detector()
         hw, ref = HardwareFSM(fsm), HardwareFSM(fsm)
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         for word in traffic_words(fsm, 4, 6, seed=2):
             assert backend.run_batch(word).outputs == ref.run(word)
             assert hw.state == ref.state
@@ -157,7 +173,7 @@ class TestTableBackend:
     def test_uncommitted_batch_leaves_the_datapath_alone(self, name):
         fsm = ones_detector()
         hw = HardwareFSM(fsm)
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         before = (hw.state, hw.cycles)
         run = backend.run_batch(["1", "1", "0"], commit=False)
         assert run.outputs == fsm.run(["1", "1", "0"])
@@ -166,7 +182,7 @@ class TestTableBackend:
     def test_miss_raised_before_the_hardware_is_touched(self, name):
         fsm = ones_detector()
         hw = HardwareFSM(fsm)
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         before = (hw.state, hw.cycles)
         with pytest.raises(TableMiss):
             backend.run_batch(["1", "no-such-symbol"])
@@ -174,13 +190,13 @@ class TestTableBackend:
 
     def test_miss_is_an_engine_error(self, name):
         hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         with pytest.raises(EngineError):
             backend.run_batch(["bogus"])
 
     def test_pure_fsm_tables_have_no_architectural_state(self, name):
         fsm = ones_detector()
-        backend = TableBackend.from_fsm(fsm, backend=name)
+        backend = TableBackend.from_fsm(fsm)
         run = backend.run_batch(["1", "1"], start=fsm.reset_state)
         assert run.outputs == fsm.run(["1", "1"])
         snap = backend.snapshot()
@@ -190,7 +206,7 @@ class TestTableBackend:
     def test_snapshot_restore_round_trip(self, name):
         fsm = ones_detector()
         hw = HardwareFSM(fsm)
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         snap = backend.snapshot()
         backend.run_batch(["1", "1"])
         backend.restore(snap)
@@ -198,7 +214,7 @@ class TestTableBackend:
 
     def test_restore_rejects_stale_snapshot(self, name):
         hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         snap = backend.snapshot()
         erase_entry(hw, seed=0)
         with pytest.raises(StaleSnapshot):
@@ -206,7 +222,7 @@ class TestTableBackend:
 
     def test_run_streams_wraps_engine_errors(self, name):
         fsm = ones_detector()
-        backend = TableBackend.from_fsm(fsm, backend=name)
+        backend = TableBackend.from_fsm(fsm)
         words = traffic_words(fsm, 3, 4, seed=1)
         runs = backend.run_streams(words)
         for run, word in zip(runs, words):
@@ -216,12 +232,13 @@ class TestTableBackend:
 
 
 @pytest.mark.parametrize("name", TABLE_BACKENDS)
+@pytest.mark.usefixtures("kernel")
 class TestStalenessInvalidation:
     """Satellite coverage: every table-mutation path kills the view."""
 
     def test_sync_ram_erase_invalidates(self, name):
         hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         assert not backend.is_stale()
         address = sorted(hw.f_ram.dump())[0]
         assert hw.f_ram.erase(address)
@@ -230,19 +247,19 @@ class TestStalenessInvalidation:
 
     def test_faults_erase_entry_invalidates(self, name):
         hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         erase_entry(hw, entry=("1", "S1"))
         assert backend.is_stale()
 
     def test_faults_inject_upset_invalidates(self, name):
         hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         inject_upset(hw, seed=3)
         assert backend.is_stale()
 
     def test_explicit_invalidate_is_sticky(self, name):
         hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw, backend=name)
+        backend = TableBackend.from_hardware(hw)
         backend.invalidate(reason="replaced")
         # Sticky: nothing un-invalidates a view — even against its own
         # unchanged hardware the dispatcher must recompile.
@@ -265,19 +282,19 @@ class TestCompileTables:
     def test_backend_spellings_and_aliases(self):
         # A view holds tables only: every table spelling compiles the
         # same tables, and the kernel is picked per call.
-        spellings = ["auto", "table-py", "python"]
-        if numpy_available():
-            spellings += ["table-numpy", "numpy"]
-        for preference in spellings:
+        for preference in ("auto", "table", "table-shm", "shm"):
             compiled = compile_tables(ones_detector(), preference=preference)
             assert compiled.run_word(["1", "1"]).outputs == ["0", "1"]
+        for preference in REJECTED:
+            with pytest.raises(ValueError, match="'table', 'table-shm'"):
+                compile_tables(ones_detector(), preference=preference)
 
     def test_forced_unavailable_pin_raises_at_the_boundary(
         self, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.raises(BackendUnavailable, match="table-numpy"):
-            compile_tables(ones_detector(), preference="numpy")
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        with pytest.raises(BackendUnavailable, match="table-shm"):
+            compile_tables(ones_detector(), preference="shm")
 
     def test_rejects_the_cycle_backend(self):
         for preference in ("off", "cycle"):

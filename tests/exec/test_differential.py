@@ -65,7 +65,7 @@ class TestEveryRegisteredBackend:
     def test_transcripts_identical_across_backends(self, fsm, seed):
         words = traffic_words(fsm, 5, 8, seed=seed)
         modes = _serving_modes()
-        assert "cycle" in modes and "table-py" in modes
+        assert "cycle" in modes and "table" in modes
         transcripts = {mode: _transcript(mode, fsm, words) for mode in modes}
         reference = transcripts["cycle"]
         # ... and the netlist transcript itself matches the behavioural

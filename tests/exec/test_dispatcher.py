@@ -23,15 +23,16 @@ from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
 
 
 def _auto_table():
-    # single-stream auto always serves on the pure-Python loop (the
-    # numpy kernel only wins when many streams amortize it)
-    return "table-py"
+    # auto serves on the in-process tables at every stream width (the
+    # engine picks the kernel per call)
+    return "table"
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
+    monkeypatch.delenv("REPRO_DISABLE_SHM", raising=False)
 
 
 @pytest.fixture
@@ -42,25 +43,23 @@ def hw():
 class TestConstruction:
     def test_mode_is_canonicalised(self):
         assert Dispatcher("off").mode == "cycle"
-        assert Dispatcher("python").mode == "table-py"
+        assert Dispatcher("table").mode == "table"
+        assert Dispatcher("shm").mode == "table-shm"
         assert Dispatcher().mode == "auto"
 
     def test_unknown_mode_fails_fast(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            Dispatcher("cuda")
+        for mode in ("cuda", "python", "numpy", "table-py", "table-numpy"):
+            with pytest.raises(
+                ValueError, match=rf"backend '{mode}'.*'table-shm'"
+            ):
+                Dispatcher(mode)
 
     def test_forced_unavailable_fails_fast(self, monkeypatch):
         # A fleet must refuse to start on an impossible request, not
         # discover it batch by batch.
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         with pytest.raises(BackendUnavailable):
-            Dispatcher("numpy")
-
-    def test_pick_reports_the_quiescent_choice(self, monkeypatch):
-        assert Dispatcher("off").pick() == "cycle"
-        assert Dispatcher().pick() == _auto_table()
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert Dispatcher().pick() == "table-py"
+            Dispatcher("shm")
 
 
 class TestSelect:
@@ -81,24 +80,24 @@ class TestSelect:
         assert second.backend is first.backend
         assert second.reason == "cached"
 
-    def test_one_view_serves_every_stream_width(self, hw):
-        # table-py (one lane) and table-numpy (wide batches) are thin
-        # backends over one compiled view per table_version; a RAM
-        # write makes both recompile together, once.
+    def test_one_view_serves_every_stream_width(self, hw, stream_kernels):
+        # One lane and a wide batch are served by the same table
+        # backend over one compiled view per table_version (the engine
+        # picks the kernel per call); a RAM write recompiles it once.
         fsm = ones_detector()
         dispatcher = Dispatcher()
         narrow = dispatcher.select(hw, streams=1)
         wide = dispatcher.select(hw, streams=32)
-        assert narrow.name == "table-py"
-        assert wide.name == (
-            "table-numpy" if numpy_available() else "table-py"
-        )
+        assert narrow.name == wide.name == "table"
+        assert wide.backend is narrow.backend
         view = narrow.backend.compiled
-        assert wide.backend.compiled is view
         assert (narrow.reason, wide.reason) == ("compiled", "cached")
-        words = [["1", "1", "0"], ["0", "1"]] * 16
-        runs = wide.backend.run_streams(words)
-        assert [run.outputs for run in runs] == [fsm.run(w) for w in words]
+        for words in ([["1", "0"]], [["1", "1", "0"], ["0", "1"]] * 16):
+            runs = wide.backend.run_streams(words)
+            assert [r.outputs for r in runs] == list(map(fsm.run, words))
+        assert stream_kernels() == [
+            "python", "numpy" if numpy_available() else "python"
+        ]
 
         erase_entry(hw, entry=("0", "S0"))
         wide = dispatcher.select(hw, streams=32)
@@ -127,10 +126,8 @@ class TestSelect:
         assert second.backend.hardware is replacement
 
     def test_backend_vanishing_mid_serve_degrades(self, hw, monkeypatch):
-        if not numpy_available():
-            pytest.skip("needs numpy to vanish")
-        dispatcher = Dispatcher("numpy")  # available at construction
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")  # ... then gone
+        dispatcher = Dispatcher("shm")  # available at construction
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")  # ... then gone
         decision = dispatcher.select(hw)
         assert isinstance(decision.backend, CycleBackend)
         assert (decision.reason, decision.degraded) == ("unavailable", True)

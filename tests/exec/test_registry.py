@@ -1,14 +1,17 @@
 """The backend registry and the one shared resolver.
 
-Covers the environment contract (`REPRO_BACKEND`, `REPRO_DISABLE_NUMPY`)
-the whole stack now shares: the env is consulted at *dispatch* time, an
-explicit pin always beats it, and a forced-but-unavailable backend
-raises :class:`BackendUnavailable` with the reason spelled out.
+Covers the environment contract (`REPRO_BACKEND`, `REPRO_DISABLE_NUMPY`,
+`REPRO_DISABLE_SHM`) the whole stack now shares: the env is consulted at
+*dispatch* time, an explicit pin always beats it, and a
+forced-but-unavailable backend raises :class:`BackendUnavailable` with
+the reason spelled out.  The stream kernel is not a backend: auto
+resolves to ``table`` at every lane count, and the engine's
+:func:`~repro.engine.streams.stream_kernel` picks the kernel.
 """
 
 import pytest
 
-from repro.engine import EngineError, numpy_available
+from repro.engine import EngineError, numpy_available, stream_kernel
 from repro.engine import streams as streams_module
 from repro.exec import (
     BackendSpec,
@@ -32,18 +35,16 @@ def clean_env(monkeypatch):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert names() == ("cycle", "table-py", "table-numpy", "table-shm")
+        assert names() == ("cycle", "table", "table-shm")
 
     def test_specs_carry_capabilities(self):
         by_name = {spec.name: spec for spec in specs()}
         assert by_name["cycle"].capabilities.cycle_accurate
         assert not by_name["cycle"].capabilities.batchable
-        assert by_name["table-py"].capabilities.batchable
-        assert by_name["table-numpy"].capabilities.needs_numpy
-        assert not by_name["table-py"].capabilities.needs_numpy
+        assert by_name["table"].capabilities.batchable
+        assert not by_name["table"].capabilities.cycle_accurate
         assert by_name["table-shm"].capabilities.batchable
         assert not by_name["table-shm"].capabilities.cycle_accurate
-        assert not by_name["table-shm"].capabilities.needs_numpy
 
     def test_register_rejects_reserved_names(self):
         spec = BackendSpec(
@@ -94,8 +95,6 @@ class TestRegistry:
 class TestCanonical:
     def test_aliases_map_to_backend_names(self):
         assert canonical("off") == "cycle"
-        assert canonical("python") == "table-py"
-        assert canonical("numpy") == "table-numpy"
         assert canonical("shm") == "table-shm"
 
     def test_auto_and_none(self):
@@ -103,57 +102,75 @@ class TestCanonical:
         assert canonical("auto") == "auto"
 
     def test_unknown_name_lists_accepted_spellings(self):
-        with pytest.raises(ValueError, match="'auto', 'cycle'"):
-            canonical("cuda")
+        # The kernel names and the two pre-merge table backends are not
+        # backends: the engine picks the kernel per call.
+        for name in ("cuda", "python", "numpy", "table-py", "table-numpy"):
+            with pytest.raises(
+                ValueError,
+                match=rf"'{name}'; expected one of \('auto', 'cycle', "
+                r"'table', 'table-shm', 'off', 'shm'\)",
+            ):
+                canonical(name)
 
 
 class TestResolve:
     def test_auto_single_stream_prefers_python_tables(self):
         # One sequential stream runs fastest in the pure-Python loop;
         # numpy only wins once many streams amortize the lane kernel.
-        assert resolve() == "table-py"
-        assert resolve("auto") == "table-py"
+        assert resolve() == "table"
+        assert resolve("auto") == "table"
         threshold = streams_module.STREAM_THRESHOLD
-        assert resolve("auto", streams=threshold - 1) == "table-py"
+        assert stream_kernel(1) == "python"
+        assert stream_kernel(threshold - 1) == "python"
 
     def test_auto_wide_batches_prefer_numpy_when_available(self):
-        expected = "table-numpy" if numpy_available() else "table-py"
+        expected = "numpy" if numpy_available() else "python"
         threshold = streams_module.STREAM_THRESHOLD
-        assert resolve("auto", streams=threshold) == expected
-        assert resolve(streams=4096) == expected
+        assert resolve("auto") == "table"
+        assert stream_kernel(threshold) == expected
+        assert stream_kernel(4096) == expected
 
-    def test_stream_threshold_is_the_engine_constant(self, monkeypatch):
-        # One lane-count policy: dispatch follows the engine's constant.
-        # It equals the fleet's default coalescing bound, so a full
-        # coalesced run of distinct sessions is one numpy batch.
-        from repro.exec import DEFAULT_COALESCE
+    def test_stream_threshold_is_the_engine_constant(
+        self, monkeypatch, stream_kernels
+    ):
+        # One lane-count policy: the table backend follows the engine's
+        # constant.  It equals the fleet's default coalescing bound, so
+        # a full coalesced run of distinct sessions is one numpy batch.
+        from repro.exec import DEFAULT_COALESCE, TableBackend
+        from repro.workloads.library import ones_detector
 
         assert streams_module.STREAM_THRESHOLD == DEFAULT_COALESCE == 32
         monkeypatch.setattr(streams_module, "STREAM_THRESHOLD", 4)
-        if numpy_available():
-            assert resolve("auto", streams=4) == "table-numpy"
-        assert resolve("auto", streams=3) == "table-py"
+        backend = TableBackend.from_fsm(ones_detector())
+        backend.run_streams([["1"]] * 3)
+        backend.run_streams([["1"]] * 4)
+        wide = "numpy" if numpy_available() else "python"
+        assert stream_kernels() == ["python", wide]
 
     def test_pin_and_env_ignore_stream_count(self, monkeypatch):
-        assert resolve("table-py", streams=4096) == "table-py"
+        # The lane count steers the kernel, never the backend.
+        monkeypatch.setattr(streams_module, "STREAM_THRESHOLD", 1)
+        assert resolve("table") == "table"
+        assert resolve("cycle") == "cycle"
         monkeypatch.setenv("REPRO_BACKEND", "cycle")
-        assert resolve("auto", streams=4096) == "cycle"
+        assert resolve("auto") == "cycle"
 
     def test_explicit_pins(self):
         assert resolve("cycle") == "cycle"
         assert resolve("off") == "cycle"
-        assert resolve("table-py") == "table-py"
-        assert resolve("python") == "table-py"
+        assert resolve("table") == "table"
+        assert resolve("table-shm") == "table-shm"
+        assert resolve("shm") == "table-shm"
 
     def test_env_steers_auto(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cycle")
         assert resolve("auto") == "cycle"
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert resolve("auto") == "table-py"
+        monkeypatch.setenv("REPRO_BACKEND", "table")
+        assert resolve("auto") == "table"
 
     def test_explicit_pin_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cycle")
-        assert resolve("table-py") == "table-py"
+        assert resolve("table") == "table"
 
     def test_env_auto_and_blank_are_noops(self, monkeypatch):
         expected = resolve("auto")
@@ -163,27 +180,29 @@ class TestResolve:
         assert resolve("auto") == expected
 
     def test_bogus_env_raises_with_prefix(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="REPRO_BACKEND='bogus'"):
-            resolve("auto")
+        for bogus in ("bogus", "python", "numpy", "table-py", "table-numpy"):
+            monkeypatch.setenv("REPRO_BACKEND", bogus)
+            with pytest.raises(
+                ValueError, match=rf"REPRO_BACKEND='{bogus}'.*'table-shm'"
+            ):
+                resolve("auto")
 
     def test_disable_numpy_honoured_at_dispatch_time(self, monkeypatch):
         # No import-time capture: flipping the env mid-process changes
-        # the very next resolution.
+        # the very next kernel pick.  The table backend stays available
+        # either way: it serves on the pure-Python loop.
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert resolve("auto") == "table-py"
-        assert resolve("auto", streams=4096) == "table-py"
-        with pytest.raises(BackendUnavailable, match="REPRO_DISABLE_NUMPY"):
-            resolve("table-numpy")
+        assert resolve("auto") == "table"
+        assert resolve("table") == "table"
+        assert stream_kernel(4096) == "python"
         monkeypatch.delenv("REPRO_DISABLE_NUMPY")
         if numpy_available():
-            assert resolve("auto", streams=4096) == "table-numpy"
-            assert resolve("table-numpy") == "table-numpy"
+            assert stream_kernel(4096) == "numpy"
 
     def test_forced_unavailable_env_raises_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        with pytest.raises(BackendUnavailable, match="table-numpy"):
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
+        with pytest.raises(BackendUnavailable, match="table-shm"):
             resolve("auto")
 
     def test_disable_shm_honoured_at_dispatch_time(self, monkeypatch):

@@ -17,6 +17,9 @@ from repro.fleet import FleetOverloaded, FSMFleet, MigrationScheduler
 from repro.workloads.library import ones_detector, sequence_detector
 from repro.workloads.suite import traffic_words
 
+#: Serving legs, as the indirect ``engine`` fixture reads them: ``off``
+#: (the netlist), ``auto``, and ``python`` / ``numpy`` (the ``table``
+#: backend with that stream kernel steered).
 ENGINE_MODES_HERE = [
     m for m in ("off", "python", "auto", "numpy")
     if m != "numpy" or numpy_available()
@@ -27,7 +30,7 @@ def pattern_pair():
     return sequence_detector("1011"), sequence_detector("0110")
 
 
-@pytest.mark.parametrize("engine", ENGINE_MODES_HERE)
+@pytest.mark.parametrize("engine", ENGINE_MODES_HERE, indirect=True)
 class TestEquivalenceAcrossModes:
     def test_outputs_match_reference_run(self, engine):
         machine = ones_detector()
@@ -88,7 +91,7 @@ class TestEquivalenceAcrossModes:
 class TestEngineStats:
     def test_engine_mode_serves_through_compiled_tables(self):
         machine = ones_detector()
-        fleet = FSMFleet(machine, n_workers=1, engine="python")
+        fleet = FSMFleet(machine, n_workers=1, engine="table")
         try:
             words = traffic_words(machine, 8, 6, seed=2)
             for key, word in enumerate(words):
@@ -119,7 +122,7 @@ class TestEngineStats:
         # while every future still resolves with its own outputs.
         machine = ones_detector()
         fleet = FSMFleet(
-            machine, n_workers=1, queue_depth=64, engine="python"
+            machine, n_workers=1, queue_depth=64, engine="table"
         )
         try:
             gate = threading.Event()
@@ -155,7 +158,7 @@ class TestEngineStats:
             fleet.close()
 
 
-@pytest.mark.parametrize("engine", ["off", "python"])
+@pytest.mark.parametrize("engine", ["off", "python"], indirect=True)
 class TestFaultSemantics:
     def test_erase_fault_quarantines_and_recovers(self, engine):
         fleet = FSMFleet(
@@ -189,7 +192,7 @@ class TestMigrationUnderBatching:
     hardware-verified rollout — exactly as with the engine off.
     """
 
-    @pytest.mark.parametrize("engine", ENGINE_MODES_HERE)
+    @pytest.mark.parametrize("engine", ENGINE_MODES_HERE, indirect=True)
     def test_fifo_order_and_zero_downtime_during_rollout(self, engine):
         source, target = pattern_pair()
         fleet = FSMFleet(
@@ -246,7 +249,7 @@ class TestMigrationUnderBatching:
     def test_traffic_after_rollout_served_by_recompiled_tables(self):
         source, target = pattern_pair()
         fleet = FSMFleet(
-            source, n_workers=2, family=[target], engine="python"
+            source, n_workers=2, family=[target], engine="table"
         )
         try:
             before = fleet.totals().engine_symbols

@@ -5,8 +5,9 @@ Drives one :class:`~repro.fleet.worker.ShardWorker` on the test thread
 chunk gaps (``_migration_tick``) and coalesced serves (``_serve_run``
 with datapath and session lanes).  Between chunks the blend table is a
 well-defined machine, so the table engines recompile their view after
-each chunk gap and serve from it; the netlist (engine ``cycle``) steps
-the live RAMs.  All of them must leave the same machine behind:
+each chunk gap and serve from it (the ``table`` backend, on each stream
+kernel in turn); the netlist (engine ``cycle``) steps the live RAMs.
+All of them must leave the same machine behind:
 
 * the same outputs for every future, the same datapath ST-REG and the
   same session chains;
@@ -23,19 +24,22 @@ the live RAMs.  All of them must leave the same machine behind:
   with the session lanes left out.
 """
 
+import sys
 from concurrent.futures import Future
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.plan import plan_supersets
 from repro.engine import numpy_available
+from repro.engine import streams as _streams
 from repro.fleet.plancache import PlanCache
 from repro.fleet.worker import MigrationJob, ShardWorker, _Batch
 from repro.obs.probes import probe_hardware
 from repro.workloads.mutate import grow_target, mutate_target
 from repro.workloads.random_fsm import random_fsm
 
-TABLE_ENGINES = ["python"] + (["numpy"] if numpy_available() else [])
+TABLE_KERNELS = ["python"] + (["numpy"] if numpy_available() else [])
 SESSIONS = [None, "s1", "s2", "s3"]
 
 
@@ -158,8 +162,11 @@ def test_every_engine_leaves_the_same_machine(scenario):
     assert netlist["incidents"] == 0
     datapath_only = _drive("cycle", *scenario, sessions=False)
     assert datapath_only["state"] == netlist["state"]
-    for engine in TABLE_ENGINES:
-        tables = _drive(engine, *scenario)
+    for engine in TABLE_KERNELS:
+        # steer the table backend onto this kernel at every lane count
+        threshold = 1 if engine == "numpy" else sys.maxsize
+        with mock.patch.object(_streams, "STREAM_THRESHOLD", threshold):
+            tables = _drive("table", *scenario)
         for key in (
             "outputs", "state", "sessions", "migration_cycles",
             "verified", "realises", "incidents",

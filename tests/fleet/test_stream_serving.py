@@ -20,10 +20,10 @@ from repro.workloads.suite import traffic_words
 
 MODES = ("thread", "process")
 
-ENGINE_MODES_HERE = [
-    m for m in ("off", "python", "auto")
-    if m != "numpy" or numpy_available()
-]
+#: Serving legs, as the indirect ``engine`` fixture reads them: ``off``
+#: (the netlist), ``auto``, and ``python`` (the ``table`` backend with
+#: the pure-Python stream kernel steered).
+ENGINE_MODES_HERE = ["off", "python", "auto"]
 
 
 def make_fleet(mode, machine=None, **kwargs):
@@ -108,7 +108,7 @@ class TestProcessTransport:
             assert session.pipe_requests == 0
 
 
-@pytest.mark.parametrize("engine", ENGINE_MODES_HERE)
+@pytest.mark.parametrize("engine", ENGINE_MODES_HERE, indirect=True)
 class TestSessionsAcrossEngineModes:
     def test_chains_identical_with_engine_on_and_off(self, engine):
         machine = sequence_detector("1011")
@@ -254,7 +254,7 @@ class TestCoalescingAcrossSessions:
         words = traffic_words(machine, 12, 6, seed=8)
         # Pinned, so a forced REPRO_BACKEND leaves the two paths apart
         # (a process shard always serves through table-shm).
-        table_engine = "python" if mode == "thread" else "auto"
+        table_engine = "table" if mode == "thread" else "auto"
         # Replication is process-mode only: the process side runs a
         # replica group of ``replicas`` workers and logs its runs.
         replication = ReplicaConfig(n=replicas) if mode == "process" else None
@@ -294,7 +294,7 @@ class TestCoalescingAcrossSessions:
         machine = ones_detector()
         obs.configure(journal=True)
         fleet = FSMFleet(
-            machine, n_workers=1, queue_depth=256, engine="python"
+            machine, n_workers=1, queue_depth=256, engine="table"
         )
         try:
             words = {
@@ -320,53 +320,84 @@ class TestCoalescingAcrossSessions:
 
     @pytest.mark.skipif(
         not numpy_available(),
-        reason="numpy unavailable: the run must be served by table-numpy",
+        reason="numpy unavailable: every lane count runs the python kernel",
     )
-    def test_session_with_two_queued_batches_is_one_ragged_numpy_lane(self):
-        # Session 0 queues two batches behind the blocked worker, so the
-        # drained run's lane for it is twice as long as every other
-        # lane.  The whole run is one table-numpy stream batch, and each
-        # future still gets its own slice of its session's chain.
-        from repro import obs
-        from repro.obs import journal as _journal
-        from repro.workloads.random_fsm import random_fsm
+    def test_threshold_wide_run_takes_the_numpy_kernel(self, monkeypatch):
+        # STREAM_THRESHOLD distinct sessions drain as one run in auto:
+        # the engine picks the numpy lane kernel for it.
+        from repro.engine.streams import STREAM_THRESHOLD
 
-        machine = random_fsm(n_states=16, n_inputs=4, n_outputs=4, seed=5)
-        step = {
-            (t.source, t.input): (t.target, t.output)
-            for t in machine.transitions()
-        }
-        words = traffic_words(machine, 32, 16, seed=3)
-        submissions = [(words[0], 0)] + [
-            (word, i) for i, word in enumerate(words[1:31], start=1)
-        ] + [(words[31], 0)]
-        obs.configure(journal=True)
-        fleet = FSMFleet(
-            machine, n_workers=1, queue_depth=256, engine="numpy"
-        )
-        try:
-            futures = _blocked_submits(fleet, submissions)
-            got = [future.result(timeout=10) for future in futures]
-            events = [
-                event.fields
-                for event in _journal.JOURNAL.events(
-                    type=_journal.EXEC_STREAM_BATCH
-                )
-            ]
-        finally:
-            fleet.close()
-            obs.configure()
-        states = {}
-        want = []
-        for word, session in submissions:
-            state = states.get(session, machine.reset_state)
-            outputs = []
-            for symbol in word:
-                state, output = step[state, symbol]
-                outputs.append(output)
-            states[session] = state
-            want.append(outputs)
-        assert got == want
-        assert {
-            "backend": "table-numpy", "streams": 31, "symbols": 32 * 16,
-        }.items() <= events[0].items()
+        assert _auto_coalesced_run(monkeypatch, STREAM_THRESHOLD) == "numpy"
+
+    def test_session_with_two_queued_batches_is_one_ragged_python_lane(
+        self, monkeypatch
+    ):
+        # One lane short of the threshold, session 0 queues two batches
+        # behind the blocked worker, so its lane in the drained run is
+        # the longest.  The run stays on the pure-Python kernel, and
+        # each future still gets its own slice of its session's chain.
+        from repro.engine.streams import STREAM_THRESHOLD
+
+        lanes = STREAM_THRESHOLD - 1
+        assert _auto_coalesced_run(monkeypatch, lanes) == "python"
+
+
+def _auto_coalesced_run(monkeypatch, lanes):
+    """Drain one coalesced run of 32 batches (the fleet's coalescing
+    bound) over ``lanes`` sessions in ``auto`` — session 0 takes every
+    batch past one per session — and check it against a dict stepper.
+
+    Returns the kernel the ``engine.run_streams`` span names.
+    """
+    # ``auto`` as shipped: a REPRO_BACKEND leg must not steer it away.
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    from repro import obs
+    from repro.obs import journal as _journal
+    from repro.obs.tracing import TRACER
+    from repro.workloads.random_fsm import random_fsm
+
+    machine = random_fsm(n_states=16, n_inputs=4, n_outputs=4, seed=5)
+    step = {
+        (t.source, t.input): (t.target, t.output)
+        for t in machine.transitions()
+    }
+    words = [
+        word[: 4 + i % 13]  # ragged lanes
+        for i, word in enumerate(traffic_words(machine, 32, 16, seed=3))
+    ]
+    submissions = [(word, i % lanes) for i, word in enumerate(words)]
+    obs.configure(tracing=True, journal=True)
+    fleet = FSMFleet(machine, n_workers=1, queue_depth=256, engine="auto")
+    try:
+        futures = _blocked_submits(fleet, submissions)
+        got = [future.result(timeout=10) for future in futures]
+        events = [
+            event.fields
+            for event in _journal.JOURNAL.events(
+                type=_journal.EXEC_STREAM_BATCH
+            )
+        ]
+        kernels = [
+            record.attrs.get("kernel") for record in TRACER.spans
+            if record.name == "engine.run_streams"
+        ]
+    finally:
+        fleet.close()
+        obs.configure()
+    states = {}
+    want = []
+    for word, session in submissions:
+        state = states.get(session, machine.reset_state)
+        outputs = []
+        for symbol in word:
+            state, output = step[state, symbol]
+            outputs.append(output)
+        states[session] = state
+        want.append(outputs)
+    assert got == want
+    # The whole drain is one stream batch over ``lanes`` lanes.
+    assert len(events) == len(kernels) == 1
+    assert {
+        "backend": "table", "streams": lanes, "symbols": sum(map(len, words)),
+    }.items() <= events[0].items()
+    return kernels[0]

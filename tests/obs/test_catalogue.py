@@ -31,3 +31,10 @@ def test_event_taxonomy_lists_exactly_the_journal_vocabulary():
     documented = _first_column("Event taxonomy")
     assert len(documented) == len(set(documented)), "duplicate rows"
     assert set(documented) == set(EVENT_TYPES)
+    # ... and each row's field column names exactly the event's fields.
+    body = DOC.split("### Event taxonomy\n", 1)[1].split("\n#", 1)[0]
+    for event, fields in re.findall(
+        r"^\| `([^`]+)` \| ([^|]*) \|", body, flags=re.M
+    ):
+        assert tuple(re.findall(r"`([^`]+)`", fields)) == \
+            EVENT_TYPES[event][1], event

@@ -41,10 +41,17 @@ class TestModeDispatch:
             FSMFleet(ones_detector(), fleet_mode="fiber")
 
     def test_process_mode_rejects_foreign_engines(self):
-        with pytest.raises(EngineError, match="table-shm"):
-            FSMFleet(
-                ones_detector(), fleet_mode="process", engine="table-numpy"
-            )
+        for engine in ("cycle", "off", "table"):
+            with pytest.raises(EngineError, match="table-shm"):
+                FSMFleet(ones_detector(), fleet_mode="process", engine=engine)
+        # Spellings no backend has are refused in either fleet mode,
+        # before any process or thread starts.
+        for fleet_mode in ("thread", "process"):
+            for engine in ("python", "numpy", "table-py", "table-numpy"):
+                with pytest.raises(ValueError, match="'table-shm'"):
+                    FSMFleet(
+                        ones_detector(), fleet_mode=fleet_mode, engine=engine
+                    )
 
     def test_process_mode_fails_fast_when_shm_disabled(self, monkeypatch):
         # Construction-time resolve: no process or segment is created

@@ -30,31 +30,30 @@ class TestOptions:
         assert opts.seed == 0
         assert opts.metrics is False
         assert opts.engine == "auto"
-        assert opts.backend is None
         assert opts.extra_states == 0
 
-    def test_backend_pin_canonicalised(self):
-        assert api.Options(backend="python").backend == "table-py"
-        assert api.Options(backend="off").backend == "cycle"
-        assert api.Options(backend="table-py").backend == "table-py"
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            api.Options(backend="cuda")
-
-    def test_execution_prefers_the_pin(self):
-        assert api.Options().execution == "auto"
-        assert api.Options(engine="python").execution == "python"
-        assert api.Options(engine="off", backend="python").execution == \
-            "table-py"
+        # One option names the backend: ``engine`` takes every registry
+        # spelling, and there is no second ``backend`` field beside it.
+        assert api.ENGINE_MODES == (
+            "auto", "cycle", "table", "table-shm", "off", "shm"
+        )
+        for spelling in api.ENGINE_MODES:
+            assert api.Options(engine=spelling).engine == spelling
+        with pytest.raises(TypeError):
+            api.Options(backend="table")
+        assert not hasattr(api.Options(), "execution")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             api.Options(method="simulated-annealing")
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            api.Options(engine="cuda")
+        for engine in ("cuda", "python", "numpy", "table-py", "table-numpy"):
+            with pytest.raises(
+                ValueError, match=rf"backend '{engine}'.*'table-shm'"
+            ):
+                api.Options(engine=engine)
 
     def test_negative_extra_states_rejected(self):
         with pytest.raises(ValueError):
@@ -134,23 +133,23 @@ class TestFacadeFlows:
     def test_serve_returns_a_working_fleet(self):
         machine = fig6_m()
         with api.serve(
-            machine, n_workers=2, options=api.Options(engine="python")
+            machine, n_workers=2, options=api.Options(engine="table")
         ) as fleet:
-            assert fleet.engine == "python"
+            assert fleet.engine == "table"
             word = traffic_words(machine, 1, 8, seed=0)[0]
             assert fleet.submit("k", word).result(timeout=10) == \
                 machine.run(word)
 
     def test_compile_fsm_from_behavioural_machine(self):
         compiled = api.compile_fsm(
-            fig6_m(), options=api.Options(engine="python")
+            fig6_m(), options=api.Options(engine="table")
         )
         assert isinstance(compiled, CompiledFSM)
         assert compiled.realises(fig6_m())
 
     def test_compile_fsm_from_hardware(self):
         hw = HardwareFSM(fig6_m())
-        compiled = api.compile_fsm(hw, options=api.Options(engine="python"))
+        compiled = api.compile_fsm(hw, options=api.Options(engine="table"))
         assert compiled.realises(fig6_m())
         assert compiled.source_version == hw.table_version
 
@@ -159,29 +158,31 @@ class TestFacadeFlows:
         # a pin is honoured at the boundary: a pinned backend that is
         # unavailable refuses to compile.
         compiled = api.compile_fsm(
-            fig6_m(), options=api.Options(backend="table-py")
+            fig6_m(), options=api.Options(engine="table")
         )
         assert compiled.realises(fig6_m())
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.raises(EngineError, match="table-numpy"):
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        with pytest.raises(EngineError, match="table-shm"):
             api.compile_fsm(
-                fig6_m(), options=api.Options(backend="table-numpy")
+                fig6_m(), options=api.Options(engine="table-shm")
             )
 
     def test_serve_honours_backend_pin(self):
         machine = fig6_m()
         with api.serve(
-            machine, n_workers=1, options=api.Options(backend="python")
+            machine, n_workers=1, options=api.Options(engine="table")
         ) as fleet:
             word = traffic_words(machine, 1, 8, seed=0)[0]
             assert fleet.submit("k", word).result(timeout=10) == \
                 machine.run(word)
+            shard = fleet.fleet.shards[0]
+            assert shard.dispatcher.last_decision.name == "table"
 
     def test_compile_fsm_rejects_engine_off(self):
         with pytest.raises(EngineError):
             api.compile_fsm(fig6_m(), options=api.Options(engine="off"))
         with pytest.raises(EngineError):
-            api.compile_fsm(fig6_m(), options=api.Options(backend="cycle"))
+            api.compile_fsm(fig6_m(), options=api.Options(engine="cycle"))
 
     def test_compile_fsm_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -244,7 +244,7 @@ class TestFleet:
 
     def test_process_mode_rejects_foreign_engine(self, capsys):
         assert main([
-            "fleet", "--mode", "process", "--engine", "python",
+            "fleet", "--mode", "process", "--engine", "table",
             "--requests", "4",
         ]) == 2
         assert "table-shm" in capsys.readouterr().err
@@ -269,9 +269,14 @@ class TestBackends:
     def test_lists_registered_backends_with_flags(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("cycle", "table-py", "table-numpy", "table-shm"):
-            assert name in out
-        for flag in ("batchable", "cycle-accurate", "needs-numpy"):
+        listed = [
+            line.split("|")[0].strip() for line in out.splitlines()
+            if "|" in line and not line.startswith(("backend", "-"))
+        ]
+        assert listed == ["cycle", "table", "table-shm"]
+        for gone in ("table-py", "table-numpy", "needs-numpy", "dtype"):
+            assert gone not in out
+        for flag in ("batchable", "cycle-accurate"):
             assert flag in out
         # One dispatch rule serves through a migration: no such column.
         assert "mid-migration" not in out
@@ -281,30 +286,27 @@ class TestBackends:
         assert main(["backends", "--engine", "off"]) == 0
         assert "dispatcher pick for 'off': cycle" in capsys.readouterr().out
 
-    def test_backend_pin_beats_engine_mode(self, capsys):
-        assert main([
-            "backends", "--engine", "off", "--backend", "table-py",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "dispatcher pick for 'table-py': table-py" in out
-
     def test_env_steers_auto_and_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
+        monkeypatch.setenv("REPRO_BACKEND", "cycle")
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "dispatcher pick for 'auto': table-py" in out
-        assert "REPRO_BACKEND=python" in out
+        assert "dispatcher pick for 'auto': cycle" in out
+        assert "REPRO_BACKEND=cycle" in out
 
     def test_disabled_numpy_reason_is_shown(self, capsys, monkeypatch):
+        # numpy off only moves the table backend's kernel: the backend
+        # stays available and auto still picks it.
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "REPRO_DISABLE_NUMPY" in out
-        assert "dispatcher pick for 'auto': table-py" in out
+        assert "dispatcher pick for 'auto': table" in out
 
     def test_forced_unavailable_backend_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert main(["backends", "--backend", "numpy"]) == 2
+        # Forced through the environment rather than --engine.
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
+        assert main(["backends"]) == 2
         err = capsys.readouterr().err
         assert "unavailable" in err
 
@@ -317,14 +319,31 @@ class TestBackends:
 
     def test_forced_unavailable_shm_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        assert main(["backends", "--backend", "table-shm"]) == 2
+        assert main(["backends", "--engine", "table-shm"]) == 2
         err = capsys.readouterr().err
         assert "unavailable" in err
         assert "REPRO_DISABLE_SHM" in err
 
-    def test_unknown_backend_exits_2(self, capsys):
-        assert main(["backends", "--backend", "warp-core"]) == 2
-        assert "unknown execution backend" in capsys.readouterr().err
+    def test_unknown_backend_exits_2(self, capsys, monkeypatch):
+        rejected = ("warp-core", "python", "numpy", "table-py", "table-numpy")
+        for name in rejected:
+            with pytest.raises(SystemExit) as exc:
+                main(["backends", "--engine", name])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{name}'" in err
+            choices = err.replace("'", "")  # argparse quotes them on 3.11
+            assert "from auto, cycle, table, table-shm, off, shm" in choices
+            # ... and the same spelling is refused through the environment.
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            assert main(["backends"]) == 2
+            err = capsys.readouterr().err
+            assert f"REPRO_BACKEND='{name}'" in err and "'table-shm'" in err
+            monkeypatch.delenv("REPRO_BACKEND")
+        # Every command that dispatches reports it the same way.
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert main(["suite", "--method", "jsr", "--engine", "auto"]) == 2
+        assert "REPRO_BACKEND='numpy'" in capsys.readouterr().err
 
 
 class TestOptimize:
