@@ -4,7 +4,9 @@ Measures two things and writes ``BENCH_fleet_throughput.json`` at the
 repository root:
 
 * **throughput scaling** — steps/sec for 1, 2 and 4 workers serving the
-  same synthetic traffic.  Each worker is the *controller* of one
+  same synthetic traffic.  One run lasts only milliseconds, so every
+  row (and every ``gil_bound_reference`` row) is the median of
+  ``TRAFFIC_ROUNDS`` interleaved rounds, with the min and max beside it.  Each worker is the *controller* of one
   hardware shard, so a batch costs a device round-trip
   (``LINK_LATENCY_S``, modelled with a sleep) on top of the Python-side
   table work; scaling comes from workers overlapping their shards'
@@ -37,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import sys
 import threading
 import time
@@ -52,6 +55,10 @@ REQUESTS = 240
 BATCH = 24
 LINK_LATENCY_S = 0.002  # one modelled device round-trip per batch
 SEED = 0
+#: Rounds of the thread-mode traffic rows.  Each round runs every
+#: (workers, link latency) configuration once, in turn, after one untimed
+#: warm-up run, so a slow phase of the host lands on every row alike.
+TRAFFIC_ROUNDS = 15
 #: Rollouts per migration row, alternating target and source, so the
 #: row reports a rollout wall p50 rather than one sample.
 MIGRATION_ROLLOUTS = 9
@@ -75,7 +82,8 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_traffic(n_workers: int, link_latency_s: float) -> dict:
+def _run_traffic(n_workers: int, link_latency_s: float) -> tuple:
+    """``(seconds, steps/sec)`` of serving the traffic once."""
     source, target = suite_pair(WORKLOAD)
     words = traffic_words(source, REQUESTS, BATCH, seed=SEED)
     fleet = FSMFleet(
@@ -96,14 +104,33 @@ def _run_traffic(n_workers: int, link_latency_s: float) -> dict:
     totals = fleet.totals()
     fleet.close()
     assert totals.batches_ok == REQUESTS and totals.incidents == 0
-    return {
-        "workers": n_workers,
-        "requests": REQUESTS,
-        "batch": BATCH,
-        "link_latency_s": link_latency_s,
-        "elapsed_s": round(elapsed, 4),
-        "steps_per_sec": round(totals.symbols_served / elapsed, 1),
-    }
+    return elapsed, totals.symbols_served / elapsed
+
+
+def _traffic_rows(configs) -> list:
+    """One row per ``(workers, link latency)`` configuration: medians of
+    :data:`TRAFFIC_ROUNDS` interleaved runs, with the min and max."""
+    _run_traffic(*configs[0])
+    runs = {config: [] for config in configs}
+    for _ in range(TRAFFIC_ROUNDS):
+        for config in configs:
+            runs[config].append(_run_traffic(*config))
+    rows = []
+    for (n_workers, link_latency_s), samples in runs.items():
+        elapsed = [seconds for seconds, _rate in samples]
+        rates = [rate for _seconds, rate in samples]
+        rows.append({
+            "workers": n_workers,
+            "requests": REQUESTS,
+            "batch": BATCH,
+            "link_latency_s": link_latency_s,
+            "rounds": TRAFFIC_ROUNDS,
+            "elapsed_s": round(statistics.median(elapsed), 4),
+            "steps_per_sec": round(statistics.median(rates), 1),
+            "steps_per_sec_min": round(min(rates), 1),
+            "steps_per_sec_max": round(max(rates), 1),
+        })
+    return rows
 
 
 def _run_proc_traffic(n_workers: int) -> dict:
@@ -231,8 +258,11 @@ def _publishes(fleet) -> float:
 
 
 def main() -> int:
-    throughput = [_run_traffic(n, LINK_LATENCY_S) for n in WORKER_COUNTS]
-    gil_bound = [_run_traffic(n, 0.0) for n in (1, 4)]
+    rows = _traffic_rows(
+        [(n, LINK_LATENCY_S) for n in WORKER_COUNTS] + [(1, 0.0), (4, 0.0)]
+    )
+    throughput = rows[: len(WORKER_COUNTS)]
+    gil_bound = rows[len(WORKER_COUNTS) :]
     migration = _run_migration("thread")
 
     cpus = _cpus()

@@ -20,6 +20,13 @@ crossover (OX1), swap + inversion mutation, and elitism.  All free
 parameters are exposed through :class:`EAConfig` and swept by the
 ``benchmarks/test_ablation_ea_params.py`` harness.
 
+The generation loop scores each member once per generation and runs its
+tournaments on member indices.  It draws every index at the same point,
+and by the same rejection sampling, as ``random.Random.choice`` and
+``randrange`` would (``getrandbits`` of the bound's bit length until the
+value is below it), so a seed gives the same trajectory and the same
+program as the loop spelt with those calls, only faster.
+
 The module also hosts :func:`evaluate_population`, the population-level
 *machine* scorer: a whole candidate population is replayed over a trace
 set through the execution layer's multi-stream plane
@@ -69,6 +76,8 @@ class EAConfig:
             raise ValueError("elite_count must be smaller than the population")
         if not 0 <= self.crossover_rate <= 1:
             raise ValueError("crossover_rate must be a probability")
+        if self.tournament_size < 1:
+            raise ValueError("a tournament needs at least one contender")
 
 
 @dataclass
@@ -80,45 +89,6 @@ class EAResult:
     best_length: int
     history: List[int] = field(default_factory=list)
     evaluations: int = 0
-
-
-def _order_crossover(
-    parent_a: Sequence[int], parent_b: Sequence[int], rng: random.Random
-) -> List[int]:
-    """OX1 order crossover on index permutations.
-
-    A random slice of parent A is copied verbatim; the remaining
-    positions are filled with parent B's genes in B's order.
-    """
-    size = len(parent_a)
-    lo = rng.randrange(size)
-    hi = rng.randrange(size)
-    if lo > hi:
-        lo, hi = hi, lo
-    child: List[Optional[int]] = [None] * size
-    child[lo : hi + 1] = parent_a[lo : hi + 1]
-    taken = set(parent_a[lo : hi + 1])
-    fill = [gene for gene in parent_b if gene not in taken]
-    idx = 0
-    for pos in range(size):
-        if child[pos] is None:
-            child[pos] = fill[idx]
-            idx += 1
-    return child  # type: ignore[return-value]
-
-
-def _swap_mutation(genome: List[int], rng: random.Random) -> None:
-    """Exchange two random positions in place."""
-    size = len(genome)
-    a, b = rng.randrange(size), rng.randrange(size)
-    genome[a], genome[b] = genome[b], genome[a]
-
-
-def _inversion_mutation(genome: List[int], rng: random.Random) -> None:
-    """Reverse a random slice in place (the 2-opt move as a mutation)."""
-    size = len(genome)
-    lo, hi = sorted((rng.randrange(size), rng.randrange(size)))
-    genome[lo : hi + 1] = genome[lo : hi + 1][::-1]
 
 
 def evolve_program(
@@ -152,6 +122,12 @@ def evolve_program(
         sp.attrs["length"] = result.best_length
     record_synthesis("ea", result.program, perf_counter() - started)
     _instruments.EA_EVALUATIONS.inc(result.evaluations)
+    generations = len(result.history) - 1
+    if generations:
+        _instruments.EA_GENERATIONS.inc(generations)
+        # The last generation's best; history[-1] scores the final
+        # population, which is never ranked.
+        _instruments.EA_BEST_LENGTH.set(result.history[-2])
     return result
 
 
@@ -184,16 +160,18 @@ def _evolve_program(
 
     size = len(deltas)
     identity = list(range(size))
-    fitness_cache: Dict[Tuple[int, ...], int] = {}
-    evaluations = 0
+    length = decoder.length
+    cache: Dict[Tuple[int, ...], int] = {}
 
-    def fitness(genome: Sequence[int]) -> int:
-        nonlocal evaluations
-        key = tuple(genome)
-        if key not in fitness_cache:
-            fitness_cache[key] = decoder.length(key)
-            evaluations += 1
-        return fitness_cache[key]
+    def fitnesses(population: List[List[int]]) -> List[int]:
+        fits = []
+        for genome in population:
+            key = tuple(genome)
+            fit = cache.get(key)
+            if fit is None:
+                fit = cache[key] = length(key)
+            fits.append(fit)
+        return fits
 
     population: List[List[int]] = []
     if config.seed_with_greedy:
@@ -204,42 +182,90 @@ def _evolve_program(
         rng.shuffle(genome)
         population.append(genome)
 
-    def tournament() -> List[int]:
-        contenders = [rng.choice(population) for _ in range(config.tournament_size)]
-        return min(contenders, key=fitness)
+    # Every index is drawn as ``Random._randbelow`` draws it for
+    # ``choice`` and ``randrange`` (CPython 3.9-3.12):
+    # ``getrandbits(n.bit_length())`` until the value is below ``n``.
+    getrandbits = rng.getrandbits
+    chance = rng.random
+    pop_size = config.population_size
+    pop_bits = pop_size.bit_length()
+    size_bits = size.bit_length()
+    rivals = range(config.tournament_size - 1)
+    elite_count = config.elite_count
+    crossover_rate = config.crossover_rate
+    swap_rate = config.swap_mutation_rate
+    inversion_rate = config.inversion_mutation_rate
+
+    def tournament(fits: List[int]) -> int:
+        """Index of the first fittest of ``tournament_size`` draws."""
+        winner = getrandbits(pop_bits)
+        while winner >= pop_size:
+            winner = getrandbits(pop_bits)
+        best = fits[winner]
+        for _ in rivals:
+            k = getrandbits(pop_bits)
+            while k >= pop_size:
+                k = getrandbits(pop_bits)
+            if fits[k] < best:
+                winner, best = k, fits[k]
+        return winner
+
+    def positions() -> Tuple[int, int]:
+        """Two genome positions, drawn as two ``randrange(size)``."""
+        a = getrandbits(size_bits)
+        while a >= size:
+            a = getrandbits(size_bits)
+        b = getrandbits(size_bits)
+        while b >= size:
+            b = getrandbits(size_bits)
+        return a, b
 
     history: List[int] = []
     for _generation in range(config.generations):
-        # Ranking evaluates every member (through the cache), so the
-        # tournaments below only ever hit the cache.
-        ranked = sorted(population, key=fitness)
-        history.append(fitness(ranked[0]))
-        _instruments.EA_GENERATIONS.inc()
-        _instruments.EA_BEST_LENGTH.set(history[-1])
-        next_gen = [genome[:] for genome in ranked[: config.elite_count]]
-        while len(next_gen) < config.population_size:
-            parent_a = tournament()
-            if rng.random() < config.crossover_rate:
-                parent_b = tournament()
-                child = _order_crossover(parent_a, parent_b, rng)
+        fits = fitnesses(population)
+        # A stable sort: ties keep population order, as elites must.
+        ranked = sorted(range(pop_size), key=fits.__getitem__)
+        history.append(fits[ranked[0]])
+        # Members are never changed in place, so elites need no copy.
+        next_gen = [population[k] for k in ranked[:elite_count]]
+        while len(next_gen) < pop_size:
+            parent_a = population[tournament(fits)]
+            if chance() < crossover_rate:
+                # OX1 order crossover: a slice of A stays in place; B's
+                # other genes fill the rest in B's order.
+                parent_b = population[tournament(fits)]
+                lo, hi = positions()
+                if lo > hi:
+                    lo, hi = hi, lo
+                kept = parent_a[lo : hi + 1]
+                taken = set(kept)
+                fill = [gene for gene in parent_b if gene not in taken]
+                child = fill[:lo] + kept + fill[lo:]
             else:
                 child = parent_a[:]
-            if rng.random() < config.swap_mutation_rate:
-                _swap_mutation(child, rng)
-            if rng.random() < config.inversion_mutation_rate:
-                _inversion_mutation(child, rng)
+            if chance() < swap_rate:
+                # Swap mutation: exchange two positions.
+                a, b = positions()
+                child[a], child[b] = child[b], child[a]
+            if chance() < inversion_rate:
+                # Inversion mutation: reverse a slice (the 2-opt move).
+                lo, hi = positions()
+                if lo > hi:
+                    lo, hi = hi, lo
+                child[lo : hi + 1] = child[lo : hi + 1][::-1]
             next_gen.append(child)
         population = next_gen
 
-    best = min(population, key=fitness)
-    history.append(fitness(best))
+    fits = fitnesses(population)
+    history.append(min(fits))
+    best = population[fits.index(history[-1])]
     program = decode(best)
     return EAResult(
         program=program,
         order=[deltas[idx] for idx in best],
         best_length=len(program),
         history=history,
-        evaluations=evaluations,
+        evaluations=len(cache),
     )
 
 

@@ -6,9 +6,10 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.core.ea import EAConfig, evolve_program
 from repro.hw.machine import HardwareFSM
 from repro.hw.memory import UninitialisedRead
-from repro.io.kiss import dump
+from repro.io.kiss import dump, load
 from repro.obs.tracing import load_jsonl
 from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
 from repro.workloads.suite import suite_names
@@ -75,9 +76,18 @@ class TestMetricsFlag:
         assert main(["--metrics", "json", "migrate", src, tgt,
                      "--method", "ea"]) == 0
         snapshot = _parse_metrics_json(capsys.readouterr().err)
-        assert snapshot["repro_ea_generations_total"]["values"][0]["value"] > 0
-        assert snapshot["repro_ea_evaluations_total"]["values"][0]["value"] > 0
-        assert "repro_ea_best_length" in snapshot
+
+        def value(name):
+            return snapshot[name]["values"][0]["value"]
+
+        # The same run again, with the CLI's default --seed: main()
+        # starts every snapshot from zero, so each figure is this run's.
+        config = EAConfig(seed=0)
+        result = evolve_program(load(src), load(tgt), config=config)
+        assert value("repro_ea_generations_total") == config.generations
+        assert value("repro_ea_evaluations_total") == result.evaluations
+        # the best length of the last generation, not of the final one
+        assert value("repro_ea_best_length") == result.history[-2]
 
     def test_verify_metrics_count_words_and_symbols(self, kiss_files, capsys):
         src, tgt = kiss_files
