@@ -19,7 +19,8 @@ repository root:
   where threads *cannot* scale (the ``gil_bound_reference`` rows show
   ~1x) is exactly where worker processes with shared-memory tables
   must.  Batches are large (``PROC_BATCH``) so per-request pipe costs
-  amortise against worker-side table stepping; the scaling gate
+  amortise against worker-side table stepping.  These rows too are
+  medians of ``TRAFFIC_ROUNDS`` interleaved rounds; the scaling gate
   (``>= 3.0`` at 4 workers) asserts only when the machine actually has
   4 CPUs to scale onto — on smaller hosts the JSON records the
   measurement and the reason the gate was skipped;
@@ -55,8 +56,8 @@ REQUESTS = 240
 BATCH = 24
 LINK_LATENCY_S = 0.002  # one modelled device round-trip per batch
 SEED = 0
-#: Rounds of the thread-mode traffic rows.  Each round runs every
-#: (workers, link latency) configuration once, in turn, after one untimed
+#: Rounds of every traffic row, thread and process mode.  Each round
+#: runs every configuration of its mode once, in turn, after one untimed
 #: warm-up run, so a slow phase of the host lands on every row alike.
 TRAFFIC_ROUNDS = 15
 #: Rollouts per migration row, alternating target and source, so the
@@ -107,33 +108,51 @@ def _run_traffic(n_workers: int, link_latency_s: float) -> tuple:
     return elapsed, totals.symbols_served / elapsed
 
 
-def _traffic_rows(configs) -> list:
-    """One row per ``(workers, link latency)`` configuration: medians of
-    :data:`TRAFFIC_ROUNDS` interleaved runs, with the min and max."""
-    _run_traffic(*configs[0])
+def _interleaved(run, configs) -> dict:
+    """``config -> [(seconds, steps/sec), ...]``: :data:`TRAFFIC_ROUNDS`
+    rounds of ``run(*config)`` over every config in turn, after one
+    untimed warm-up run."""
+    run(*configs[0])
     runs = {config: [] for config in configs}
     for _ in range(TRAFFIC_ROUNDS):
         for config in configs:
-            runs[config].append(_run_traffic(*config))
-    rows = []
-    for (n_workers, link_latency_s), samples in runs.items():
-        elapsed = [seconds for seconds, _rate in samples]
-        rates = [rate for _seconds, rate in samples]
-        rows.append({
+            runs[config].append(run(*config))
+    return runs
+
+
+def _summary(samples) -> dict:
+    """Median elapsed time and rate of the rounds, with the rate's
+    min and max."""
+    elapsed = [seconds for seconds, _rate in samples]
+    rates = [rate for _seconds, rate in samples]
+    return {
+        "rounds": len(samples),
+        "elapsed_s": round(statistics.median(elapsed), 4),
+        "steps_per_sec": round(statistics.median(rates), 1),
+        "steps_per_sec_min": round(min(rates), 1),
+        "steps_per_sec_max": round(max(rates), 1),
+    }
+
+
+def _traffic_rows(configs) -> list:
+    """One row per ``(workers, link latency)`` configuration."""
+    return [
+        {
             "workers": n_workers,
             "requests": REQUESTS,
             "batch": BATCH,
             "link_latency_s": link_latency_s,
-            "rounds": TRAFFIC_ROUNDS,
-            "elapsed_s": round(statistics.median(elapsed), 4),
-            "steps_per_sec": round(statistics.median(rates), 1),
-            "steps_per_sec_min": round(min(rates), 1),
-            "steps_per_sec_max": round(max(rates), 1),
-        })
-    return rows
+            **_summary(samples),
+        }
+        for (n_workers, link_latency_s), samples in _interleaved(
+            _run_traffic, configs
+        ).items()
+    ]
 
 
-def _run_proc_traffic(n_workers: int) -> dict:
+def _run_proc_traffic(n_workers: int) -> tuple:
+    """``(seconds, steps/sec)`` of serving the process-mode traffic
+    once, after warming every shard."""
     source, target = suite_pair(WORKLOAD)
     words = traffic_words(source, PROC_REQUESTS, PROC_BATCH, seed=SEED)
     fleet = FSMFleet(
@@ -158,14 +177,23 @@ def _run_proc_traffic(n_workers: int) -> dict:
     totals = fleet.totals()
     fleet.close()
     assert totals.incidents == 0
-    return {
-        "workers": n_workers,
-        "requests": PROC_REQUESTS,
-        "batch": PROC_BATCH,
-        "link_latency_s": 0.0,
-        "elapsed_s": round(elapsed, 4),
-        "steps_per_sec": round(PROC_REQUESTS * PROC_BATCH / elapsed, 1),
-    }
+    return elapsed, PROC_REQUESTS * PROC_BATCH / elapsed
+
+
+def _proc_rows() -> list:
+    """One process-mode row per worker count."""
+    return [
+        {
+            "workers": n_workers,
+            "requests": PROC_REQUESTS,
+            "batch": PROC_BATCH,
+            "link_latency_s": 0.0,
+            **_summary(samples),
+        }
+        for (n_workers,), samples in _interleaved(
+            _run_proc_traffic, [(n,) for n in PROC_WORKER_COUNTS]
+        ).items()
+    ]
 
 
 def _run_migration(fleet_mode: str) -> dict:
@@ -266,7 +294,7 @@ def main() -> int:
     migration = _run_migration("thread")
 
     cpus = _cpus()
-    proc_rows = [_run_proc_traffic(n) for n in PROC_WORKER_COUNTS]
+    proc_rows = _proc_rows()
     proc_by_workers = {
         row["workers"]: row["steps_per_sec"] for row in proc_rows
     }

@@ -15,10 +15,8 @@ import io
 import itertools
 import statistics
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from ..obs import instruments as _instruments
 from ..obs.tracing import span as _span
 
 
@@ -86,9 +84,8 @@ class Campaign:
     def run(self) -> "Results":
         """Execute every design point ``repeats`` times.
 
-        Each measurement cell is timed: a ``campaign.cell`` span carries
-        the factor settings, and the cell duration feeds the
-        ``repro_campaign_cell_seconds`` histogram.
+        Each measurement cell runs inside a ``campaign.cell`` span that
+        carries the factor settings.
         """
         rows: List[Dict[str, Any]] = []
         with _span("campaign.run", campaign=self.name):
@@ -103,13 +100,7 @@ class Campaign:
                         repeat=repeat,
                         **point_attrs,
                     ):
-                        started = perf_counter()
                         measured = self.measure(**point, repeat=repeat)
-                        elapsed = perf_counter() - started
-                    _instruments.CAMPAIGN_CELLS.inc(campaign=self.name)
-                    _instruments.CAMPAIGN_CELL_SECONDS.observe(
-                        elapsed, campaign=self.name
-                    )
                     row = dict(point)
                     row["repeat"] = repeat
                     overlap = set(row) & set(measured)

@@ -19,7 +19,6 @@ strategy between greedy and the EA.
 from __future__ import annotations
 
 from itertools import combinations
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.instruments import record_synthesis
@@ -142,7 +141,6 @@ def tsp_program(source: FSM, target: FSM, **decode_kwargs) -> Program:
     the graph), so this is *near*-optimal, not optimal — the gap is
     measured by the ordering-strategies benchmark.
     """
-    started = perf_counter()
     with _span(
         "tsp.synthesise", source=source.name, target=target.name
     ) as sp:
@@ -151,5 +149,5 @@ def tsp_program(source: FSM, target: FSM, **decode_kwargs) -> Program:
             source, target, order, method="tsp", **decode_kwargs
         )
         sp.attrs["length"] = len(program)
-    record_synthesis("tsp", program, perf_counter() - started)
+    record_synthesis("tsp")
     return program

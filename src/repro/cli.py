@@ -63,7 +63,6 @@ from .io.kiss import dumps as kiss_dumps
 from .io.kiss import load as kiss_load
 from .obs import JOURNAL, REGISTRY, TRACER
 from .obs import configure as obs_configure
-from .obs import instruments as _instruments
 from .obs.probes import probe_hardware, publish
 from .workloads.suite import run_migration_suite
 
@@ -468,7 +467,7 @@ def cmd_health(args) -> int:
 
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if payload.get("status") != "critical" else 1
-    report = _health.check(journal=JOURNAL, registry=REGISTRY)
+    report = _health.check(journal=JOURNAL)
     print(_health.render(report))
     return 0 if report.status != "critical" else 1
 
@@ -1075,14 +1074,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         journal=journal_out is not None,
         reset=not inspecting,
     )
-    if metrics_mode != "off":
-        # Surface the optional fast path as a feature-flag gauge in
-        # every metrics snapshot.
-        from .engine import numpy_available
-
-        _instruments.ENGINE_NUMPY_AVAILABLE.set(
-            1.0 if numpy_available() else 0.0
-        )
     try:
         return args.func(args)
     except FileNotFoundError as exc:

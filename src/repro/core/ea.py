@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import instruments as _instruments
@@ -74,8 +73,11 @@ class EAConfig:
             raise ValueError("population must hold at least two individuals")
         if self.elite_count >= self.population_size:
             raise ValueError("elite_count must be smaller than the population")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ValueError("crossover_rate must be a probability")
+        for name in (
+            "crossover_rate", "swap_mutation_rate", "inversion_mutation_rate"
+        ):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be a probability")
         if self.tournament_size < 1:
             raise ValueError("a tournament needs at least one contender")
 
@@ -110,7 +112,6 @@ def evolve_program(
     True
     """
     config = config or EAConfig()
-    started = perf_counter()
     with _span(
         "ea.synthesise", source=source.name, target=target.name
     ) as sp:
@@ -120,7 +121,7 @@ def evolve_program(
         sp.attrs["generations"] = len(result.history)
         sp.attrs["evaluations"] = result.evaluations
         sp.attrs["length"] = result.best_length
-    record_synthesis("ea", result.program, perf_counter() - started)
+    record_synthesis("ea")
     _instruments.EA_EVALUATIONS.inc(result.evaluations)
     generations = len(result.history) - 1
     if generations:

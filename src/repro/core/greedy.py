@@ -11,7 +11,6 @@ the benchmark harness uses to put the EA's results in context.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import List, Optional, Sequence
 
 from ..obs.instruments import record_synthesis
@@ -131,7 +130,6 @@ def greedy_program(
     >>> prog.is_valid()
     True
     """
-    started = perf_counter()
     method = "greedy+2opt" if improve else "greedy"
     with _span(
         "greedy.synthesise",
@@ -146,5 +144,5 @@ def greedy_program(
             source, target, order, i0=i0, method=method, **decode_kwargs
         )
         sp.attrs["length"] = len(program)
-    record_synthesis(method, program, perf_counter() - started)
+    record_synthesis(method)
     return program

@@ -14,7 +14,6 @@ is (that delta is then absorbed by the final repair write).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import List, Optional, Sequence
 
 from ..obs.instruments import record_synthesis
@@ -57,13 +56,12 @@ def jsr_program(
     >>> prog.is_valid()
     True
     """
-    started = perf_counter()
     with _span(
         "jsr.synthesise", source=source.name, target=target.name
     ) as sp:
         program = _jsr_program(source, target, i0=i0, order=order)
         sp.attrs["length"] = len(program)
-    record_synthesis("jsr", program, perf_counter() - started)
+    record_synthesis("jsr")
     return program
 
 

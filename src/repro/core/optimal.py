@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..obs import instruments as _instruments
 from ..obs.instruments import record_synthesis
 from ..obs.tracing import span as _span
 from .builder import ProgramBuilder
@@ -61,15 +59,13 @@ def optimal_program(
     >>> len(optimal_program(fig7_m(), fig7_m_prime()))
     3
     """
-    started = perf_counter()
     with _span(
         "optimal.synthesise", source=source.name, target=target.name
     ) as sp:
         program, expansions = _optimal_search(source, target, max_expansions)
         sp.attrs["expansions"] = expansions
         sp.attrs["length"] = len(program)
-    record_synthesis("optimal", program, perf_counter() - started)
-    _instruments.OPTIMAL_EXPANSIONS.inc(expansions)
+    record_synthesis("optimal")
     return program
 
 

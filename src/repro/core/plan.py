@@ -106,8 +106,8 @@ class FutureMemo:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Hashable, compute: Callable[[], T]) -> Tuple[T, bool]:
-        """``(value, hit)`` for ``key``, running ``compute`` on a miss."""
+    def get(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The value for ``key``, running ``compute`` on a miss."""
         with self._lock:
             future = self._futures.get(key)
             owner = future is None
@@ -120,7 +120,7 @@ class FutureMemo:
                 self._futures.move_to_end(key)
                 self.hits += 1
         if not owner:
-            return future.result(), True
+            return future.result()
         try:
             value = compute()
         except BaseException as exc:
@@ -130,7 +130,7 @@ class FutureMemo:
             future.set_exception(exc)
             raise
         future.set_result(value)
-        return value, False
+        return value
 
     def __len__(self) -> int:
         with self._lock:
@@ -175,10 +175,7 @@ class SynthesisCache(FutureMemo):
         )
 
     def program(self, source: FSM, target: FSM) -> Program:
-        return self.lookup(source, target)[0]
-
-    def lookup(self, source: FSM, target: FSM) -> Tuple[Program, bool]:
-        """``(program, hit)`` for one ordered pair."""
+        """The (memoised) program for one ordered pair."""
         key = (
             fsm_fingerprint(source),
             fsm_fingerprint(target),

@@ -256,8 +256,6 @@ def run_suite(
         sp.attrs["failures"] = len(failures)
     _instruments.VERIFY_WORDS.inc(len(suite))
     _instruments.VERIFY_SYMBOLS.inc(symbols)
-    if failures:
-        _instruments.VERIFY_FAILURES.inc(len(failures))
     return VerificationResult(
         passed=not failures,
         words_run=len(suite),

@@ -260,11 +260,9 @@ class CompiledFSM:
     # ------------------------------------------------------------------
     # Invalidation lifecycle
     # ------------------------------------------------------------------
-    def invalidate(self, reason: str = "explicit") -> None:
+    def invalidate(self) -> None:
         """Mark the view stale; the next :meth:`is_stale` returns True."""
-        if not self._invalidated:
-            self._invalidated = True
-            _instruments.ENGINE_INVALIDATIONS.inc(reason=reason)
+        self._invalidated = True
 
     def is_stale(self, hw=None) -> bool:
         """Whether this view may no longer reflect its source.
@@ -285,7 +283,7 @@ class CompiledFSM:
     def watch(self, reconfigurator) -> "CompiledFSM":
         """Self-invalidate when a program is stored in the sequence ROM."""
         reconfigurator.add_store_hook(
-            lambda _name, _program: self.invalidate(reason="store")
+            lambda _name, _program: self.invalidate()
         )
         return self
 

@@ -156,7 +156,7 @@ class CycleBackend:
     def restore(self, snap: ExecSnapshot) -> None:
         restore_snapshot(self.hardware, snap)
 
-    def invalidate(self, reason: str = "explicit") -> None:
+    def invalidate(self) -> None:
         """No-op: the netlist reads the live tables, nothing is cached."""
 
     def is_stale(self, hw: Optional[HardwareFSM] = None) -> bool:
@@ -297,8 +297,8 @@ class TableBackend:
     def restore(self, snap: ExecSnapshot) -> None:
         restore_snapshot(self.hardware, snap)
 
-    def invalidate(self, reason: str = "explicit") -> None:
-        self.compiled.invalidate(reason=reason)
+    def invalidate(self) -> None:
+        self.compiled.invalidate()
 
     def is_stale(self, hw: Optional[HardwareFSM] = None) -> bool:
         """Staleness against ``hw`` (default: the bound hardware)."""

@@ -1,8 +1,7 @@
 """Instrumented stream batches through the execution layer.
 
 :func:`run_streams` serves N independent *symbol streams* through one
-backend's stream plane in a single call, with the
-``repro_exec_stream_*`` metric families and the ``exec.stream_batch``
+backend's stream plane in a single call, with the ``exec.stream_batch``
 journal event recorded per batch.  This is the seam the fleet's
 cross-session coalescing and the EA's population replays ride;
 :func:`run_stream_plane` is its unmaterialised twin.
@@ -15,7 +14,6 @@ from typing import Optional, Sequence
 from ..core.fsm import Input, State
 from ..engine.compiled import WordRun
 from ..engine.streams import StreamBatch
-from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 
 __all__ = ["run_stream_plane", "run_streams"]
@@ -39,12 +37,7 @@ def run_streams(
     supports it — the in-process table backends do.
     """
     runs = backend.run_streams(words, starts=starts)
-    if isinstance(words, StreamBatch):
-        n, n_symbols = words.n, words.n_symbols
-    else:
-        n = len(words)
-        n_symbols = sum(map(len, words))
-    _account_stream_batch(backend.name, n, n_symbols, site)
+    _journal_stream_batch(backend.name, words, site)
     return runs
 
 
@@ -62,26 +55,23 @@ def run_stream_plane(
     through :meth:`~repro.exec.TableBackend.run_stream_plane`.
     """
     run = backend.run_stream_plane(batch, starts=starts)
-    _account_stream_batch(backend.name, batch.n, batch.n_symbols, site)
+    _journal_stream_batch(backend.name, batch, site)
     return run
 
 
-def _account_stream_batch(
-    name: str, n: int, n_symbols: int, site: str
-) -> None:
-    if not n:
-        return
-    _instruments.EXEC_STREAM_BATCHES.inc(backend=name, site=site)
-    _instruments.EXEC_STREAM_LANES.inc(n, backend=name, site=site)
-    _instruments.EXEC_STREAM_SYMBOLS.inc(
-        n_symbols, backend=name, site=site
-    )
+def _journal_stream_batch(name: str, words, site: str) -> None:
+    """Journal one served batch (``words`` raw, or a StreamBatch)."""
     journal = _journal.JOURNAL
-    if journal.enabled:
-        journal.record(
-            _journal.EXEC_STREAM_BATCH,
-            backend=name,
-            site=site,
-            streams=n,
-            symbols=n_symbols,
-        )
+    if not journal.enabled or not len(words):
+        return
+    if isinstance(words, StreamBatch):
+        n_symbols = words.n_symbols
+    else:
+        n_symbols = sum(map(len, words))
+    journal.record(
+        _journal.EXEC_STREAM_BATCH,
+        backend=name,
+        site=site,
+        streams=len(words),
+        symbols=n_symbols,
+    )

@@ -24,23 +24,20 @@ same rule holds before, during and after a live migration:
   becomes unavailable mid-serve (``REPRO_DISABLE_SHM`` flipped in a
   live process) degrades to the netlist instead of failing traffic.
 
-Every decision is published to
-``repro_exec_decisions_total{backend,reason}``; degradations
-additionally count into the pre-existing
-``repro_engine_fallbacks_total`` family so dashboards keep working.
-The batch-coalescing bound rides along (``coalesce_limit``) because it
-is the same policy question: how much work may one backend decision
-cover?
+Every decision is journaled as ``dispatch.decision``; degradations
+additionally record ``exec.fallback`` with their reason (the health
+detectors read it).  The batch-coalescing bound rides along
+(``coalesce_limit``) because it is the same policy question: how much
+work may one backend decision cover?
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..engine.compiled import EngineError
 from ..hw.machine import HardwareFSM
-from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 from ..obs.tracing import span as _span
 from .backends import CycleBackend, TableBackend
@@ -105,10 +102,6 @@ class Dispatcher:
         #: subsequent :meth:`miss` is about).
         self._table: Optional[TableBackend] = None
         self._cycle: Optional[CycleBackend] = None
-        # Decisions repeat the same few (backend, reason) pairs per
-        # shard thousands of times — bind the label sets once.
-        self._decision_handles: Dict[Tuple[str, str], object] = {}
-        self._fallback_handles: Dict[Tuple[str, str], object] = {}
 
     # ------------------------------------------------------------------
     def cycle_backend(self, hw: HardwareFSM) -> CycleBackend:
@@ -173,9 +166,7 @@ class Dispatcher:
         if table is not None and not table.is_stale(hw):
             return table, "cached"
         if table is not None:
-            table.invalidate(
-                reason="stale" if table.hardware is hw else "replaced"
-            )
+            table.invalidate()
             del self._tables[want]
         table = None
         if self._factory is not None:
@@ -195,37 +186,22 @@ class Dispatcher:
         backend = self._table
         name = backend.name if backend is not None else "table"
         self._fallback("unconfigured", name)
-        _journal.JOURNAL.record(
-            _journal.EXEC_TABLE_MISS, shard=self.shard, backend=name
-        )
         return self._decide(
             self.cycle_backend(hw), "unconfigured", degraded=True
         )
 
-    def invalidate(self, reason: str = "explicit") -> None:
+    def invalidate(self) -> None:
         """Drop every cached backend (quarantine replaced the
         hardware; the next :meth:`select` re-binds and recompiles)."""
         for table in self._tables.values():
-            table.invalidate(reason=reason)
+            table.invalidate()
         self._tables.clear()
         self._table = None
         self._cycle = None
-        _journal.JOURNAL.record(
-            _journal.EXEC_INVALIDATE, shard=self.shard, reason=reason
-        )
 
     # ------------------------------------------------------------------
     def _fallback(self, reason: str, backend_name: str) -> None:
-        """Count one displacement and journal it with its reason."""
-        key = (reason, backend_name)
-        handle = self._fallback_handles.get(key)
-        if handle is None:
-            handle = self._fallback_handles[key] = (
-                _instruments.ENGINE_FALLBACKS.bind(
-                    reason=reason, backend=backend_name
-                )
-            )
-        handle.inc()
+        """Journal one displacement with its reason."""
         _journal.JOURNAL.record(
             _journal.EXEC_FALLBACK,
             shard=self.shard,
@@ -240,15 +216,6 @@ class Dispatcher:
         degraded: bool = False,
         streams: int = 1,
     ) -> Decision:
-        key = (backend.name, reason)
-        handle = self._decision_handles.get(key)
-        if handle is None:
-            handle = self._decision_handles[key] = (
-                _instruments.EXEC_DECISIONS.bind(
-                    backend=backend.name, reason=reason
-                )
-            )
-        handle.inc()
         decision = Decision(
             backend=backend,
             name=backend.name,

@@ -179,7 +179,7 @@ class ExecutionBackend(Protocol):
         """Restore a snapshot; :class:`StaleSnapshot` on version skew."""
         ...
 
-    def invalidate(self, reason: str = "explicit") -> None:
+    def invalidate(self) -> None:
         """Drop any cached view of the source tables (no-op when the
         backend reads the live tables directly)."""
         ...

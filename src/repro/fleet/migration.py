@@ -33,7 +33,6 @@ from typing import List, Optional, TYPE_CHECKING
 
 from ..core.fsm import FSM
 from ..core.incremental import Chunk
-from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 from ..obs.tracing import span as _span
 from .pool import FleetError
@@ -237,9 +236,6 @@ class MigrationScheduler:
             report.wall_seconds = time.perf_counter() - started
             sp.attrs["verified"] = report.verified
             sp.attrs["downtime_cycles"] = report.service_downtime_cycles
-        _instruments.FLEET_SERVICE_DOWNTIME.inc(
-            report.service_downtime_cycles, fleet=fleet.name
-        )
         _journal.JOURNAL.record(
             _journal.MIGRATION_ROLLOUT_COMMIT,
             target=target.name,

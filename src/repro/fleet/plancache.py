@@ -32,7 +32,6 @@ from ..core.plan import (
     make_synthesiser,
 )
 from ..core.program import Program
-from ..obs import instruments as _instruments
 
 
 def order_chunks(chunks: Sequence[Chunk], source: FSM, target: FSM) -> List[Chunk]:
@@ -94,11 +93,7 @@ class PlanCache:
     # ------------------------------------------------------------------
     def program(self, source: FSM, target: FSM) -> Program:
         """The (cached) monolithic reconfiguration program for one pair."""
-        program, hit = self._programs.lookup(source, target)
-        _instruments.PLAN_CACHE_REQUESTS.inc(
-            kind="program", result="hit" if hit else "miss"
-        )
-        return program
+        return self._programs.program(source, target)
 
     def chunks(
         self, source: FSM, target: FSM, i0: Optional[Input] = None
@@ -129,11 +124,7 @@ class PlanCache:
                 ordered, source, target, i0=i0, level=self.opt_level
             )
 
-        ordered, hit = self._chunks.get(key, plan)
-        _instruments.PLAN_CACHE_REQUESTS.inc(
-            kind="chunks", result="hit" if hit else "miss"
-        )
-        return ordered
+        return self._chunks.get(key, plan)
 
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, Dict[str, int]]:

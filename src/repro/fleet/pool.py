@@ -37,7 +37,6 @@ from ..core.fsm import FSM, Input
 from ..core.plan import plan_supersets
 from ..hw.faults import Upset, erase_entry, inject_upset
 from ..obs import context as _context
-from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 from ..obs.probes import ProbeReport
 from .plancache import PlanCache
@@ -275,7 +274,6 @@ class FSMFleet:
             shard.queue.put_nowait(batch)
         except _queue.Full:
             shard.stats.rejected += 1
-            _instruments.FLEET_REJECTED.inc(shard=shard.label)
             _journal.JOURNAL.record(
                 _journal.FLEET_SATURATION,
                 shard=shard.label,

@@ -190,27 +190,12 @@ class ShardWorker(threading.Thread):
         #: restart from the new reset state on their next batch.
         self._sessions: Dict[Hashable, State] = {}
         self._job: Optional[MigrationJob] = None
-        # Pre-bound metric handles: the serving loop publishes the same
-        # label sets thousands of times per second, so validate and
-        # canonicalise them once here.  The timing histograms sample
-        # 1-in-8 (recorded with weight 8, still unbiased) — duration
-        # distributions need far fewer points than counters need counts.
-        label = str(index)
-        self._m_batches_ok = _instruments.FLEET_BATCHES.bind(
-            outcome="ok", shard=label
-        )
-        self._m_batches_error = _instruments.FLEET_BATCHES.bind(
-            outcome="error", shard=label
-        )
-        self._m_symbols = _instruments.FLEET_SYMBOLS.bind(shard=label)
-        self._m_migration_cycles = _instruments.FLEET_MIGRATION_CYCLES.bind(
-            shard=label
-        )
+        # The serving-latency histogram, bound once and sampled 1-in-8
+        # (recorded with weight 8, still unbiased): a duration
+        # distribution needs far fewer points than a counter needs counts.
         self._m_batch_seconds = _instruments.FLEET_BATCH_SECONDS.bind(
-            sample_shift=3, shard=label
+            sample_shift=3, shard=str(index)
         )
-        self._m_served = {}  # (path, backend) -> BoundCounter
-        self._m_batch_size = {}  # backend -> BoundHistogram (sampled)
 
     # ------------------------------------------------------------------
     def _make_dispatcher(self, engine: str, index: int) -> Dispatcher:
@@ -245,25 +230,6 @@ class ShardWorker(threading.Thread):
     @property
     def label(self) -> str:
         return str(self.index)
-
-    def _served_handle(self, path: str, backend: str):
-        key = (path, backend)
-        handle = self._m_served.get(key)
-        if handle is None:
-            handle = self._m_served[key] = _instruments.ENGINE_SERVED.bind(
-                path=path, backend=backend
-            )
-        return handle
-
-    def _batch_size_handle(self, backend: str):
-        handle = self._m_batch_size.get(backend)
-        if handle is None:
-            handle = self._m_batch_size[backend] = (
-                _instruments.ENGINE_BATCH_SIZE.bind(
-                    sample_shift=3, backend=backend
-                )
-            )
-        return handle
 
     # -- migration -----------------------------------------------------
     def begin_migration(self, job: MigrationJob) -> MigrationJob:
@@ -325,7 +291,6 @@ class ShardWorker(threading.Thread):
         if not migrator.done:
             used = migrator.stall(job.stall_budget)
             self.stats.migration_cycles += used
-            self._m_migration_cycles.inc(used)
             _journal.JOURNAL.record(
                 _journal.MIGRATION_CHUNK, shard=self.label, cycles=used
             )
@@ -360,9 +325,6 @@ class ShardWorker(threading.Thread):
                     if state in valid
                 }
             self.stats.migrations_done += 1
-            _instruments.FLEET_SHARD_MIGRATIONS.inc(
-                shard=self.label, verified=str(verified).lower()
-            )
             _journal.JOURNAL.record(
                 _journal.MIGRATION_SHARD_COMMIT,
                 shard=self.label,
@@ -383,21 +345,13 @@ class ShardWorker(threading.Thread):
         """
         self.stats.incidents += 1
         self.stats.last_error = f"{type(exc).__name__}: {exc}"
-        _instruments.FLEET_INCIDENTS.inc(
-            shard=self.label, error=type(exc).__name__
-        )
         _journal.JOURNAL.record(
             _journal.FLEET_QUARANTINE,
             shard=self.label,
             error=type(exc).__name__,
         )
         self.hardware = self._build_hardware(self.machine)
-        self.dispatcher.invalidate(reason="replaced")
-        _journal.JOURNAL.record(
-            _journal.FLEET_RESEED,
-            shard=self.label,
-            machine=self.machine.name,
-        )
+        self.dispatcher.invalidate()
         job = self._job
         if job is not None and not job.done.is_set():
             job._migrator = None
@@ -592,7 +546,6 @@ class ShardWorker(threading.Thread):
             )
         except Exception as exc:
             self.stats.batches_failed += 1
-            self._m_batches_error.inc()
             batch.future.set_exception(exc)
             self._quarantine(exc)
             return
@@ -616,9 +569,9 @@ class ShardWorker(threading.Thread):
         started: float,
         streams: int,
     ) -> None:
-        """Link latency, stats, metrics and the ``serve.batch`` journal
-        record for one served run (``path`` is ``"compiled"`` or
-        ``"cycle"``), before its futures resolve."""
+        """Link latency, stats, the latency histogram and the
+        ``serve.batch`` journal record for one served run (``path`` is
+        ``"compiled"`` or ``"cycle"``), before its futures resolve."""
         if self.link_latency_s:
             # One device round-trip per served run — for a coalesced
             # run, the latency amortisation batching exists for.
@@ -628,13 +581,9 @@ class ShardWorker(threading.Thread):
         stats.service_downtime_cycles += downtime_delta
         stats.batches_ok += n_batches
         stats.symbols_served += n_symbols
-        self._m_batches_ok.inc(n_batches)
-        self._m_symbols.inc(n_symbols)
-        self._served_handle(path, backend.name).inc(n_symbols)
         if path == "compiled":
             stats.engine_batches += n_batches
             stats.engine_symbols += n_symbols
-            self._batch_size_handle(backend.name).observe(n_symbols)
         self._m_batch_seconds.observe(time.perf_counter() - started)
         journal = _journal.JOURNAL
         if journal.enabled:

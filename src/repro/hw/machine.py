@@ -31,7 +31,6 @@ from typing import Dict, Iterable, Optional, Tuple
 from ..core.alphabet import Alphabet
 from ..core.fsm import FSM, Input, Output, State
 from ..core.program import Program, SequenceRow
-from ..obs import instruments as _instruments
 from ..obs.tracing import span as _span
 from .memory import SyncRAM, UninitialisedRead
 from .register import Register, mux2
@@ -279,7 +278,6 @@ class HardwareFSM:
                 next_code = BitVector(f_read, self.state_enc.width)
             elif not reset:
                 self.uninitialised_reads += 1
-                _instruments.HW_UNINITIALISED_READS.inc()
                 raise UninitialisedRead(
                     f"{self.name}: F-RAM entry ({internal!r}, {state_before!r}) "
                     "read while unconfigured"

@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional
 
 from . import journal as _journal
 from .journal import Journal
-from .metrics import REGISTRY, MetricsRegistry
 
 __all__ = [
     "Detector",
@@ -263,7 +262,6 @@ def _replica_detectors(fleet: Any) -> List[Detector]:
 def check(
     fleet: Any = None,
     journal: Optional[Journal] = None,
-    registry: Optional[MetricsRegistry] = None,
     thresholds: Optional[Thresholds] = None,
 ) -> HealthReport:
     """Assess health from the journal plus (optionally) a live fleet.
@@ -272,7 +270,6 @@ def check(
     so the endpoint is useful even before a fleet exists in-process.
     """
     journal = journal if journal is not None else _journal.JOURNAL
-    registry = registry if registry is not None else REGISTRY
     thresholds = thresholds or Thresholds()
     now = time.time()
 
@@ -339,7 +336,7 @@ def check(
             )
         )
 
-    report = HealthReport(
+    return HealthReport(
         status=_worst([d.status for d in detectors]),
         detectors=detectors,
         shards=shards,
@@ -347,10 +344,6 @@ def check(
         journal_dropped=journal.dropped,
         generated_at=now,
     )
-    from . import instruments as _instruments
-
-    _instruments.OBS_HEALTH_CHECKS.inc(status=report.status)
-    return report
 
 
 def render(report: HealthReport) -> str:

@@ -70,13 +70,10 @@ __all__ = [
 DISPATCH_DECISION = "dispatch.decision"
 EXEC_STREAM_BATCH = "exec.stream_batch"
 EXEC_FALLBACK = "exec.fallback"
-EXEC_TABLE_MISS = "exec.table_miss"
-EXEC_INVALIDATE = "exec.invalidate"
 EXEC_STALE_SNAPSHOT = "exec.stale_snapshot"
 SERVE_BATCH = "serve.batch"
 FLEET_SATURATION = "fleet.saturation"
 FLEET_QUARANTINE = "fleet.quarantine"
-FLEET_RESEED = "fleet.reseed"
 MIGRATION_ROLLOUT_BEGIN = "migration.rollout.begin"
 MIGRATION_ROLLOUT_COMMIT = "migration.rollout.commit"
 MIGRATION_SHARD_BEGIN = "migration.shard.begin"
@@ -89,8 +86,6 @@ PROCFLEET_WORKER_BATCH = "procfleet.worker.batch"
 PROCFLEET_EPOCH_SKEW = "procfleet.epoch_skew"
 PROCFLEET_WORKER_CRASH = "procfleet.worker.crash"
 PROCFLEET_WORKER_SPAWN = "procfleet.worker.spawn"
-REPLICA_APPEND = "replica.append"
-REPLICA_COMMIT = "replica.commit"
 REPLICA_CATCH_UP = "replica.catch_up"
 REPLICA_DIVERGED = "replica.diverged"
 REPLICA_FAILOVER = "replica.failover"
@@ -110,14 +105,6 @@ EVENT_TYPES: Dict[str, Any] = {
         "policy displaced the preferred backend",
         ("backend", "reason"),
     ),
-    EXEC_TABLE_MISS: (
-        "a table backend hit an entry it cannot serve; cycle replay",
-        ("backend",),
-    ),
-    EXEC_INVALIDATE: (
-        "a cached table view was invalidated",
-        ("reason",),
-    ),
     EXEC_STALE_SNAPSHOT: (
         "a snapshot restore was refused on table-version skew",
         ("snapshot_version", "live_version"),
@@ -134,10 +121,6 @@ EVENT_TYPES: Dict[str, Any] = {
     FLEET_QUARANTINE: (
         "a shard fault triggered quarantine",
         ("error",),
-    ),
-    FLEET_RESEED: (
-        "a quarantined shard was re-seeded from the reset state",
-        ("machine",),
     ),
     MIGRATION_ROLLOUT_BEGIN: (
         "a fleet-wide rolling migration started",
@@ -186,14 +169,6 @@ EVENT_TYPES: Dict[str, Any] = {
     PROCFLEET_WORKER_SPAWN: (
         "a worker process was spawned (startup or reseed)",
         ("pid", "start_method"),
-    ),
-    REPLICA_APPEND: (
-        "one command entry was appended to a shard's replicated log",
-        ("index", "kind"),
-    ),
-    REPLICA_COMMIT: (
-        "a log entry reached quorum and was committed",
-        ("index", "kind", "quorum"),
     ),
     REPLICA_CATCH_UP: (
         "a lagging or fresh replica caught up from the latest snapshot",

@@ -190,7 +190,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, math.inf,
 )
 
-#: Wall-time buckets in seconds (synthesis / campaign-cell durations).
+#: Wall-time buckets in seconds (fleet serving-run durations).
 SECONDS_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, math.inf,
 )

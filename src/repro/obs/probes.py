@@ -137,7 +137,6 @@ def _publish_handles(labels: Dict[str, Any]) -> Dict[str, Any]:
             "reset": instruments.HW_CYCLES.bind(mode="reset", **labels),
             "ram_f": instruments.HW_RAM_WRITES.bind(ram="f", **labels),
             "ram_g": instruments.HW_RAM_WRITES.bind(ram="g", **labels),
-            "uninit": instruments.HW_UNINITIALISED_READS.bind(**labels),
         }
     return handles
 
@@ -162,7 +161,5 @@ def publish(report: ProbeReport, **labels: Any) -> None:
         handles["ram_f"].inc(report.ram_writes_f)
     if report.ram_writes_g:
         handles["ram_g"].inc(report.ram_writes_g)
-    if report.uninitialised_reads:
-        handles["uninit"].inc(report.uninitialised_reads)
     # trace_dropped is NOT re-published: TraceRecorder increments the
     # (process-wide) repro_hw_trace_dropped_total counter live.

@@ -34,7 +34,6 @@ from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
 
 from . import health as _health
-from . import instruments as _instruments
 from . import journal as _journal
 from .journal import Journal
 from .metrics import REGISTRY, MetricsRegistry
@@ -68,7 +67,6 @@ def render_route(
     """
     journal = journal if journal is not None else _journal.JOURNAL
     registry = registry if registry is not None else REGISTRY
-    _instruments.OBS_HTTP_REQUESTS.inc(route=route)
     if route == "/metrics":
         return (
             200,
@@ -79,7 +77,6 @@ def render_route(
         report = _health.check(
             fleet=fleet,
             journal=journal,
-            registry=registry,
             thresholds=thresholds or _health.Thresholds(),
         )
         return (
@@ -126,7 +123,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def log_message(self, format: str, *args: Any) -> None:
-        pass  # counted, not printed
+        pass  # requests are not logged
 
     def _send(
         self, status: int, body: bytes, content_type: str

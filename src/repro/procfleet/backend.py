@@ -212,10 +212,10 @@ class ShmTableBackend:
     def restore(self, snap: ExecSnapshot) -> None:
         restore_snapshot(self.hardware, snap)
 
-    def invalidate(self, reason: str = "explicit") -> None:
+    def invalidate(self) -> None:
         """Drop the compiled view; the published segment is retired so
         no late-attaching worker can serve the dead tables."""
-        self.compiled.invalidate(reason=reason)
+        self.compiled.invalidate()
         if self.session.segment is not None:
             self.session.retire()
 

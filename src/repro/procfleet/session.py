@@ -149,7 +149,6 @@ class WorkerSession:
             child_conn.close()
             self._proc = proc
             self._conn = parent_conn
-            _instruments.PROCFLEET_WORKER_SPAWNS.inc(shard=self.label)
             _journal.JOURNAL.record(
                 _journal.PROCFLEET_WORKER_SPAWN,
                 shard=self.label,
@@ -275,9 +274,6 @@ class WorkerSession:
                 proc.kill()
             proc.join(timeout=10.0)
         self.restarts += 1
-        _instruments.PROCFLEET_WORKER_CRASHES.inc(
-            shard=self.label, error=type(exc).__name__
-        )
         _journal.JOURNAL.record(
             _journal.PROCFLEET_WORKER_CRASH,
             shard=self.label,

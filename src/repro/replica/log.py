@@ -28,8 +28,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..obs import instruments as _instruments
-from ..obs import journal as _journal
 
 __all__ = [
     "ENTRY_KINDS",
@@ -103,8 +101,7 @@ class ShardLog:
     """Ordered, bounded command log for one replica group.
 
     Appends are thread-safe (the shard thread appends; status readers
-    may race harmlessly) and each append is journalled as a
-    ``replica.append`` event so the flight recorder sees the exact
+    may race harmlessly).  The retained entries are the record of the
     command stream every replica applied.
     """
 
@@ -120,8 +117,6 @@ class ShardLog:
         self._next_index = 1
         self._commit_index = 0
         self._dropped = 0
-        self._appends = _instruments.REPLICA_LOG_APPENDS
-        self._commits = _instruments.REPLICA_LOG_COMMITS.bind(shard=shard)
 
     # -- write side ----------------------------------------------------
     def append(self, kind: str, **payload: Any) -> LogEntry:
@@ -139,29 +134,14 @@ class ShardLog:
             if overflow > 0:
                 del self._entries[:overflow]
                 self._dropped += overflow
-        _journal.JOURNAL.record(
-            _journal.REPLICA_APPEND,
-            shard=self.shard,
-            index=entry.index,
-            kind=kind,
-        )
-        self._appends.inc(shard=self.shard, kind=kind)
         return entry
 
-    def commit(self, index: int, kind: str = "", quorum: int = 1) -> int:
+    def commit(self, index: int) -> int:
         """Advance the commit index (monotonic) to ``index``."""
         with self._lock:
             if index <= self._commit_index:
                 return self._commit_index
             self._commit_index = index
-        _journal.JOURNAL.record(
-            _journal.REPLICA_COMMIT,
-            shard=self.shard,
-            index=index,
-            kind=kind,
-            quorum=quorum,
-        )
-        self._commits.inc()
         return index
 
     # -- read side -----------------------------------------------------

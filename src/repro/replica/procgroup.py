@@ -185,7 +185,6 @@ class ProcReplicaGroup:
             to=None,
             error="worker process died between serves (respawning)",
         )
-        _instruments.REPLICA_FAILOVERS.inc(shard=self.shard)
         return True
 
     def publish(self, compiled) -> int:
@@ -265,7 +264,6 @@ class ProcReplicaGroup:
                     to=succ.name if succ is not replica else None,
                     error=str(exc),
                 )
-                _instruments.REPLICA_FAILOVERS.inc(shard=self.shard)
                 continue
             if not replica.in_sync:
                 # The respawned process just proved itself by serving
@@ -281,7 +279,6 @@ class ProcReplicaGroup:
                         self._compiled, "source_version", None
                     ),
                 )
-                _instruments.REPLICA_CATCH_UPS.inc(shard=self.shard)
             return reply
         raise last_exc  # every replica crashed mid-request
 
@@ -311,7 +308,7 @@ class ProcReplicaGroup:
         their own, so there is nothing further to fan out)."""
         entry = self.log.append(kind, **payload)
         if self.in_sync_count() >= self.quorum:
-            self.log.commit(entry.index, kind, self.quorum)
+            self.log.commit(entry.index)
         return entry
 
     def _recompute_quorum(self) -> int:
@@ -426,9 +423,6 @@ class ProcReplicaGroup:
             quorum=self.quorum,
             joint_quorum=f"{old_quorum}->{self.quorum}",
         )
-        _instruments.REPLICA_MEMBERSHIP_CHANGES.inc(
-            shard=self.shard, kind=op
-        )
         return self.status()
 
     def _catch_up(self, replica: _ProcReplica) -> None:
@@ -445,7 +439,6 @@ class ProcReplicaGroup:
             epoch=self._epoch,
             table_version=getattr(self._compiled, "source_version", None),
         )
-        _instruments.REPLICA_CATCH_UPS.inc(shard=self.shard)
 
     # -- divergence ----------------------------------------------------
     def _probe(self, replica: _ProcReplica) -> Optional[int]:
@@ -493,9 +486,6 @@ class ProcReplicaGroup:
                 expected=expected,
                 actual=actual,
             )
-            _instruments.REPLICA_DIVERGENCE.inc(
-                shard=self.shard, replica=record.name
-            )
         if heal and diverged and self._compiled is not None:
             self.publish(self._compiled)
             for record in diverged:
@@ -512,7 +502,6 @@ class ProcReplicaGroup:
                             self._compiled, "source_version", None
                         ),
                     )
-                    _instruments.REPLICA_CATCH_UPS.inc(shard=self.shard)
         return report
 
     def replica_pids(self) -> Dict[str, Optional[int]]:

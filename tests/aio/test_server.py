@@ -256,7 +256,8 @@ class TestAsyncObsEndpoint:
         finally:
             obs.configure()
         assert metrics.startswith(b"HTTP/1.1 200")
-        assert b"repro_aio_frames_total" in metrics
+        # The one ping is the only frame this server has seen.
+        assert b'repro_aio_frames_total{op="ping"} 1\n' in metrics
         assert journal.startswith(b"HTTP/1.1 200")
         assert b"events" in journal
         assert missing.startswith(b"HTTP/1.1 404")

@@ -175,8 +175,15 @@ class TestEAConfig:
             EAConfig(population_size=4, elite_count=4)
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            EAConfig(crossover_rate=1.5)
+        for name, value in (
+            ("crossover_rate", 1.5),
+            ("swap_mutation_rate", 2.0),
+            ("swap_mutation_rate", -1.0),
+            ("inversion_mutation_rate", 1.5),
+            ("inversion_mutation_rate", -0.1),
+        ):
+            with pytest.raises(ValueError, match=name):
+                EAConfig(**{name: value})
 
     def test_rejects_empty_tournament(self):
         with pytest.raises(ValueError):

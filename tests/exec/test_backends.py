@@ -260,7 +260,7 @@ class TestStalenessInvalidation:
     def test_explicit_invalidate_is_sticky(self, name):
         hw = HardwareFSM(ones_detector())
         backend = TableBackend.from_hardware(hw)
-        backend.invalidate(reason="replaced")
+        backend.invalidate()
         # Sticky: nothing un-invalidates a view — even against its own
         # unchanged hardware the dispatcher must recompile.
         assert backend.is_stale()

@@ -160,7 +160,7 @@ class TestInvalidate:
         dispatcher = Dispatcher()
         table = dispatcher.select(hw).backend
         cycle = dispatcher.cycle_backend(hw)
-        dispatcher.invalidate(reason="replaced")
+        dispatcher.invalidate()
         assert table.is_stale()
         replacement = HardwareFSM(ones_detector())
         assert dispatcher.cycle_backend(replacement) is not cycle

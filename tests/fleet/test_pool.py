@@ -1,5 +1,6 @@
 """Unit tests for the fleet pool: serving, ordering, backpressure, faults."""
 
+import math
 import threading
 import time
 
@@ -73,6 +74,25 @@ class TestServing:
         assert totals.batches_ok == 6
         assert totals.symbols_served == 12
 
+    def test_batch_seconds_samples_one_run_in_eight(self):
+        from repro.obs import configure
+        from repro.obs.instruments import FLEET_BATCH_SECONDS
+
+        configure(metrics=True)
+        try:
+            with FSMFleet(ones_detector(), n_workers=1) as fleet:
+                # Each batch is awaited before the next is submitted, so
+                # every served run is exactly one batch.
+                for _ in range(20):
+                    fleet.submit("k", ["1", "0"]).result(timeout=10)
+                batches = fleet.totals().batches_ok
+            count = FLEET_BATCH_SECONDS.count(shard="0")
+        finally:
+            configure()
+        assert batches == 20
+        # Runs 0, 8 and 16 are recorded, each with weight 8.
+        assert count == 8 * math.ceil(batches / 8) == 24
+
 
 class TestBackpressure:
     def test_full_queue_rejects_immediately(self):
@@ -114,6 +134,10 @@ class TestBackpressure:
 
 class TestFaultHandling:
     def test_erase_fault_quarantines_and_reseeds(self):
+        from repro.obs import configure
+        from repro.obs.journal import FLEET_QUARANTINE, JOURNAL
+
+        configure(journal=True)
         fleet = FSMFleet(sequence_detector("1011"), n_workers=1,
                          queue_depth=64)
         try:
@@ -123,23 +147,29 @@ class TestFaultHandling:
             # Drive traffic until the erased entry is hit; the failing
             # batch gets the exception, later batches are served by the
             # re-seeded shard.
-            failed = 0
+            errors = []
             for key in range(80):
                 word = traffic_words(
                     fleet.machine, 1, 8, seed=100 + key
                 )[0]
                 try:
                     fleet.submit(key, word).result(timeout=10)
-                except Exception:
-                    failed += 1
-            assert failed >= 1
-            assert fleet.totals().incidents == failed
+                except Exception as exc:
+                    errors.append(type(exc).__name__)
+            assert errors
+            assert fleet.totals().incidents == len(errors)
             assert fleet.shards[0].stats.last_error is not None
+            # One quarantine event per failed batch, naming its error.
+            assert [
+                e.fields["error"]
+                for e in JOURNAL.events(type=FLEET_QUARANTINE)
+            ] == errors
             # shard serves again after quarantine + re-seed
             assert fleet.submit("post", list("1011")).result(timeout=10)
             assert fleet.shards[0].is_alive()
         finally:
             fleet.close()
+            configure()
 
     def test_unaffected_shards_keep_serving(self):
         fleet = FSMFleet(sequence_detector("1011"), n_workers=2,

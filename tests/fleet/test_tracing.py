@@ -212,7 +212,10 @@ class TestDecisionTraceProperty:
                     elif op == "miss":
                         dispatcher.miss(hw)
                     else:
-                        dispatcher.invalidate(reason="test")
+                        # invalidate journals nothing itself; the select
+                        # after it recompiles and records its decision
+                        dispatcher.invalidate()
+                        dispatcher.select(hw)
                 emitted = jr.JOURNAL.events(since_seq=mark)
                 assert emitted, op  # every op journals something
                 for event in emitted:

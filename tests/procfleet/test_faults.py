@@ -62,18 +62,43 @@ class TestSessionCrashRecovery:
         assert session.restarts == 1
 
     def test_session_reseeds_a_fresh_process(self, session):
-        backend = ShmTableBackend(ones_detector(), session)
-        victim = session.pid
-        os.kill(victim, signal.SIGKILL)
-        with pytest.raises(WorkerCrashed):
-            backend.run_batch(["1"])
-        assert session.alive()
-        assert session.pid != victim
-        # The respawned stateless worker serves immediately.
-        word = list("1011")
-        assert backend.run_batch(
-            word, start=backend.compiled.reset_state, commit=False
-        ).outputs == ones_detector().run(word)
+        from repro.obs import configure
+        from repro.obs.journal import (
+            JOURNAL,
+            PROCFLEET_ATTACH,
+            PROCFLEET_WORKER_CRASH,
+            PROCFLEET_WORKER_SPAWN,
+        )
+
+        configure(journal=True)
+        try:
+            backend = ShmTableBackend(ones_detector(), session)
+            victim = session.pid
+            os.kill(victim, signal.SIGKILL)
+            with pytest.raises(WorkerCrashed):
+                backend.run_batch(["1"])
+            assert session.alive()
+            assert session.pid != victim
+            # The respawned stateless worker serves immediately.
+            word = list("1011")
+            assert backend.run_batch(
+                word, start=backend.compiled.reset_state, commit=False
+            ).outputs == ones_detector().run(word)
+
+            def pids(event_type):
+                return [
+                    e.fields["pid"] for e in JOURNAL.events(type=event_type)
+                ]
+
+            assert pids(PROCFLEET_WORKER_CRASH) == [victim]
+            assert pids(PROCFLEET_WORKER_SPAWN) == [victim, session.pid]
+            # The fresh process attached the segment the parent
+            # published, under the epoch that publish returned.
+            attach = JOURNAL.events(type=PROCFLEET_ATTACH)[-1]
+            assert attach.fields["pid"] == session.pid
+            assert attach.fields["epoch"] == backend.epoch
+        finally:
+            configure()
 
     def test_wedged_worker_is_killed_not_waited_on(self, session):
         session.request_timeout_s = 0.5

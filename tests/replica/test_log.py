@@ -73,9 +73,9 @@ class TestShardLog:
         log = ShardLog("0")
         for _ in range(3):
             log.append("serve")
-        assert log.commit(2, "serve", quorum=2) == 2
+        assert log.commit(2) == 2
         # A stale commit can never move the index backwards.
-        assert log.commit(1, "serve", quorum=2) == 2
+        assert log.commit(1) == 2
         assert log.commit_index == 2
 
     def test_entries_filter_by_index_and_kind(self):

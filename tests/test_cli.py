@@ -228,8 +228,7 @@ class TestFleet:
             "--requests", "16", "--batch", "4",
         ]) == 0
         err = capsys.readouterr().err
-        assert "repro_fleet_batches_total" in err
-        assert "repro_fleet_shard_migrations_total" in err
+        assert "repro_fleet_batch_seconds" in err
 
     def test_process_mode_serves_and_migrates(self, capsys):
         assert main([
