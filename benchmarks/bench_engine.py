@@ -12,13 +12,16 @@ workload:
   (``CompiledFSM.run_streams(words, kernel="numpy").word_runs()``),
   when numpy is importable.
 
-plus one dispatcher-driven serving row per *registered* execution
-backend (``repro.exec``: select → run_batch → commit, the fleet's hot
-path without the threads; unavailable backends record why they were
-skipped), and end-to-end fleet serving throughput with 1 and 4
-workers, engine on vs off.  Writes ``BENCH_engine_throughput.json`` at
-the repository root and exits non-zero (the CI ``engine`` job's gate)
-if:
+plus a reconfiguration-replay row (cycles/s replaying a fixed seeded
+chain of chunk plans, the ``migrate-live`` shape, through
+``IncrementalMigrator.stall``: the netlist's reconfiguration path,
+recorded, not gated), one dispatcher-driven serving row per
+*registered* execution backend (``repro.exec``: select → run_batch →
+commit, the fleet's hot path without the threads; unavailable backends
+record why they were skipped), and end-to-end fleet serving
+throughput with 1 and 4 workers, engine on vs off.  Writes
+``BENCH_engine_throughput.json`` at the repository root and exits
+non-zero (the CI ``engine`` job's gate) if:
 
 * the pure-Python batch kernel is *slower* than per-cycle serving
   (speedup < 1x — the engine must never be a pessimisation),
@@ -45,11 +48,15 @@ import statistics
 import sys
 import time
 
+from repro.core.incremental import IncrementalMigrator
 from repro.engine import CompiledFSM, numpy_available
 from repro.exec import Dispatcher, specs
 from repro.fleet import FSMFleet
+from repro.fleet.plancache import PlanCache
 from repro.hw.machine import HardwareFSM
 from repro.workloads.library import sequence_detector
+from repro.workloads.mutate import mutate_target
+from repro.workloads.random_fsm import random_fsm
 from repro.workloads.suite import traffic_words
 
 N_WORDS = 256
@@ -75,6 +82,17 @@ STREAM_GATES = (
 )
 EA_POPULATION = 16
 EA_TRACES = 64
+
+# Reconfiguration replay: a seeded chain of REPLAY_HOPS migrations of
+# 12 states x 2 inputs x 4 outputs, REPLAY_DELTAS deltas per hop (the
+# migrate-live workload's shape), planned once at -O2 and replayed on
+# a fresh datapath per repeat with the fleet's stall budget and trace
+# bound.
+REPLAY_HOPS = 24
+REPLAY_DELTAS = 8
+REPLAY_STALL_BUDGET = 12
+REPLAY_TRACE_ENTRIES = 256
+REPLAY_REPEATS = 15
 
 
 def _host() -> dict:
@@ -136,6 +154,61 @@ def kernel_rows(machine, words):
             "seconds": seconds, "symbols_per_s": n_symbols / seconds,
         }
     return n_symbols, rows
+
+
+def replay_row() -> dict:
+    """Cycles/s of ``IncrementalMigrator.stall`` over the replay chain.
+
+    Each repeat replays every hop on a fresh datapath.  Per hop, the
+    migrator's construction (chunk validation, RST-MUX retarget) and
+    its stall calls run back to back on separate clocks, so the row
+    times the replay alone; construction is recorded beside it as
+    ``setup_ms_per_hop``.  Figures are medians over the repeats (after
+    one untimed warm-up), on the thread-CPU clock with the wall clock
+    beside it.
+    """
+    chain = [random_fsm(n_states=12, n_inputs=2, n_outputs=4, seed=7)]
+    for hop in range(1, REPLAY_HOPS + 1):
+        chain.append(
+            mutate_target(chain[-1], REPLAY_DELTAS, seed=100 + hop,
+                          name=f"m{hop}")
+        )
+    cache = PlanCache(opt_level="O2")
+    hops = [
+        (source, target, cache.chunks(source, target))
+        for source, target in zip(chain, chain[1:])
+    ]
+    cpu_rates, wall_rates, setup_ms = [], [], []
+    for repeat in range(REPLAY_REPEATS + 1):
+        hw = HardwareFSM(chain[0], trace_max_entries=REPLAY_TRACE_ENTRIES)
+        cycles = 0
+        cpu = wall = setup = 0.0
+        for source, target, chunks in hops:
+            setup_started = time.thread_time()
+            migrator = IncrementalMigrator(hw, source, target, chunks=chunks)
+            setup += time.thread_time() - setup_started
+            wall_started = time.perf_counter()
+            cpu_started = time.thread_time()
+            while not migrator.done:
+                cycles += migrator.stall(REPLAY_STALL_BUDGET)
+            cpu += time.thread_time() - cpu_started
+            wall += time.perf_counter() - wall_started
+            if not hw.realises(target):
+                raise RuntimeError(f"replay does not realise {target.name}")
+        if repeat:
+            cpu_rates.append(cycles / cpu)
+            wall_rates.append(cycles / wall)
+            setup_ms.append(setup * 1e3 / len(hops))
+    return {
+        "hops": len(hops),
+        "cycles_per_pass": cycles,
+        "stall_budget": REPLAY_STALL_BUDGET,
+        "repeats": REPLAY_REPEATS,
+        "cycles_per_s": statistics.median(cpu_rates),
+        "wall_cycles_per_s": statistics.median(wall_rates),
+        "us_per_cycle": 1e6 / statistics.median(cpu_rates),
+        "setup_ms_per_hop": statistics.median(setup_ms),
+    }
 
 
 def backend_rows(machine, words):
@@ -348,6 +421,7 @@ def main() -> int:
     machine = sequence_detector("1011")
     words = traffic_words(machine, N_WORDS, WORD_LEN, seed=0)
     n_symbols, kernels = kernel_rows(machine, words)
+    replay = replay_row()
     backends = backend_rows(machine, words)
     streams = stream_rows(machine)
     ea = ea_rows(machine)
@@ -387,6 +461,7 @@ def main() -> int:
         "numpy_available": numpy_available(),
         "host": _host(),
         "kernels": kernels,
+        "reconfiguration_replay": replay,
         "backends": backends,
         "speedups_vs_per_cycle": {
             k: round(v, 2) for k, v in speedups.items()
@@ -419,6 +494,12 @@ def main() -> int:
             f"  {name:10s}: {row['symbols_per_s']:12,.0f} symbols/s"
             f"{speedup}"
         )
+    print(
+        f"  replay    : {replay['cycles_per_s']:12,.0f} cycles/s "
+        f"({replay['us_per_cycle']:.2f} us/cycle thread-CPU, "
+        f"{replay['hops']} hops, setup "
+        f"{replay['setup_ms_per_hop']:.2f} ms/hop)"
+    )
     for name, row in backends.items():
         if "skipped" in row:
             print(f"  backend {name:12s}: skipped ({row['skipped']})")

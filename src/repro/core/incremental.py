@@ -259,11 +259,7 @@ class IncrementalMigrator:
             if cost is None or used + cost > budget_cycles:
                 break
             chunk = self.chunks[self.progress.chunks_done]
-            sub = Program(
-                chunk.steps, self.source, self.target, method="chunk"
-            )
-            for row in sub.to_sequence():
-                self.hardware.apply_row(row)
+            self.hardware.apply_steps(chunk.steps)
             used += cost
             self.progress.chunks_done += 1
             self.progress.cycles_spent += cost

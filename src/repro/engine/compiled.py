@@ -6,8 +6,8 @@ That shape vectorizes: :class:`CompiledFSM` lowers an :class:`~repro.core.fsm.FS
 (or a live :class:`~repro.hw.machine.HardwareFSM` RAM snapshot) into two
 flat integer arrays indexed by ``input_code * n_states + state_code``
 and steps whole symbol batches through them, instead of paying one
-Python ``cycle()`` call — trace record, BitVector allocations, probe
-bookkeeping — per symbol.
+Python ``cycle()`` call — single-driver guard, RAM port model, trace
+row, probe bookkeeping — per symbol.
 
 A compiled view holds tables only; which kernel walks them is chosen
 per call.  :meth:`CompiledFSM.run_word` is a tight pure-Python loop

@@ -221,7 +221,10 @@ class ShardWorker(threading.Thread):
         )
 
     def _downtime(self) -> int:
-        return probe_hardware(self.hardware).downtime_cycles
+        """Reconfiguration-downtime cycles of the current datapath (the
+        probe report's ``downtime_cycles``, read without building one)."""
+        mode_cycles = self.hardware.mode_cycles
+        return mode_cycles["reconf"] + mode_cycles["reset"]
 
     def probe(self) -> ProbeReport:
         """Probe snapshot of the shard's datapath (racy but read-only)."""

@@ -165,9 +165,9 @@ def context_swap(
     # Apply: bulk-overwrite the RAMs (bypassing the one-write-per-cycle
     # port — that is exactly what a configuration download does).
     for trans in target.transitions():
-        addr = hw._address(trans.input, trans.source).value
-        hw.f_ram.load({addr: hw.state_enc.encode(trans.target).value})
-        hw.g_ram.load({addr: hw.output_enc.encode(trans.output).value})
+        addr = hw._address(trans.input, trans.source)
+        hw.f_ram.load({addr: hw.state_enc.alphabet.index(trans.target)})
+        hw.g_ram.load({addr: hw.output_enc.alphabet.index(trans.output)})
     hw.retarget_reset(target.reset_state)
     hw.cycle(reset=True)
 

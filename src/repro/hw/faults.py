@@ -68,7 +68,7 @@ def inject_upset(
             for bit in range(data_width):
                 choices.append((label, address, bit))
     if entry is not None:
-        addr = hw._address(*entry).value
+        addr = hw._address(*entry)
         choices = [c for c in choices if c[1] == addr]
     if not choices:
         raise ValueError("no written RAM words match the constraints")
@@ -103,7 +103,7 @@ def erase_entry(
             raise ValueError("no written F-RAM words to erase")
         address = rng.choice(written)
     else:
-        address = hw._address(*entry).value
+        address = hw._address(*entry)
         if hw.f_ram.peek(address) is None:
             raise ValueError(f"entry {entry!r} is not written")
     hw.f_ram.erase(address)
@@ -211,6 +211,5 @@ def scrub(hw: HardwareFSM, intended: FSM) -> Program:
     """Repair the datapath in place; returns the program that did it."""
     program = scrub_program(hw, intended)
     hw.retarget_reset(intended.reset_state)
-    for row in program.to_sequence():
-        hw.apply_row(row)
+    hw.apply_steps(program.steps)
     return program

@@ -19,7 +19,10 @@ The netlist consists of (paper Sec. 3):
 by the :class:`~repro.hw.signals.SymbolEncoder` instances built from the
 superset alphabets, so migrating into a machine with more states only
 requires having sized the register and RAMs for the superset up front
-(the paper's Def. 4.1 supersets).
+(the paper's Def. 4.1 supersets).  Inside a cycle the datapath works on
+the encoders' int codes end to end — the RAM address is
+``(in_code << state_width) | state_code`` — and decodes only at its
+ports (the returned output, the probe counters and the trace row).
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from ..core.alphabet import Alphabet
 from ..core.fsm import FSM, Input, Output, State
-from ..core.program import Program, SequenceRow
+from ..core.program import Program, SequenceRow, Step
 from ..obs.tracing import span as _span
 from .memory import SyncRAM, UninitialisedRead
-from .register import Register, mux2
-from .signals import BitVector, SymbolEncoder, ram_address
-from .trace import TraceEntry, TraceRecorder
+from .register import Register
+from .signals import SymbolEncoder, address_code
+from .trace import TraceRecorder
 
 
 class ConcurrentUseError(RuntimeError):
@@ -63,6 +66,11 @@ class ReconCommand:
     hf: State
     hg: Output
     write: bool = True
+
+
+def _codes(encoder: SymbolEncoder) -> Dict[object, int]:
+    """Symbol -> int code of one encoder's alphabet."""
+    return {sym: code for code, sym in enumerate(encoder.alphabet.symbols)}
 
 
 class HardwareFSM:
@@ -102,13 +110,22 @@ class HardwareFSM:
             Alphabet(fsm.states).union(Alphabet(list(extra_states) or fsm.states))
         )
 
+        # Int-code views of the superset alphabets: symbol -> code for
+        # the ports that encode, code -> symbol for the ones that decode.
+        self._input_code = _codes(self.input_enc)
+        self._state_code = _codes(self.state_enc)
+        self._output_code = _codes(self.output_enc)
+        self._states = self.state_enc.alphabet.symbols
+        self._outputs = self.output_enc.alphabet.symbols
+        self._state_width = self.state_enc.width
+
         addr_width = self.input_enc.width + self.state_enc.width
         self.f_ram = SyncRAM(addr_width, self.state_enc.width, name="F-RAM")
         self.g_ram = SyncRAM(addr_width, self.output_enc.width, name="G-RAM")
         self.st_reg = Register(
             self.state_enc.width, self.state_enc.encode(fsm.reset_state), name="ST-REG"
         )
-        self._reset_code = self.state_enc.encode(fsm.reset_state)
+        self._reset_code = self._state_code[fsm.reset_state]
         self._retargets = 0
         self.trace = TraceRecorder(max_entries=trace_max_entries)
         self.cycles = 0
@@ -140,14 +157,17 @@ class HardwareFSM:
         f_words: Dict[int, int] = {}
         g_words: Dict[int, int] = {}
         for trans in fsm.transitions():
-            addr = self._address(trans.input, trans.source).value
-            f_words[addr] = self.state_enc.encode(trans.target).value
-            g_words[addr] = self.output_enc.encode(trans.output).value
+            addr = self._address(trans.input, trans.source)
+            f_words[addr] = self._state_code[trans.target]
+            g_words[addr] = self._output_code[trans.output]
         self.f_ram.load(f_words)
         self.g_ram.load(g_words)
 
-    def _address(self, i: Input, s: State) -> BitVector:
-        return ram_address(self.input_enc.encode(i), self.state_enc.encode(s))
+    def _address(self, i: Input, s: State) -> int:
+        """The RAM address of table entry ``(i, s)``."""
+        return address_code(
+            self._input_code[i], self._state_code[s], self._state_width
+        )
 
     # ------------------------------------------------------------------
     # Observation
@@ -155,16 +175,19 @@ class HardwareFSM:
     @property
     def state(self) -> State:
         """The decoded current state (ST-REG contents)."""
-        return self.state_enc.decode(self.st_reg.q)
+        code = self.st_reg.code
+        if code >= len(self._states):
+            raise ValueError(f"code {code} names no symbol")
+        return self._states[code]
 
     @property
     def reset_state(self) -> State:
         """The state the RST-MUX currently forces."""
-        return self.state_enc.decode(self._reset_code)
+        return self._states[self._reset_code]
 
     def retarget_reset(self, state: State) -> None:
         """Re-wire the RST-MUX constant (needed when ``S0' ≠ S0``)."""
-        self._reset_code = self.state_enc.encode(state)
+        self._reset_code = self._state_code[state]
         self._retargets += 1
 
     @property
@@ -183,13 +206,12 @@ class HardwareFSM:
     def table_entry(self, i: Input, s: State) -> Optional[Tuple[State, Output]]:
         """Decode one (F-RAM, G-RAM) entry; ``None`` when unconfigured or
         when a word holds a code that names no symbol (an upset)."""
-        addr = self._address(i, s).value
+        addr = self._address(i, s)
         f_word = self.f_ram.peek(addr)
         g_word = self.g_ram.peek(addr)
         if f_word is None or g_word is None:
             return None
-        states = self.state_enc.alphabet.symbols
-        outputs = self.output_enc.alphabet.symbols
+        states, outputs = self._states, self._outputs
         if f_word >= len(states) or g_word >= len(outputs):
             return None
         return states[f_word], outputs[g_word]
@@ -198,14 +220,11 @@ class HardwareFSM:
         """True when the RAMs hold ``fsm``'s table on its whole domain
         (compared as int codes: a garbage word is a mismatch)."""
         f_words, g_words = self.f_ram.dump(), self.g_ram.dump()
-        in_code = self.input_enc.alphabet.index
-        st_code = self.state_enc.alphabet.index
-        out_code = self.output_enc.alphabet.index
-        width = self.state_enc.width
+        st_code, out_code = self._state_code, self._output_code
         for t in fsm.transitions():
-            addr = (in_code(t.input) << width) | st_code(t.source)
+            addr = self._address(t.input, t.source)
             if (f_words.get(addr), g_words.get(addr)) != (
-                st_code(t.target), out_code(t.output)
+                st_code[t.target], out_code[t.output]
             ):
                 return False
         return True
@@ -229,90 +248,102 @@ class HardwareFSM:
             raise ValueError("external input is ignored in reconfiguration mode")
         if recon is None and i is None and not reset:
             raise ValueError("cycle needs an input, a reset, or a recon command")
-
-        if not self._cycle_guard.acquire(blocking=False):
-            raise ConcurrentUseError(
-                f"{self.name}: cycle() called while thread "
-                f"{self._driver} is mid-cycle; HardwareFSM is "
-                "single-driver — serialise access or shard per thread"
+        if recon is None:
+            return self._clock(
+                "reset" if reset else "normal", i, i, reset, False, None, None
             )
+        return self._clock(
+            "reconf", None, recon.ir, reset, bool(recon.write), recon.hf,
+            recon.hg,
+        )
+
+    def _busy(self, what: str) -> ConcurrentUseError:
+        return ConcurrentUseError(
+            f"{self.name}: {what} called while thread "
+            f"{self._driver} is mid-cycle; HardwareFSM is "
+            "single-driver — serialise access or shard per thread"
+        )
+
+    def _clock(
+        self,
+        mode: str,
+        external: Optional[Input],
+        internal: Optional[Input],
+        reset: bool,
+        write: bool,
+        hf: Optional[State],
+        hg: Optional[Output],
+    ) -> Optional[Output]:
+        """One rising edge on int codes, under the single-driver guard.
+
+        ``internal`` is the IN-MUX output (``ir`` in reconfiguration
+        mode, the external input otherwise; ``None`` for a bare reset,
+        the one cycle that addresses no RAM word); with ``write`` the
+        Reconfigurator drives ``hf``/``hg`` onto the RAM data ports.
+        """
+        if not self._cycle_guard.acquire(blocking=False):
+            raise self._busy("cycle()")
         self._driver = threading.get_ident()
         try:
-            return self._guarded_cycle(i=i, reset=reset, recon=recon)
+            states = self._states
+            state_code = self.st_reg.code
+            if state_code >= len(states):
+                raise ValueError(f"code {state_code} names no symbol")
+            state_before = states[state_code]
+            f_ram, g_ram = self.f_ram, self.g_ram
+
+            output: Optional[Output] = None
+            next_code = self._reset_code
+            addr: Optional[int] = None
+            if internal is not None or mode == "reconf":
+                addr = address_code(
+                    self._input_code[internal], state_code, self._state_width
+                )
+                if write:
+                    f_word = self._state_code[hf]
+                    g_word = self._output_code[hg]
+                    f_ram.write_at(addr, f_word)
+                    g_ram.write_at(addr, g_word)
+                # Combinational RAM read (write-first during a write cycle).
+                f_read = f_ram.read_at(addr)
+                g_read = g_ram.read_at(addr)
+                if g_read is not None:
+                    outputs = self._outputs
+                    if g_read >= len(outputs):
+                        raise ValueError(f"code {g_read} names no symbol")
+                    output = outputs[g_read]
+                if f_read is not None:
+                    # RST-MUX: reset overrides the F-RAM next state.
+                    if not reset:
+                        next_code = f_read
+                elif not reset:
+                    self.uninitialised_reads += 1
+                    raise UninitialisedRead(
+                        f"{self.name}: F-RAM entry ({internal!r}, "
+                        f"{state_before!r}) read while unconfigured"
+                    )
+
+            self.st_reg.drive_code(next_code)
+            f_ram.clock()
+            g_ram.clock()
+            self.st_reg.clock()
+            self.cycles += 1
+            self.mode_cycles[mode] += 1
+            if next_code >= len(states):
+                raise ValueError(f"code {next_code} names no symbol")
+            state_after = states[next_code]
+            visits = self.state_visits
+            visits[state_after] = visits.get(state_after, 0) + 1
+            if reset:
+                output = None
+            self.trace.record_row((
+                self.cycles - 1, mode, external, internal, state_before,
+                state_after, output, write, addr,
+            ))
+            return output
         finally:
             self._driver = None
             self._cycle_guard.release()
-
-    def _guarded_cycle(
-        self,
-        i: Optional[Input],
-        reset: bool,
-        recon: Optional[ReconCommand],
-    ) -> Optional[Output]:
-        mode = "reconf" if recon is not None else ("reset" if reset else "normal")
-        state_before = self.state
-
-        if recon is not None:
-            internal = recon.ir
-            addr = self._address(internal, state_before)
-            if recon.write:
-                f_word = self.state_enc.encode(recon.hf)
-                g_word = self.output_enc.encode(recon.hg)
-                self.f_ram.write(addr, f_word)
-                self.g_ram.write(addr, g_word)
-        else:
-            internal = i
-            addr = self._address(internal, state_before) if i is not None else None
-
-        # Combinational RAM read (write-first during a write cycle).
-        output: Optional[Output] = None
-        next_code: Optional[BitVector] = None
-        if addr is not None:
-            f_read = self.f_ram.read(addr)
-            g_read = self.g_ram.read(addr)
-            if g_read is not None:
-                output = self.output_enc.decode(
-                    BitVector(g_read, self.output_enc.width)
-                )
-            if f_read is not None:
-                next_code = BitVector(f_read, self.state_enc.width)
-            elif not reset:
-                self.uninitialised_reads += 1
-                raise UninitialisedRead(
-                    f"{self.name}: F-RAM entry ({internal!r}, {state_before!r}) "
-                    "read while unconfigured"
-                )
-
-        # RST-MUX: reset overrides the F-RAM next state.
-        if reset or next_code is None:
-            self.st_reg.drive(self._reset_code)
-        else:
-            self.st_reg.drive(mux2(reset, self._reset_code, next_code))
-
-        self.f_ram.clock()
-        self.g_ram.clock()
-        self.st_reg.clock()
-        self.cycles += 1
-        self.mode_cycles[mode] += 1
-        state_after = self.state
-        self.state_visits[state_after] = (
-            self.state_visits.get(state_after, 0) + 1
-        )
-
-        self.trace.record(
-            TraceEntry(
-                cycle=self.cycles - 1,
-                mode=mode,
-                external_input=i,
-                internal_input=internal if recon is not None else i,
-                state_before=state_before,
-                state_after=state_after,
-                output=output if not reset else None,
-                write=bool(recon and recon.write),
-                address=None if addr is None else addr.value,
-            )
-        )
-        return None if reset else output
 
     def commit_engine_run(
         self,
@@ -338,14 +369,10 @@ class HardwareFSM:
         if n_cycles < 0:
             raise ValueError("n_cycles must be non-negative")
         if not self._cycle_guard.acquire(blocking=False):
-            raise ConcurrentUseError(
-                f"{self.name}: commit_engine_run() called while thread "
-                f"{self._driver} is mid-cycle; HardwareFSM is "
-                "single-driver — serialise access or shard per thread"
-            )
+            raise self._busy("commit_engine_run()")
         self._driver = threading.get_ident()
         try:
-            self.st_reg.drive(self.state_enc.encode(final_state))
+            self.st_reg.drive_code(self._state_code[final_state])
             self.st_reg.clock()
             self.cycles += n_cycles
             self.mode_cycles["normal"] += n_cycles
@@ -367,16 +394,12 @@ class HardwareFSM:
         not service.  Holds the single-driver guard like any other
         ST-REG mutation.
         """
-        code = self.state_enc.encode(state)
+        code = self._state_code[state]
         if not self._cycle_guard.acquire(blocking=False):
-            raise ConcurrentUseError(
-                f"{self.name}: restore_state() called while thread "
-                f"{self._driver} is mid-cycle; HardwareFSM is "
-                "single-driver — serialise access or shard per thread"
-            )
+            raise self._busy("restore_state()")
         self._driver = threading.get_ident()
         try:
-            self.st_reg.drive(code)
+            self.st_reg.drive_code(code)
             self.st_reg.clock()
         finally:
             self._driver = None
@@ -394,9 +417,29 @@ class HardwareFSM:
         """Execute one Table-1-style reconfiguration sequence row."""
         if row.reset:
             return self.cycle(reset=True)
-        return self.cycle(
-            recon=ReconCommand(ir=row.hi, hf=row.hf, hg=row.hg, write=row.write)
+        return self._clock(
+            "reconf", None, row.hi, False, bool(row.write), row.hf, row.hg
         )
+
+    def apply_steps(self, steps: Iterable[Step]) -> None:
+        """Clock reconfiguration-program steps, one cycle each.
+
+        Each step runs as its :meth:`~repro.core.program.Program.to_sequence`
+        row would under :meth:`apply_row` — a reset step asserts the
+        reset, any other forces its transition's input and drives its
+        target/output with the write enable of its kind — without
+        building the rows.
+        """
+        clock = self._clock
+        for step in steps:
+            trans = step.transition
+            if trans is None:  # a reset step
+                clock("reset", None, None, True, False, None, None)
+            else:
+                clock(
+                    "reconf", None, trans.input, False, step.kind.writes,
+                    trans.target, trans.output,
+                )
 
     def run_program(self, program: Program) -> None:
         """Replay a reconfiguration program cycle-accurately.
@@ -413,8 +456,7 @@ class HardwareFSM:
             length=len(program),
         ):
             self.retarget_reset(program.target.reset_state)
-            for row in program.to_sequence():
-                self.apply_row(row)
+            self.apply_steps(program.steps)
 
     def __repr__(self) -> str:
         return (

@@ -54,6 +54,8 @@ class SyncRAM:
         self.data_width = data_width
         self.name = name
         self.write_first = write_first
+        self._depth = 1 << address_width
+        self._data_limit = 1 << data_width
         self._words: Dict[int, int] = {}
         self._pending: Optional[tuple] = None
         self.write_count = 0
@@ -67,7 +69,7 @@ class SyncRAM:
     @property
     def depth(self) -> int:
         """Number of addressable words."""
-        return 1 << self.address_width
+        return self._depth
 
     @property
     def bits(self) -> int:
@@ -105,32 +107,43 @@ class SyncRAM:
     def read(self, address: BitVector) -> Optional[int]:
         """Combinational read; ``None`` models uninitialised contents."""
         self._check_width(address)
-        word = self._words.get(address.value)
-        if (
-            self.write_first
-            and self._pending is not None
-            and self._pending[0] == address.value
-        ):
-            return self._pending[1]
-        return word
+        return self.read_at(address.value)
+
+    def read_at(self, address: int) -> Optional[int]:
+        """:meth:`read` by int address — the path the datapath clocks."""
+        if not 0 <= address < self._depth:
+            raise ValueError(f"{self.name}: address {address} out of range")
+        pending = self._pending
+        if self.write_first and pending is not None and pending[0] == address:
+            return pending[1]
+        return self._words.get(address)
 
     def write(self, address: BitVector, data: BitVector) -> None:
-        """Schedule a synchronous write for the next clock edge.
-
-        A second write in the same cycle raises — the physical port
-        constraint that bounds reconfiguration to one entry per cycle
-        (and underpins the ``|T_d|`` lower bound, Thm. 4.3).
-        """
+        """Schedule a synchronous write for the next clock edge (see
+        :meth:`write_at`)."""
         self._check_width(address)
         if data.width != self.data_width:
             raise ValueError(
                 f"{self.name}: data width {data.width} != {self.data_width}"
             )
+        self.write_at(address.value, data.value)
+
+    def write_at(self, address: int, data: int) -> None:
+        """Schedule a synchronous write of ``data`` to int ``address``.
+
+        A second write in the same cycle raises — the physical port
+        constraint that bounds reconfiguration to one entry per cycle
+        (and underpins the ``|T_d|`` lower bound, Thm. 4.3).
+        """
+        if not 0 <= address < self._depth:
+            raise ValueError(f"{self.name}: address {address} out of range")
+        if not 0 <= data < self._data_limit:
+            raise ValueError(f"{self.name}: data {data} out of range")
         if self._pending is not None:
             raise RuntimeError(
                 f"{self.name}: second write scheduled in the same cycle"
             )
-        self._pending = (address.value, data.value)
+        self._pending = (address, data)
 
     def clock(self) -> None:
         """Rising clock edge: commit the pending write, if any."""
@@ -146,11 +159,11 @@ class SyncRAM:
         return dict(self._words)
 
     def _check_addr(self, address: int) -> None:
-        if not 0 <= address < self.depth:
+        if not 0 <= address < self._depth:
             raise ValueError(f"{self.name}: address {address} out of range")
 
     def _check_data(self, data: int) -> None:
-        if not 0 <= data < (1 << self.data_width):
+        if not 0 <= data < self._data_limit:
             raise ValueError(f"{self.name}: data {data} out of range")
 
     def _check_width(self, address: BitVector) -> None:

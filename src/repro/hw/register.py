@@ -12,7 +12,9 @@ class Register:
 
     The D input is driven combinationally during the cycle; the Q output
     changes only on :meth:`clock`.  Construction fixes the width and the
-    power-up value.
+    power-up value.  The bank holds an int code; :attr:`q` and
+    :meth:`drive` are its :class:`BitVector` view, :attr:`code` and
+    :meth:`drive_code` the int one the datapath clocks.
     """
 
     def __init__(self, width: int, initial: BitVector, name: str = "reg"):
@@ -20,19 +22,30 @@ class Register:
             raise ValueError("initial value width mismatch")
         self.width = width
         self.name = name
-        self._q = initial
-        self._d: Optional[BitVector] = None
+        self._q = initial.value
+        self._d: Optional[int] = None
 
     @property
     def q(self) -> BitVector:
         """The registered output (stable within a cycle)."""
+        return BitVector(self._q, self.width)
+
+    @property
+    def code(self) -> int:
+        """The registered output as an int code."""
         return self._q
 
     def drive(self, value: BitVector) -> None:
         """Drive the D input for this cycle."""
         if value.width != self.width:
             raise ValueError(f"{self.name}: D width {value.width} != {self.width}")
-        self._d = value
+        self._d = value.value
+
+    def drive_code(self, code: int) -> None:
+        """Drive the D input with an int code that fits :attr:`width`
+        (the caller's contract: the datapath drives RAM words and
+        encoder codes of this width)."""
+        self._d = code
 
     def clock(self) -> None:
         """Rising edge: latch D into Q.  D must have been driven."""
@@ -42,7 +55,7 @@ class Register:
         self._d = None
 
     def __repr__(self) -> str:
-        return f"Register(name={self.name!r}, q={self._q})"
+        return f"Register(name={self.name!r}, q={self.q})"
 
 
 def mux2(select: bool, when_true: BitVector, when_false: BitVector) -> BitVector:

@@ -119,10 +119,23 @@ class SymbolEncoder:
         return self.alphabet.symbol(word.value)
 
 
-def ram_address(input_word: BitVector, state_word: BitVector) -> BitVector:
-    """The F-RAM/G-RAM address: encoded input concatenated with state.
+def address_code(input_code: int, state_code: int, state_width: int) -> int:
+    """The F-RAM/G-RAM address ``{i', s}`` as an int: the input code in
+    the high bits, the state code in the low ``state_width`` bits.
 
     Matches Fig. 5, where "the address of the memory blocks F-RAM and
     G-RAM depend on the external input i and the current state s".
+
+    >>> address_code(1, 0b10, 2)
+    6
     """
-    return input_word @ state_word
+    return (input_code << state_width) | state_code
+
+
+def ram_address(input_word: BitVector, state_word: BitVector) -> BitVector:
+    """The F-RAM/G-RAM address as a word: encoded input concatenated
+    with state (:func:`address_code` at the words' widths)."""
+    return BitVector(
+        address_code(input_word.value, state_word.value, state_word.width),
+        input_word.width + state_word.width,
+    )

@@ -1,15 +1,17 @@
 """Cycle-by-cycle trace recording and ASCII waveform rendering.
 
-The hardware simulation records one :class:`TraceEntry` per clock cycle;
-:func:`render_waveform` turns a trace into a compact textual waveform
-(one row per signal, one column per cycle) for the examples and for
-eyeballing reconfiguration sequences the way Fig. 4 draws them.
+The hardware simulation records one row per clock cycle, read back as
+:class:`TraceEntry` objects; :func:`render_waveform` turns a trace into
+a compact textual waveform (one row per signal, one column per cycle)
+for the examples and for eyeballing reconfiguration sequences the way
+Fig. 4 draws them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass, fields
+from typing import Any, Deque, List, Optional, Sequence, Union
 
 from ..obs import instruments as _instruments
 
@@ -34,8 +36,16 @@ class TraceEntry:
     address: Optional[int] = None
 
 
+_FIELDS = tuple(f.name for f in fields(TraceEntry))
+
+
 class TraceRecorder:
-    """Accumulates :class:`TraceEntry` rows during simulation.
+    """Accumulates one row per clock cycle during simulation.
+
+    A row is a plain tuple in :class:`TraceEntry` field order
+    (:meth:`record_row`, the path the datapath clocks); :class:`TraceEntry`
+    objects are built only when something reads :attr:`entries`,
+    :meth:`column` or the iterator, and are cached until the next record.
 
     ``max_entries`` switches the recorder into ring-buffer mode: only
     the most recent ``max_entries`` rows are kept and ``dropped`` counts
@@ -48,25 +58,41 @@ class TraceRecorder:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive (or None)")
         self.max_entries = max_entries
-        self.entries: List[TraceEntry] = []
+        self._rows: Union[List[tuple], Deque[tuple]] = (
+            [] if max_entries is None else deque(maxlen=max_entries)
+        )
+        self._entries: Optional[List[TraceEntry]] = None
         self.dropped = 0
 
     def record(self, entry: TraceEntry) -> None:
-        if (
-            self.max_entries is not None
-            and len(self.entries) >= self.max_entries
-        ):
-            del self.entries[0]
+        self.record_row(tuple(getattr(entry, name) for name in _FIELDS))
+
+    def record_row(self, row: tuple) -> None:
+        """Record one cycle given as a tuple in :class:`TraceEntry`
+        field order."""
+        rows = self._rows
+        if len(rows) == self.max_entries:
+            # The bounded deque evicts the oldest row on append.
             self.dropped += 1
             _instruments.HW_TRACE_DROPPED.inc()
-        self.entries.append(entry)
+        rows.append(row)
+        self._entries = None
+
+    @property
+    def entries(self) -> List[TraceEntry]:
+        """The recorded cycles, oldest first (a cached list: read it,
+        do not mutate it)."""
+        if self._entries is None:
+            self._entries = [TraceEntry(*row) for row in self._rows]
+        return self._entries
 
     def clear(self) -> None:
-        self.entries.clear()
+        self._rows.clear()
+        self._entries = None
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.entries)

@@ -200,7 +200,7 @@ class TestUnsetAndGarbage:
     def test_unset_g_entry_yields_none_output(self, kernel):
         fsm = tri_output_fsm()
         hw = HardwareFSM(fsm)
-        addr = hw._address("a", "S0").value
+        addr = hw._address("a", "S0")
         assert hw.g_ram.erase(addr)
         compiled = CompiledFSM.from_hardware(hw)
         run = run_one(compiled, ["a", "a"], kernel)
@@ -211,7 +211,7 @@ class TestUnsetAndGarbage:
     def test_garbage_g_code_raises(self, kernel):
         fsm = tri_output_fsm()
         hw = HardwareFSM(fsm)
-        addr = hw._address("a", "S0").value
+        addr = hw._address("a", "S0")
         garbage = len(fsm.outputs)  # code 3 fits 2 bits, decodes to nothing
         assert garbage < (1 << hw.g_ram.data_width)
         hw.g_ram.load({addr: garbage})
