@@ -16,7 +16,7 @@ plus a reconfiguration-replay row (cycles/s replaying a fixed seeded
 chain of chunk plans, the ``migrate-live`` shape, through
 ``IncrementalMigrator.stall``: the netlist's reconfiguration path,
 recorded, not gated), one dispatcher-driven serving row per
-*registered* execution backend (``repro.exec``: select → run_batch →
+execution backend (``repro.exec``: select → run_batch →
 commit, the fleet's hot path without the threads; unavailable backends
 record why they were skipped), and end-to-end fleet serving
 throughput with 1 and 4 workers, engine on vs off.  Writes
@@ -50,7 +50,7 @@ import time
 
 from repro.core.incremental import IncrementalMigrator
 from repro.engine import CompiledFSM, numpy_available
-from repro.exec import Dispatcher, specs
+from repro.exec import Dispatcher, names, unavailable_reason
 from repro.fleet import FSMFleet
 from repro.fleet.plancache import PlanCache
 from repro.hw.machine import HardwareFSM
@@ -212,25 +212,24 @@ def replay_row() -> dict:
 
 
 def backend_rows(machine, words):
-    """Dispatcher-driven serving throughput, one row per registered
-    backend (the exec layer's view: select → run_batch → commit)."""
+    """Dispatcher-driven serving throughput, one row per backend (the
+    exec layer's view: select → run_batch → commit)."""
     n_symbols = sum(len(w) for w in words)
     rows = {}
-    for spec in specs():
-        if not spec.available():
-            rows[spec.name] = {
-                "skipped": spec.unavailable_reason() or "unavailable",
-            }
+    for name in names():
+        reason = unavailable_reason(name)
+        if reason is not None:
+            rows[name] = {"skipped": reason}
             continue
 
-        def serve(mode=spec.name):
+        def serve(mode=name):
             hw = HardwareFSM(machine, trace_max_entries=16)
             dispatcher = Dispatcher(mode)
             for word in words:
                 dispatcher.select(hw).backend.run_batch(word)
 
         seconds = _best_seconds(serve)
-        rows[spec.name] = {
+        rows[name] = {
             "seconds": seconds, "symbols_per_s": n_symbols / seconds,
         }
     return rows

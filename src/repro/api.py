@@ -56,7 +56,7 @@ __all__ = [
 METHODS = ("jsr", "ea", "greedy", "tsp", "optimal")
 
 #: Execution backend spellings accepted by :class:`Options` ``engine``
-#: (the registry's names and aliases, see :mod:`repro.exec`).
+#: (the backend names and aliases, see :mod:`repro.exec`).
 ENGINE_MODES = spellings()
 
 #: Fleet serving substrates accepted by :class:`Options` (see

@@ -683,28 +683,21 @@ def cmd_stats(args) -> int:
 
 
 def cmd_backends(args) -> int:
-    """List registered execution backends and the dispatcher's pick."""
-    from .exec import BackendUnavailable, resolve, specs
-
-    def _mark(flag: bool) -> str:
-        return "yes" if flag else "no"
+    """List the execution backends and the dispatcher's pick."""
+    from .exec import BackendUnavailable, killswitch, resolve
+    from .exec.registry import SUMMARIES, unavailable_reason
 
     rows = []
-    for spec in specs():
-        available = spec.available()
-        availability = "yes" if available else (
-            f"no — {spec.unavailable_reason()}"
-        )
-        row = {"backend": spec.name}
-        for flag, value in spec.capabilities.flags().items():
-            row[flag.replace("_", "-")] = _mark(value)
-        row["available"] = availability
-        rows.append(row)
-    print(format_table(rows, title="registered execution backends"))
+    for name in SUMMARIES:
+        reason = unavailable_reason(name)
+        rows.append({
+            "backend": name,
+            "available": "yes" if reason is None else f"no — {reason}",
+        })
+    print(format_table(rows, title="execution backends"))
     print()
-    for spec in specs():
-        print(f"{spec.name}: {spec.summary}")
-    from .exec import killswitch
+    for name, summary in SUMMARIES.items():
+        print(f"{name}: {summary}")
 
     engaged = killswitch.active()
     if engaged:
@@ -946,8 +939,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "backends",
-        help="list registered execution backends, capability flags, "
-             "availability, and the dispatcher's pick",
+        help="list the execution backends, their availability, and "
+             "the dispatcher's pick",
     )
     add_engine(p)
     p.set_defaults(func=cmd_backends)

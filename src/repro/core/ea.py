@@ -296,7 +296,7 @@ def evaluate_population(
     whole-batch :class:`~repro.exec.TableMiss` falls back to per-stream
     replay to isolate the failing lanes.
 
-    ``backend`` resolves through the execution registry and must come
+    ``backend`` resolves through the exec resolver and must come
     out as ``"table"``; the engine then picks the python kernel for
     narrow trace sets and the numpy stream kernel once the lanes
     amortize it.  ``"off"``/``"cycle"`` is rejected: a population is

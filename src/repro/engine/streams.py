@@ -100,8 +100,8 @@ def stream_dtype_name(n_inputs: int, n_states: int, n_outputs: int) -> str:
     the narrowest that holds the padded address space, the dtype of
     :attr:`StreamTables.out_padded` and of the gathered output matrix.
 
-    Exposed for capability reporting (``repro backends``) and tests;
-    mirrors :class:`StreamTables` exactly.
+    :class:`StreamTables` packs with it; exposed so tests can check a
+    geometry's dtype without building tables.
     """
     size = n_inputs * n_states
     maxval = max(size + n_inputs, n_outputs + 1)

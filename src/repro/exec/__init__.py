@@ -1,11 +1,11 @@
-"""Unified execution-backend layer (protocol, registry, dispatch).
+"""Unified execution-backend layer (contract, resolver, dispatch).
 
-One serving stack, three interchangeable substrates: the
-cycle-accurate Fig. 5 netlist (``cycle``), the dense tables in process
-(``table``) and the dense tables in shared memory behind worker
-processes (``table-shm``).  All implement one :class:`ExecutionBackend`
-protocol, register in one process-wide registry, and are chosen by one
-policy-driven :class:`Dispatcher`.  The fleet hot path,
+One serving stack, three fixed substrates: the cycle-accurate Fig. 5
+netlist (``cycle``), the dense tables in process (``table``) and the
+dense tables in shared memory behind worker processes
+(``table-shm``).  All implement one :class:`ExecutionBackend`
+contract, are named by one resolver (:func:`resolve`), and are chosen
+by one policy-driven :class:`Dispatcher`.  The fleet hot path,
 ``api.compile_fsm``, the workload suite and the CLI all dispatch
 through here — no caller picks a backend by hand.
 
@@ -28,48 +28,25 @@ from . import killswitch
 from .backends import CycleBackend, TableBackend, compile_tables
 from .batching import run_streams
 from .dispatcher import DEFAULT_COALESCE, Decision, Dispatcher
-from .protocol import (
-    BackendUnavailable,
-    Capabilities,
-    ExecError,
-    ExecSnapshot,
-    ExecutionBackend,
-    StaleSnapshot,
-    TableMiss,
-)
-from .registry import (
-    BackendSpec,
-    canonical,
-    get,
-    names,
-    register,
-    resolve,
-    specs,
-    spellings,
-)
+from .protocol import BackendUnavailable, ExecError, ExecutionBackend, TableMiss
+from .registry import canonical, names, resolve, spellings, unavailable_reason
 
 __all__ = [
-    "BackendSpec",
     "BackendUnavailable",
-    "Capabilities",
     "CycleBackend",
     "DEFAULT_COALESCE",
     "Decision",
     "Dispatcher",
     "ExecError",
-    "ExecSnapshot",
     "ExecutionBackend",
-    "StaleSnapshot",
     "TableBackend",
     "TableMiss",
     "canonical",
     "compile_tables",
-    "get",
     "killswitch",
     "names",
-    "register",
     "resolve",
     "run_streams",
-    "specs",
     "spellings",
+    "unavailable_reason",
 ]

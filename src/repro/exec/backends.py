@@ -4,7 +4,7 @@ Both implement :class:`~repro.exec.protocol.ExecutionBackend`; the
 dispatcher and the fleet hot path only ever see that contract.
 
 * :class:`CycleBackend` wraps a live
-  :class:`~repro.hw.machine.HardwareFSM`: every step is a real clocked
+  :class:`~repro.hw.machine.HardwareFSM`: every symbol is a real clocked
   cycle (traces, probe counters, exact fault behaviour), read from the
   live RAMs.
 * :class:`TableBackend` wraps a :class:`~repro.engine.CompiledFSM`
@@ -27,82 +27,34 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from ..core.fsm import FSM, Input, Output, State
+from ..core.fsm import FSM, Input, State
 from ..engine.compiled import CompiledFSM, EngineError, WordRun
 from ..engine.streams import StreamBatch, stream_kernel
 from ..hw.machine import HardwareFSM
-from ..obs import journal as _journal
 from ..obs.tracing import span as _span
-from .protocol import Capabilities, ExecSnapshot, StaleSnapshot, TableMiss
+from .protocol import TableMiss
 from .registry import canonical, resolve
 
 __all__ = [
     "CycleBackend",
     "TableBackend",
     "compile_tables",
-    "restore_snapshot",
-    "snapshot_of",
 ]
-
-
-def snapshot_of(
-    hw: Optional[HardwareFSM], compiled: Optional[CompiledFSM] = None
-) -> ExecSnapshot:
-    """The restorable state of a backend: the bound hardware's ST-REG
-    and table version, or — for tables lowered straight from an FSM —
-    the compiled view's reset state and source version."""
-    if hw is not None:
-        return ExecSnapshot(state=hw.state, table_version=hw.table_version)
-    return ExecSnapshot(
-        state=compiled.reset_state, table_version=compiled.source_version
-    )
-
-
-def restore_snapshot(hw: Optional[HardwareFSM], snap: ExecSnapshot) -> None:
-    """Restore ``snap`` onto ``hw`` (no-op without hardware: pure-FSM
-    tables carry no architectural state).
-
-    A snapshot taken at another ``table_version`` is journaled and
-    refused with :class:`StaleSnapshot` — resuming would run the state
-    on words it was never captured against.
-    """
-    if hw is None:
-        return
-    if (
-        snap.table_version is not None
-        and snap.table_version != hw.table_version
-    ):
-        _journal.JOURNAL.record(
-            _journal.EXEC_STALE_SNAPSHOT,
-            snapshot_version=snap.table_version,
-            live_version=hw.table_version,
-        )
-        raise StaleSnapshot(
-            f"snapshot of {hw.name} at table version "
-            f"{snap.table_version} cannot be restored at version "
-            f"{hw.table_version}: the tables changed underneath it"
-        )
-    hw.restore_state(snap.state)
 
 
 class CycleBackend:
     """The Fig. 5 netlist as an execution backend.
 
     Stateless beyond the hardware it wraps: the datapath *is* the
-    state.  Never stale (it reads the live RAMs) and never batchable
-    (the value of the netlist is the per-cycle fidelity).
+    state.  Never stale (it reads the live RAMs); every symbol is a real
+    clocked cycle, so hardware faults raise out unwrapped (an injected
+    SRAM erasure must quarantine, not fall back).
     """
 
     name = "cycle"
-    capabilities = Capabilities(cycle_accurate=True)
 
     def __init__(self, hardware: HardwareFSM):
         self.hardware = hardware
-
-    def step(self, symbol: Input) -> Optional[Output]:
-        """One real clocked cycle; hardware faults raise out unwrapped
-        (an injected SRAM erasure must quarantine, not fall back)."""
-        return self.hardware.step(symbol)
 
     def run_batch(
         self,
@@ -111,7 +63,7 @@ class CycleBackend:
         commit: bool = True,
     ) -> WordRun:
         hw = self.hardware
-        snap = None if commit else self.snapshot()
+        before = None if commit else hw.state
         with _span("engine.run_batch", backend=self.name, symbols=len(symbols)):
             if start is not None and start != hw.state:
                 hw.restore_state(start)
@@ -127,8 +79,8 @@ class CycleBackend:
                 # A pure query must not leave the machine mid-word, even
                 # when a symbol raised; cycle/visit probe counters keep
                 # the work that really happened.
-                if snap is not None:
-                    hw.restore_state(snap.state)
+                if not commit:
+                    hw.restore_state(before)
             return WordRun(outputs=outputs, final_state=final, visits=visits)
 
     def run_streams(
@@ -149,12 +101,6 @@ class CycleBackend:
             )
             for word, start in zip(words, starts)
         ]
-
-    def snapshot(self) -> ExecSnapshot:
-        return snapshot_of(self.hardware)
-
-    def restore(self, snap: ExecSnapshot) -> None:
-        restore_snapshot(self.hardware, snap)
 
     def invalidate(self) -> None:
         """No-op: the netlist reads the live tables, nothing is cached."""
@@ -179,7 +125,6 @@ class TableBackend:
     """
 
     name = "table"
-    capabilities = Capabilities(batchable=True)
 
     def __init__(
         self, compiled: CompiledFSM, hardware: Optional[HardwareFSM] = None
@@ -199,9 +144,6 @@ class TableBackend:
         return cls(CompiledFSM.from_fsm(fsm))
 
     # -- protocol ------------------------------------------------------
-    def step(self, symbol: Input) -> Optional[Output]:
-        return self.run_batch([symbol]).outputs[0]
-
     def run_batch(
         self,
         symbols: Sequence[Input],
@@ -290,12 +232,6 @@ class TableBackend:
                 )
             except EngineError as exc:
                 raise TableMiss(str(exc)) from exc
-
-    def snapshot(self) -> ExecSnapshot:
-        return snapshot_of(self.hardware, self.compiled)
-
-    def restore(self, snap: ExecSnapshot) -> None:
-        restore_snapshot(self.hardware, snap)
 
     def invalidate(self) -> None:
         self.compiled.invalidate()

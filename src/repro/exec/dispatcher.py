@@ -1,8 +1,8 @@
 """Policy-driven backend dispatch: every "can X serve this now?" rule.
 
 The :class:`Dispatcher` answers every "which backend serves this run?"
-question in one tested place, as *policy over capabilities*, and the
-same rule holds before, during and after a live migration:
+question in one tested place, and the same rule holds before, during
+and after a live migration:
 
 * a mode of ``cycle`` (alias ``off``) always serves on the netlist;
 * a cached table view is reused only while it is fresh — any RAM
@@ -42,7 +42,7 @@ from ..obs import journal as _journal
 from ..obs.tracing import span as _span
 from .backends import CycleBackend, TableBackend
 from .protocol import BackendUnavailable, ExecutionBackend
-from .registry import canonical, get, resolve
+from .registry import canonical, resolve
 
 __all__ = ["Decision", "Dispatcher"]
 
@@ -88,10 +88,10 @@ class Dispatcher:
         resolve(self.mode)  # fail fast on an impossible request
         self.coalesce_limit = coalesce_limit
         self.shard = shard
-        #: Optional ``(name, hw) -> backend | None`` hook: a caller that
-        #: owns per-shard resources (the process fleet's worker session)
-        #: supplies backends other than the in-process table kernels
-        #: through it; returning ``None`` defers to the registry.
+        #: Optional ``hw -> backend`` hook building the ``table-shm``
+        #: backends: a caller that owns per-shard resources (the process
+        #: fleet's worker session) binds them through it.  Without one,
+        #: ``table-shm`` binds to the process-wide standalone session.
         self._factory = factory
         #: The most recent :class:`Decision` (health-surface vitals).
         self.last_decision: Optional[Decision] = None
@@ -156,11 +156,8 @@ class Dispatcher:
         """``(backend, reason)`` for a table-serving backend, rebuilt
         only when its compiled view has gone stale.
 
-        The caller's factory gets first refusal (the process fleet
-        binds its worker session this way); anything else builds
-        through its registry spec — so ``table`` and ``table-shm``
-        serve through the same policy with no dispatcher
-        special-casing.
+        ``table`` compiles the live RAMs in process; ``table-shm``
+        builds through the caller's factory if there is one.
         """
         table = self._tables.get(want)
         if table is not None and not table.is_stale(hw):
@@ -168,11 +165,14 @@ class Dispatcher:
         if table is not None:
             table.invalidate()
             del self._tables[want]
-        table = None
-        if self._factory is not None:
-            table = self._factory(want, hw)
-        if table is None:
-            table = get(want).build(hw)
+        if want == "table":
+            table = TableBackend.from_hardware(hw)
+        elif self._factory is not None:
+            table = self._factory(hw)
+        else:
+            from ..procfleet.backend import standalone_backend
+
+            table = standalone_backend(hw)
         self._tables[want] = table
         return table, "compiled"
 

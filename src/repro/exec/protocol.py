@@ -1,21 +1,11 @@
-"""The execution-backend protocol: one contract, many substrates.
+"""The execution-backend contract and the exec-layer error taxonomy.
 
 The paper's Fig. 5 datapath is one *substrate* for running a
-reconfigurable FSM.  The batch engine added dense tables (in process,
-or in shared memory behind worker processes), and related work runs
-the same semantics on replicated services and ReRAM crossbars.  This
-module pins down the contract every substrate implements so the
-serving stack above (:mod:`repro.fleet`, :mod:`repro.api`, the CLI)
-never needs to know which one it is talking to:
-
-* :class:`ExecutionBackend` — ``step`` / ``run_batch`` / ``snapshot`` /
-  ``restore`` / ``invalidate``;
-* :class:`Capabilities` — declared, static flags the dispatcher's
-  policy reads (*can* this backend batch?  is it cycle-accurate?);
-* :class:`ExecSnapshot` — the architectural state a backend can be
-  restored to: the ST-REG contents plus the RAM ``table_version`` the
-  state was captured against (a restore against mutated tables raises
-  :class:`StaleSnapshot` instead of silently resuming on wrong words).
+reconfigurable FSM; the batch engine added dense tables, in process or
+in shared memory behind worker processes.  :class:`ExecutionBackend`
+pins down what the serving stack above (:mod:`repro.fleet`,
+:mod:`repro.api`, the CLI) uses of all three: ``name``, ``run_batch``,
+``run_streams``, ``invalidate`` and ``is_stale``.
 
 Error taxonomy: every exec-layer error subclasses
 :class:`repro.engine.EngineError`, so callers that predate this layer
@@ -26,19 +16,16 @@ the batch; replay it on the cycle-accurate substrate".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
-from ..core.fsm import Input, Output, State
+from ..core.fsm import Input, State
 from ..engine.compiled import EngineError, WordRun
+from ..hw.machine import HardwareFSM
 
 __all__ = [
     "BackendUnavailable",
-    "Capabilities",
     "ExecError",
-    "ExecSnapshot",
     "ExecutionBackend",
-    "StaleSnapshot",
     "TableMiss",
 ]
 
@@ -54,8 +41,8 @@ class ExecError(EngineError):
 class BackendUnavailable(ExecError):
     """A concretely requested backend cannot run right now.
 
-    Raised by the shared resolver when a backend is *forced* — by name,
-    by ``backend=`` option or by ``REPRO_BACKEND`` — but its
+    Raised by the shared resolver when a backend is *forced* — by name
+    or by ``REPRO_BACKEND`` — but its
     prerequisites are missing (e.g. ``table-shm`` with
     ``REPRO_DISABLE_SHM`` set).  Auto selection never raises
     this: it only considers available backends.
@@ -73,70 +60,18 @@ class TableMiss(ExecError):
     """
 
 
-class StaleSnapshot(ExecError):
-    """A snapshot was restored against mutated tables.
-
-    The snapshot's ``table_version`` no longer matches the live
-    hardware: resuming would run the checkpointed state on words it was
-    never captured against.
-    """
-
-
-@dataclass(frozen=True)
-class Capabilities:
-    """Static capability flags a backend declares at registration.
-
-    The dispatcher's policy branches on these — never on backend
-    *types* — so a new substrate slots in by declaring what it can do.
-    """
-
-    #: Can serve a whole coalesced run — every lane of it, the
-    #: datapath's included — in one ``run_streams`` call (the fleet
-    #: batches only through backends that say yes).
-    batchable: bool = False
-    #: Clocks the real netlist: per-cycle traces, probe counters and
-    #: exact fault behaviour (``UninitialisedRead``, decoder errors).
-    cycle_accurate: bool = False
-
-    def flags(self) -> Dict[str, bool]:
-        """The flags as a dict, in declaration order (CLI listing)."""
-        return {
-            "batchable": self.batchable,
-            "cycle_accurate": self.cycle_accurate,
-        }
-
-
-@dataclass(frozen=True)
-class ExecSnapshot:
-    """Restorable architectural state of a backend.
-
-    ``state`` is the decoded ST-REG contents; ``table_version`` is the
-    :attr:`~repro.hw.machine.HardwareFSM.table_version` the state was
-    captured against (``None`` for a backend not bound to live
-    hardware, e.g. tables lowered straight from a behavioural FSM).
-    """
-
-    state: State
-    table_version: Optional[int] = None
-
-
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """What every execution substrate implements.
 
-    ``name`` and ``capabilities`` are static identity; the five methods
-    are the whole runtime contract.  Outputs, final states and visit
-    counts must be bit-identical across backends for any symbol stream
-    both can serve — the differential suite in ``tests/exec`` enforces
-    this across every *registered* backend, not a hand-picked pair.
+    ``name`` is static identity; the four methods are the whole runtime
+    contract.  Outputs, final states and visit counts must be
+    bit-identical across backends for any symbol stream both can serve
+    — the differential suite in ``tests/exec`` enforces this across
+    every available backend, not a hand-picked pair.
     """
 
     name: str
-    capabilities: Capabilities
-
-    def step(self, symbol: Input) -> Optional[Output]:
-        """Serve one symbol, advancing the backend's state."""
-        ...
 
     def run_batch(
         self,
@@ -166,20 +101,17 @@ class ExecutionBackend(Protocol):
         ``run_batch(words[i], start=starts[i], commit=False)``; any
         stream the backend cannot serve raises :class:`TableMiss` for
         the whole call (the caller replays per-stream to isolate it).
-        Batchable backends amortize the call across streams; the
+        The table backends amortize the call across streams; the
         netlist serves it as exactly that loop.
         """
-        ...
-
-    def snapshot(self) -> ExecSnapshot:
-        """Capture the restorable architectural state."""
-        ...
-
-    def restore(self, snap: ExecSnapshot) -> None:
-        """Restore a snapshot; :class:`StaleSnapshot` on version skew."""
         ...
 
     def invalidate(self) -> None:
         """Drop any cached view of the source tables (no-op when the
         backend reads the live tables directly)."""
+        ...
+
+    def is_stale(self, hw: Optional[HardwareFSM] = None) -> bool:
+        """Whether this backend can no longer serve ``hw`` (default: the
+        bound hardware) without being rebuilt."""
         ...

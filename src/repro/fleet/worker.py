@@ -11,7 +11,7 @@ datapath enforces.  The worker loop interleaves three duties:
   :class:`~repro.exec.Dispatcher` (which owns every staleness and
   availability rule, before, during and after a migration) and then
   drives whatever backend comes back through the
-  :class:`~repro.exec.ExecutionBackend` protocol.  A batchable backend
+  :class:`~repro.exec.ExecutionBackend` protocol.  A table backend
   serves a coalesced run of queued batches as one stream batch in one
   call — a lane per session, the shard's own datapath word being the
   lane keyed ``None`` — and the
@@ -49,7 +49,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.fsm import FSM, Input, State
 from ..core.incremental import Chunk, IncrementalMigrator
-from ..exec import Dispatcher, TableMiss
+from ..exec import CycleBackend, Dispatcher, TableMiss
 from ..exec import batching as _batching
 from ..hw.machine import HardwareFSM
 from ..obs import context as _context
@@ -442,10 +442,10 @@ class ShardWorker(threading.Thread):
             self.stats.engine_fallbacks += len(batches)
         backend = decision.backend
         sp.attrs["backend"] = backend.name
-        if backend.capabilities.batchable:
-            self._serve_stream_run(batches, lanes, backend)
-        else:
+        if isinstance(backend, CycleBackend):
             self._serve_cycle(batches)
+        else:
+            self._serve_stream_run(batches, lanes, backend)
 
     def _serve_stream_run(
         self,
@@ -516,7 +516,7 @@ class ShardWorker(threading.Thread):
 
     def _serve_cycle(self, batches: List[_Batch]) -> None:
         """Serve batches one by one on the cycle-accurate netlist (the
-        non-batchable path, and the replay path of a table miss)."""
+        ``cycle`` backend's path, and the replay path of a table miss)."""
         for batch in batches:
             self._serve_cycle_lane(batch)
 

@@ -387,12 +387,12 @@ class HardwareFSM:
     def restore_state(self, state: State) -> None:
         """Latch ``state`` into ST-REG without a service cycle.
 
-        The restore half of the execution layer's snapshot/restore
-        protocol (:mod:`repro.exec`): the architectural state moves,
-        but no cycle is clocked — cycle, mode-occupancy and state-visit
-        probe counters are untouched, because restoring a checkpoint is
-        not service.  Holds the single-driver guard like any other
-        ST-REG mutation.
+        The netlist backend (:mod:`repro.exec`) uses it to start a run
+        from a given state and to put the pre-call state back after a
+        pure-query run: the architectural state moves, but no cycle is
+        clocked — cycle, mode-occupancy and state-visit probe counters
+        are untouched, because repositioning ST-REG is not service.
+        Holds the single-driver guard like any other ST-REG mutation.
         """
         code = self._state_code[state]
         if not self._cycle_guard.acquire(blocking=False):

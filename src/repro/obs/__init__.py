@@ -13,7 +13,7 @@ Five pillars, one switchboard:
   chunks, quarantines ...) with gap-free sequence numbers and a
   migration-timeline reconstructor;
 * :mod:`repro.obs.health` / :mod:`repro.obs.server` — live detectors
-  (staleness storm, fallback spike, queue saturation) behind a stdlib
+  (fallback spike, queue saturation, queue depth) behind a stdlib
   HTTP endpoint serving ``/metrics``, ``/healthz`` and ``/journal``;
 * :mod:`repro.obs.probes` — per-run statistics derived from the
   cycle-accurate datapath (mode occupancy, RAM writes, state-visit

@@ -1,10 +1,9 @@
 """Live health assessment: detectors over the fleet, journal and metrics.
 
-A serving fleet fails in patterns, not in single counters: a *staleness
-storm* (every shard suddenly refusing snapshot restores after a
-migration bumped table versions), a *fallback spike* (the dispatcher
-abandoning the preferred backend across the fleet), *queue saturation*
-(backpressure rejecting work faster than shards drain it).  This module
+A serving fleet fails in patterns, not in single counters: a *fallback
+spike* (the dispatcher abandoning the preferred backend across the
+fleet), *queue saturation* (backpressure rejecting work faster than
+shards drain it).  This module
 turns those patterns into explicit :class:`Detector` verdicts with
 thresholds, and folds them plus per-shard vitals into one
 :class:`HealthReport` that ``/healthz`` and ``repro health`` serve.
@@ -53,9 +52,6 @@ class Thresholds:
     page.  Queue saturation is a ratio of depth to capacity.
     """
 
-    stale_window_s: float = 30.0
-    stale_degraded: int = 3
-    stale_critical: int = 10
     fallback_window_s: float = 30.0
     fallback_degraded: int = 5
     fallback_critical: int = 20
@@ -274,16 +270,6 @@ def check(
     now = time.time()
 
     detectors = [
-        _windowed_detector(
-            journal,
-            "staleness-storm",
-            _journal.EXEC_STALE_SNAPSHOT,
-            thresholds.stale_window_s,
-            thresholds.stale_degraded,
-            thresholds.stale_critical,
-            "stale-snapshot refusals",
-            now,
-        ),
         _windowed_detector(
             journal,
             "fallback-spike",

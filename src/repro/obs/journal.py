@@ -70,7 +70,6 @@ __all__ = [
 DISPATCH_DECISION = "dispatch.decision"
 EXEC_STREAM_BATCH = "exec.stream_batch"
 EXEC_FALLBACK = "exec.fallback"
-EXEC_STALE_SNAPSHOT = "exec.stale_snapshot"
 SERVE_BATCH = "serve.batch"
 FLEET_SATURATION = "fleet.saturation"
 FLEET_QUARANTINE = "fleet.quarantine"
@@ -104,10 +103,6 @@ EVENT_TYPES: Dict[str, Any] = {
     EXEC_FALLBACK: (
         "policy displaced the preferred backend",
         ("backend", "reason"),
-    ),
-    EXEC_STALE_SNAPSHOT: (
-        "a snapshot restore was refused on table-version skew",
-        ("snapshot_version", "live_version"),
     ),
     SERVE_BATCH: (
         "one coalesced batch run completed",

@@ -149,6 +149,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, body, content_type)
 
 
+#: How often the serving thread checks for :meth:`ObsServer.close`
+#: (``serve_forever``'s 0.5 s default would make every close wait it out).
+_POLL_INTERVAL_S = 0.05
+
+
 class ObsServer(ThreadingHTTPServer):
     """The live observability endpoint (see module docstring)."""
 
@@ -185,6 +190,7 @@ class ObsServer(ThreadingHTTPServer):
             return self
         self._thread = threading.Thread(
             target=self.serve_forever,
+            args=(_POLL_INTERVAL_S,),
             name=f"repro-obs-server-{self.port}",
             daemon=True,
         )

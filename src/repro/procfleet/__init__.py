@@ -40,7 +40,7 @@ state (ST-REG, cycle/visit counters) stays in the parent's
 replays cycle-accurately in the parent and a fresh process is spawned.
 """
 
-from .backend import ShmTableBackend, shm_available, shm_unavailable_reason
+from .backend import ShmTableBackend
 from .pool import ProcessFleet
 from .ring import FrameRing, ring_enabled
 from .segments import ControlBlock, SegmentOwner, encode_segment
@@ -56,6 +56,4 @@ __all__ = [
     "WorkerSession",
     "encode_segment",
     "ring_enabled",
-    "shm_available",
-    "shm_unavailable_reason",
 ]

@@ -22,16 +22,17 @@ in-process :class:`~repro.exec.TableBackend` promises holds here too:
   process boundary.
 
 Epoch-skew self-healing: when several backends share one worker slot
-(the registry's standalone session does), a serve may find the slot
+(the standalone session does), a serve may find the slot
 epoch moved past the backend's publication.  The worker refuses to
 serve the stale expectation (miss), and the backend republishes its own
 tables once and retries — convergence toward the newest tables, never
 silent service from old ones.
 
-The module also owns the registry leg: :func:`shm_available` /
-:func:`shm_unavailable_reason` (honouring the ``REPRO_DISABLE_SHM``
-kill-switch) and :func:`standalone_backend`, the ``build`` hook that
-lazily shares one single-worker session process-wide.
+:func:`standalone_backend` binds a machine to one lazily created
+single-worker session shared process-wide: the dispatcher's
+``table-shm`` build when its caller brings no session of its own.
+Availability (the ``REPRO_DISABLE_SHM`` kill-switch) is answered by
+:func:`repro.exec.registry.unavailable_reason`.
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ import atexit
 import threading
 from typing import Optional, Sequence
 
-from ..core.fsm import FSM, Input, Output, State
+from ..core.fsm import FSM, Input, State
 from ..engine.compiled import CompiledFSM, WordRun
-from ..exec import killswitch as _killswitch
-from ..exec.backends import restore_snapshot, snapshot_of
-from ..exec.protocol import Capabilities, ExecSnapshot, TableMiss
+from ..exec.protocol import TableMiss
 from ..hw.machine import HardwareFSM
 from ..obs import context as _context
 from ..obs import journal as _journal
@@ -53,44 +52,13 @@ from ..obs.tracing import span as _span
 from .segments import ControlBlock
 from .session import WorkerSession
 
-__all__ = [
-    "ShmTableBackend",
-    "shm_available",
-    "shm_unavailable_reason",
-    "standalone_backend",
-]
-
-#: Kill-switch mirroring ``REPRO_DISABLE_NUMPY``: forces the backend
-#: unavailable (exit 2 on a forced pick) without uninstalling anything.
-#: Registered in :mod:`repro.exec.killswitch`; kept as a module constant
-#: because tests and docs name it here.
-ENV_DISABLE = _killswitch.SHM.env
-
-
-def shm_available() -> bool:
-    """Whether the shared-memory process backend can run here."""
-    if _killswitch.SHM.disabled():
-        return False
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - platform without shm
-        return False
-    return True
-
-
-def shm_unavailable_reason() -> Optional[str]:
-    if shm_available():
-        return None
-    return _killswitch.SHM.reason() or (
-        "multiprocessing.shared_memory is not available on this platform"
-    )
+__all__ = ["ShmTableBackend", "standalone_backend"]
 
 
 class ShmTableBackend:
     """Dense tables in shared memory, served by a worker process."""
 
     name = "table-shm"
-    capabilities = Capabilities(batchable=True)
 
     def __init__(self, machine, session: WorkerSession):
         if isinstance(machine, HardwareFSM):
@@ -109,9 +77,6 @@ class ShmTableBackend:
         self.epoch = session.publish(self.compiled)
 
     # -- protocol ------------------------------------------------------
-    def step(self, symbol: Input) -> Optional[Output]:
-        return self.run_batch([symbol]).outputs[0]
-
     def run_batch(
         self,
         symbols: Sequence[Input],
@@ -206,12 +171,6 @@ class ShmTableBackend:
         if spans:
             _tracing.TRACER.absorb(spans)
 
-    def snapshot(self) -> ExecSnapshot:
-        return snapshot_of(self.hardware, self.compiled)
-
-    def restore(self, snap: ExecSnapshot) -> None:
-        restore_snapshot(self.hardware, snap)
-
     def invalidate(self) -> None:
         """Drop the compiled view; the published segment is retired so
         no late-attaching worker can serve the dead tables."""
@@ -231,10 +190,10 @@ class ShmTableBackend:
         )
 
 
-# -- the registry's standalone session ---------------------------------
+# -- the standalone session --------------------------------------------
 #: One lazily created single-worker session shared by every
-#: registry-built ``table-shm`` backend in this process (the fleet
-#: builds one session per shard instead; see ``procfleet.pool``).
+#: :func:`standalone_backend` in this process (the fleet builds one
+#: session per shard instead; see ``procfleet.pool``).
 _STANDALONE_LOCK = threading.Lock()
 _STANDALONE: Optional[WorkerSession] = None
 _STANDALONE_CTL: Optional[ControlBlock] = None
@@ -266,6 +225,5 @@ def _close_standalone() -> None:
 
 
 def standalone_backend(machine) -> ShmTableBackend:
-    """The registry ``build`` hook: bind ``machine`` to the shared
-    single-worker session."""
+    """Bind ``machine`` to the shared single-worker session."""
     return ShmTableBackend(machine, standalone_session())

@@ -6,7 +6,7 @@ shard's table serving moved into a worker *process*:
 * the shard thread remains — it owns the canonical datapath, the FIFO
   queue, coalescing, migration ticks and quarantine exactly as in
   thread mode — but its dispatcher pins the ``table-shm`` backend, so
-  every batchable run is one pipe round-trip into the shard's worker
+  every table-served run is one round-trip into the shard's worker
   process while the pure-Python kernel loop runs *there*, outside the
   parent's GIL;
 * each shard gets its own :class:`~repro.procfleet.session.WorkerSession`
@@ -50,7 +50,7 @@ _PROC_ENGINES = ("auto", "table-shm")
 
 
 class ProcShardWorker(ShardWorker):
-    """A shard whose batchable serving runs in a worker process.
+    """A shard whose table serving runs in a worker process.
 
     Subclasses the thread-mode shard: the only differences are the
     dispatcher (pinned to ``table-shm``, built through a factory that
@@ -78,9 +78,7 @@ class ProcShardWorker(ShardWorker):
             factory=self._build_backend,
         )
 
-    def _build_backend(self, name: str, hw: HardwareFSM):
-        if name != "table-shm":
-            return None  # defer to the dispatcher's default build path
+    def _build_backend(self, hw: HardwareFSM) -> ShmTableBackend:
         return ShmTableBackend(hw, self._session)
 
     def _worker_incident(self, exc: BaseException) -> None:

@@ -62,11 +62,6 @@ __all__ = [
     "ring_enabled",
 ]
 
-#: Kill-switch mirroring ``REPRO_DISABLE_SHM``: sessions fall back to
-#: pure pipe framing without any other behaviour change.  Registered in
-#: :mod:`repro.exec.killswitch`; the constant stays for call sites.
-ENV_DISABLE = _killswitch.RING.env
-
 _MAGIC = b"RRNG"
 _FORMAT = 1
 _HEADER = struct.Struct("<4sHHII")  # magic, format, flags, n_slots, slot_size

@@ -18,8 +18,8 @@ time and tracks the *commit index* — the highest entry recorded while
 a quorum of replicas was in sync.  Entries are retained in a bounded
 ring for inspection; replicas never replay it.  A replica that falls
 out of sync catches up from the group's published table segment, which
-is exactly the ``ExecSnapshot`` / ``table_version`` contract the exec
-layer already enforces.
+is exactly the ``table_version`` staleness contract the exec layer
+already enforces.
 """
 
 from __future__ import annotations

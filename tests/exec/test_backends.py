@@ -1,10 +1,9 @@
 """The built-in backends against the ExecutionBackend contract.
 
 Commit semantics (a committed run fast-forwards the datapath, an
-uncommitted one is a pure query), snapshot/restore with version-skew
-detection, and — the staleness-invalidation paths the dispatcher relies
-on — table views dying on ``SyncRAM.erase``, ``faults.erase_entry`` and
-``faults.inject_upset``.
+uncommitted one is a pure query) and — the staleness-invalidation paths
+the dispatcher relies on — table views dying on ``SyncRAM.erase``,
+``faults.erase_entry`` and ``faults.inject_upset``.
 """
 
 import pytest
@@ -13,9 +12,7 @@ from repro.engine import CompiledFSM, EngineError, numpy_available
 from repro.exec import (
     BackendUnavailable,
     CycleBackend,
-    ExecSnapshot,
     ExecutionBackend,
-    StaleSnapshot,
     TableBackend,
     TableMiss,
     compile_tables,
@@ -65,13 +62,6 @@ class TestProtocolConformance:
 
 
 class TestCycleBackend:
-    def test_step_clocks_the_netlist(self):
-        fsm = ones_detector()
-        backend = CycleBackend(HardwareFSM(fsm))
-        word = ["1", "1", "0", "1"]
-        assert [backend.step(s) for s in word] == fsm.run(word)
-        assert backend.hardware.cycles == len(word)
-
     def test_committed_batch_advances_architectural_state(self):
         fsm = ones_detector()
         hw, ref = HardwareFSM(fsm), HardwareFSM(fsm)
@@ -108,24 +98,6 @@ class TestCycleBackend:
         run = backend.run_batch(["1"], start="S1", commit=False)
         assert run.outputs == [fsm.output("1", "S1")]
 
-    def test_snapshot_restore_round_trip(self):
-        fsm = ones_detector()
-        hw = HardwareFSM(fsm)
-        backend = CycleBackend(hw)
-        snap = backend.snapshot()
-        backend.run_batch(["1", "1"])
-        assert hw.state != snap.state
-        backend.restore(snap)
-        assert hw.state == snap.state
-
-    def test_restore_rejects_stale_snapshot(self):
-        hw = HardwareFSM(ones_detector())
-        backend = CycleBackend(hw)
-        snap = backend.snapshot()
-        erase_entry(hw, seed=0)  # bumps the table version
-        with pytest.raises(StaleSnapshot, match="tables changed"):
-            backend.restore(snap)
-
     def test_faults_raise_out_unwrapped(self):
         # The quarantine path needs the *hardware* error, not a wrapped
         # exec-layer one.
@@ -133,7 +105,7 @@ class TestCycleBackend:
         erase_entry(hw, entry=("1", "S0"))
         backend = CycleBackend(hw)
         with pytest.raises(UninitialisedRead):
-            backend.step("1")
+            backend.run_batch(["1"])
 
     def test_never_stale_against_its_own_hardware(self):
         hw = HardwareFSM(ones_detector())
@@ -146,16 +118,14 @@ class TestCycleBackend:
 @pytest.mark.parametrize("name", TABLE_BACKENDS)
 @pytest.mark.usefixtures("kernel")
 class TestTableBackend:
-    def test_name_and_capabilities_derived_from_kernel(
+    def test_one_name_whichever_kernel_serves(
         self, name, kernel, stream_kernels
     ):
-        # One name and one capability set whichever kernel serves; the
-        # kernel is picked per stream call and named on its span.
+        # One backend name whichever kernel serves; the kernel is
+        # picked per stream call and named on its span.
         fsm = ones_detector()
         backend = TableBackend.from_hardware(HardwareFSM(fsm))
         assert backend.name == "table"
-        assert backend.capabilities.batchable
-        assert not backend.capabilities.cycle_accurate
         runs = backend.run_streams([["1", "1"], ["0", "1"]])
         assert [run.outputs for run in runs] == [["0", "1"], ["0", "0"]]
         assert stream_kernels() == [kernel]
@@ -197,28 +167,12 @@ class TestTableBackend:
     def test_pure_fsm_tables_have_no_architectural_state(self, name):
         fsm = ones_detector()
         backend = TableBackend.from_fsm(fsm)
-        run = backend.run_batch(["1", "1"], start=fsm.reset_state)
-        assert run.outputs == fsm.run(["1", "1"])
-        snap = backend.snapshot()
-        assert snap.state == fsm.reset_state
-        backend.restore(snap)  # no hardware: restore is a no-op
-
-    def test_snapshot_restore_round_trip(self, name):
-        fsm = ones_detector()
-        hw = HardwareFSM(fsm)
-        backend = TableBackend.from_hardware(hw)
-        snap = backend.snapshot()
-        backend.run_batch(["1", "1"])
-        backend.restore(snap)
-        assert hw.state == snap.state
-
-    def test_restore_rejects_stale_snapshot(self, name):
-        hw = HardwareFSM(ones_detector())
-        backend = TableBackend.from_hardware(hw)
-        snap = backend.snapshot()
-        erase_entry(hw, seed=0)
-        with pytest.raises(StaleSnapshot):
-            backend.restore(snap)
+        # A committed run has nothing to commit to: it is a pure
+        # function of (start, symbols).
+        for _ in range(2):
+            run = backend.run_batch(["1", "1"], start=fsm.reset_state)
+            assert run.outputs == fsm.run(["1", "1"])
+        assert backend.hardware is None
 
     def test_run_streams_wraps_engine_errors(self, name):
         fsm = ones_detector()
@@ -304,8 +258,3 @@ class TestCompileTables:
     def test_rejects_unknown_machines(self):
         with pytest.raises(TypeError, match="expects an FSM"):
             compile_tables(42)
-
-    def test_snapshot_dataclass_is_frozen(self):
-        snap = ExecSnapshot(state="S0", table_version=1)
-        with pytest.raises(AttributeError):
-            snap.state = "S1"

@@ -1,10 +1,10 @@
-"""Differential suite across every *registered* execution backend.
+"""Differential suite across every available execution backend.
 
 The protocol's core promise: for any symbol stream every backend can
 serve, outputs, final state and committed architectural side-effects
 (cycle counters, state visits) are bit-identical — not for a hand-picked
-pair of backends, but for whatever the registry holds right now, each
-one selected through the :class:`~repro.exec.Dispatcher` exactly as the
+pair of backends, but for every one available right now, each
+selected through the :class:`~repro.exec.Dispatcher` exactly as the
 fleet would.  Mid-stream table mutation (a live migration landing
 between batches) is part of the property: the dispatcher must notice
 the stale view and keep the stream correct.
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.jsr import jsr_program
-from repro.exec import Dispatcher, specs
+from repro.exec import Dispatcher, names, unavailable_reason
 from repro.hw.machine import HardwareFSM
 from repro.workloads.mutate import mutate_target
 from repro.workloads.random_fsm import random_fsm
@@ -28,8 +28,8 @@ def clean_env(monkeypatch):
 
 
 def _serving_modes():
-    """Every registered backend that is available right now."""
-    return [spec.name for spec in specs() if spec.available()]
+    """Every backend that is available right now."""
+    return [name for name in names() if unavailable_reason(name) is None]
 
 
 @st.composite

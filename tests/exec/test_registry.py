@@ -1,4 +1,4 @@
-"""The backend registry and the one shared resolver.
+"""The fixed backend names and the one shared resolver.
 
 Covers the environment contract (`REPRO_BACKEND`, `REPRO_DISABLE_NUMPY`,
 `REPRO_DISABLE_SHM`) the whole stack now shares: the env is consulted at
@@ -13,17 +13,7 @@ import pytest
 
 from repro.engine import EngineError, numpy_available, stream_kernel
 from repro.engine import streams as streams_module
-from repro.exec import (
-    BackendSpec,
-    BackendUnavailable,
-    Capabilities,
-    canonical,
-    names,
-    register,
-    resolve,
-    specs,
-)
-from repro.exec import registry as registry_module
+from repro.exec import BackendUnavailable, canonical, names, resolve
 
 
 @pytest.fixture(autouse=True)
@@ -36,60 +26,6 @@ def clean_env(monkeypatch):
 class TestRegistry:
     def test_builtins_registered(self):
         assert names() == ("cycle", "table", "table-shm")
-
-    def test_specs_carry_capabilities(self):
-        by_name = {spec.name: spec for spec in specs()}
-        assert by_name["cycle"].capabilities.cycle_accurate
-        assert not by_name["cycle"].capabilities.batchable
-        assert by_name["table"].capabilities.batchable
-        assert not by_name["table"].capabilities.cycle_accurate
-        assert by_name["table-shm"].capabilities.batchable
-        assert not by_name["table-shm"].capabilities.cycle_accurate
-
-    def test_register_rejects_reserved_names(self):
-        spec = BackendSpec(
-            name="off",
-            capabilities=Capabilities(),
-            summary="",
-            available=lambda: True,
-            unavailable_reason=lambda: None,
-            build=lambda hw: None,
-        )
-        with pytest.raises(ValueError, match="reserved alias"):
-            register(spec)
-
-    def test_register_rejects_duplicates_unless_replace(self):
-        spec = BackendSpec(
-            name="test-dup",
-            capabilities=Capabilities(),
-            summary="",
-            available=lambda: True,
-            unavailable_reason=lambda: None,
-            build=lambda hw: None,
-        )
-        register(spec)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register(spec)
-            register(spec, replace=True)  # explicit replacement is fine
-        finally:
-            del registry_module._REGISTRY["test-dup"]
-
-    def test_registered_backend_resolvable_by_pin(self):
-        spec = BackendSpec(
-            name="test-extra",
-            capabilities=Capabilities(),
-            summary="",
-            available=lambda: True,
-            unavailable_reason=lambda: None,
-            build=lambda hw: None,
-        )
-        register(spec)
-        try:
-            assert resolve("test-extra") == "test-extra"
-            assert canonical("test-extra") == "test-extra"
-        finally:
-            del registry_module._REGISTRY["test-extra"]
 
 
 class TestCanonical:

@@ -1,9 +1,9 @@
-"""Multi-stream differential suite across every *registered* backend.
+"""Multi-stream differential suite across every available backend.
 
 The stream-plane promise: ``run_streams(words, starts)`` is
 bit-identical to a per-stream loop of ``run_batch(word, start,
-commit=False)`` — for whatever the registry holds right now, each
-backend selected through the :class:`~repro.exec.Dispatcher` exactly
+commit=False)`` — for every backend available right now, each
+selected through the :class:`~repro.exec.Dispatcher` exactly
 as the fleet would.  Property-based over random machines and ragged
 batches, including mid-stream ``table_version`` invalidation (the
 tables mutate between two stream calls) and sentinel words (a hole
@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.jsr import jsr_program
-from repro.exec import Dispatcher, TableMiss, run_streams, specs
+from repro.exec import (
+    Dispatcher,
+    TableMiss,
+    names,
+    run_streams,
+    unavailable_reason,
+)
 from repro.hw.faults import erase_entry
 from repro.hw.machine import HardwareFSM
 from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
@@ -31,7 +37,7 @@ def clean_env(monkeypatch):
 
 
 def _serving_modes():
-    return [spec.name for spec in specs() if spec.available()]
+    return [name for name in names() if unavailable_reason(name) is None]
 
 
 @st.composite

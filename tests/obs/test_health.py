@@ -37,14 +37,11 @@ class TestDetectors:
         assert report.status == health.STATUS_OK
         assert report.http_status == 200
         names = {d.name for d in report.detectors}
-        assert names == {
-            "staleness-storm", "fallback-spike", "queue-saturation",
-        }
+        assert names == {"fallback-spike", "queue-saturation"}
 
     @pytest.mark.parametrize(
         "event_type,name,degraded,critical",
         [
-            (jr.EXEC_STALE_SNAPSHOT, "staleness-storm", 3, 10),
             (jr.EXEC_FALLBACK, "fallback-spike", 5, 20),
             (jr.FLEET_SATURATION, "queue-saturation", 1, 10),
         ],
@@ -64,10 +61,9 @@ class TestDetectors:
         assert page.http_status == 503
 
     def test_old_events_age_out_of_the_window(self):
-        stale = _journal_with(
-            jr.EXEC_STALE_SNAPSHOT, 50, ts=time.time() - 3600
-        )
-        report = health.check(journal=stale)
+        old = _journal_with(jr.EXEC_FALLBACK, 50, ts=time.time() - 3600)
+        report = health.check(journal=old)
+        assert _detector(report, "fallback-spike").count == 0
         assert report.status == health.STATUS_OK
 
     def test_custom_thresholds(self):
@@ -78,17 +74,20 @@ class TestDetectors:
 
     def test_overall_status_is_worst_detector(self):
         j = Journal(capacity=64, enabled=True)
-        for _ in range(3):
-            object.__setattr__(
-                j.record(jr.EXEC_STALE_SNAPSHOT), "ts", time.time()
-            )
-        for _ in range(20):
+        for _ in range(5):
             object.__setattr__(
                 j.record(jr.EXEC_FALLBACK), "ts", time.time()
             )
+        for _ in range(10):
+            object.__setattr__(
+                j.record(jr.FLEET_SATURATION), "ts", time.time()
+            )
         report = health.check(journal=j)
-        assert _detector(report, "staleness-storm").status == (
+        assert _detector(report, "fallback-spike").status == (
             health.STATUS_DEGRADED
+        )
+        assert _detector(report, "queue-saturation").status == (
+            health.STATUS_CRITICAL
         )
         assert report.status == health.STATUS_CRITICAL
 

@@ -62,7 +62,7 @@ class TestEndpoints:
         payload = json.loads(body)
         assert payload["status"] == "ok"
         assert {d["name"] for d in payload["detectors"]} >= {
-            "staleness-storm", "fallback-spike", "queue-saturation",
+            "fallback-spike", "queue-saturation",
         }
 
     def test_healthz_503_when_critical(self, registry):

@@ -281,10 +281,7 @@ class TestDispatcherFallback:
         hw = HardwareFSM(machine)
         ref = HardwareFSM(machine)
         dispatcher = Dispatcher(
-            "table-shm",
-            factory=lambda name, h: (
-                ShmTableBackend(h, session) if name == "table-shm" else None
-            ),
+            "table-shm", factory=lambda h: ShmTableBackend(h, session)
         )
         word = list("011010")
         decision = dispatcher.select(hw)

@@ -265,7 +265,7 @@ class TestBackends:
         monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
         monkeypatch.delenv("REPRO_DISABLE_SHM", raising=False)
 
-    def test_lists_registered_backends_with_flags(self, capsys):
+    def test_lists_the_three_backends_with_availability(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         listed = [
@@ -273,10 +273,13 @@ class TestBackends:
             if "|" in line and not line.startswith(("backend", "-"))
         ]
         assert listed == ["cycle", "table", "table-shm"]
-        for gone in ("table-py", "table-numpy", "needs-numpy", "dtype"):
+        assert out.count("| yes") == 3
+        assert "cycle: cycle-accurate Fig. 5 netlist" in out
+        for gone in (
+            "table-py", "table-numpy", "needs-numpy", "dtype",
+            "batchable", "cycle-accurate |",
+        ):
             assert gone not in out
-        for flag in ("batchable", "cycle-accurate"):
-            assert flag in out
         # One dispatch rule serves through a migration: no such column.
         assert "mid-migration" not in out
         assert "dispatcher pick for 'auto':" in out
