@@ -7,12 +7,15 @@ fleet benchmark's sections are preserved):
 * **n=1 vs n=3 overhead** — the same traffic served by a process
   fleet with one worker process per shard and with a 3-replica group
   of worker processes per shard, at ``link_latency_s=0`` so the
-  group's cost (serve rotation, liveness checks, log records) is *not*
-  hidden behind modelled device time.  Replicas share one published
-  table segment and a serve goes to one of them, so the gate is
-  tight: n=3 must stay within 30% of n=1 throughput.  The gate only
-  asserts on hosts with enough CPUs — below that the measurement is
-  recorded with the reason the gate was skipped.
+  group's cost (the per-frame liveness check of every replica) is
+  *not* hidden behind modelled device time.  One replica serves every
+  frame and the others stand by on the same published table segment,
+  so the gate is tight: n=3 must stay within 30% of n=1 throughput.
+  One run lasts milliseconds, so each row is the median of
+  ``TRAFFIC_ROUNDS`` interleaved rounds (``bench_fleet``'s helpers),
+  with the min and max beside it.  The gate only asserts on hosts with
+  enough CPUs — below that the measurement is recorded with the reason
+  the gate was skipped.
 * **replacement under load** — a process-mode fleet keeps serving
   while one replica of a loaded group is torn down and respawned
   (``replace_replica``); the benchmark records the wall-clock time to
@@ -29,6 +32,8 @@ import pathlib
 import sys
 import time
 
+from bench_fleet import _interleaved, _summary
+
 from repro.fleet import FSMFleet
 from repro.replica import ReplicaConfig
 from repro.workloads.suite import suite_pair, traffic_words
@@ -39,10 +44,13 @@ BATCH = 64
 SEED = 0
 #: n=3 may cost at most 30% of n=1 throughput at link_latency_s=0.
 OVERHEAD_GATE = 1.30
-#: CPUs the overhead gate needs before it may assert: on a saturated
-#: host the extra worker processes' scheduling noise swamps the
-#: group's per-serve cost.
-GATE_CPUS = 4
+#: CPUs the overhead gate needs before it may assert.  The standbys
+#: take no frames, so two CPUs (one per serving replica) are enough.
+GATE_CPUS = 2
+
+#: Pause between warm-up and the timed run (both rows), past the
+#: worker's post-frame busy-poll phase (``procfleet.worker``).
+SETTLE_S = 0.05
 
 REPLACE_REQUESTS = 48
 REPLACE_BATCH = 256
@@ -55,7 +63,15 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_traffic(replication) -> dict:
+def _warm(fleet, word) -> None:
+    for index in range(4):
+        fleet.submit(f"warm-{index}", word).result(timeout=60)
+
+
+def _run_traffic(replicas: int) -> tuple:
+    """``(seconds, steps/sec)`` of serving the traffic once from a
+    fleet of ``replicas`` worker processes per shard."""
+    replication = ReplicaConfig(n=replicas) if replicas > 1 else None
     source, target = suite_pair(WORKLOAD)
     words = traffic_words(source, REQUESTS, BATCH, seed=SEED)
     fleet = FSMFleet(
@@ -64,15 +80,21 @@ def _run_traffic(replication) -> dict:
         family=[target],
         queue_depth=max(16, REQUESTS),
         link_latency_s=0.0,
-        name=f"bench-replica-n{replication.n if replication else 1}",
+        name=f"bench-replica-n{replicas}",
         fleet_mode="process",
         replication=replication,
     )
-    # Warm every worker process of both shards: the first serve
-    # compiles and publishes the tables, and each replica attaches the
-    # segment on its own first frame (serves rotate over replicas).
-    for index in range(4 * (replication.n if replication else 1)):
-        fleet.submit(f"warm-{index}", words[0][:8]).result(timeout=60)
+    # Warm both shards: the first serve compiles and publishes the
+    # tables and the serving replica attaches them; the standbys attach
+    # through the fingerprint probe that catches a replica up.
+    _warm(fleet, words[0][:8])
+    swept = fleet.check_divergence(heal=False)
+    assert not any(any(shard.values()) for shard in swept.values())
+    # A worker busy-polls for ~13 ms after each frame it answers, the
+    # probes included: let the standbys fall back asleep, then wake the
+    # serving replicas again, so every row starts from the same state.
+    time.sleep(SETTLE_S)
+    _warm(fleet, words[0][:8])
     started = time.perf_counter()
     futures = [
         fleet.submit(index, word) for index, word in enumerate(words)
@@ -84,15 +106,24 @@ def _run_traffic(replication) -> dict:
     groups = fleet.replicas()
     fleet.close()
     assert totals.incidents == 0
-    assert all(g.quorum_ok for g in groups.values())
-    return {
-        "replicas": replication.n if replication else 1,
-        "requests": REQUESTS,
-        "batch": BATCH,
-        "link_latency_s": 0.0,
-        "elapsed_s": round(elapsed, 4),
-        "steps_per_sec": round(totals.symbols_served / elapsed, 1),
-    }
+    assert all(g.in_sync == g.n == replicas for g in groups.values())
+    return elapsed, REQUESTS * BATCH / elapsed
+
+
+def _traffic_rows() -> list:
+    """One row per replica count, n=1 and n=3 interleaved."""
+    return [
+        {
+            "replicas": replicas,
+            "requests": REQUESTS,
+            "batch": BATCH,
+            "link_latency_s": 0.0,
+            **_summary(samples),
+        }
+        for (replicas,), samples in _interleaved(
+            _run_traffic, [(1,), (3,)]
+        ).items()
+    ]
 
 
 def _run_replacement() -> dict:
@@ -132,8 +163,7 @@ def _run_replacement() -> dict:
 
 def main() -> int:
     cpus = _cpus()
-    baseline = _run_traffic(None)
-    replicated = _run_traffic(ReplicaConfig(n=3))
+    baseline, replicated = _traffic_rows()
     overhead = round(
         baseline["steps_per_sec"] / replicated["steps_per_sec"], 3
     )
@@ -142,10 +172,11 @@ def main() -> int:
 
     section = {
         "note": (
-            "process-mode n=1 vs n=3 at link_latency_s=0: the replicas "
-            "of a group share one published table segment and each "
-            "serve goes to one of them, so the group costs rotation "
-            "and log bookkeeping, not a 3x step bill"
+            "process-mode n=1 vs n=3 at link_latency_s=0, medians of "
+            "interleaved rounds: one replica serves every frame from "
+            "the group's published table segment and the others stand "
+            "by, so the group costs a liveness check per frame, not a "
+            "3x step bill"
         ),
         "workload": WORKLOAD,
         "rows": [baseline, replicated],

@@ -107,11 +107,9 @@ class Options:
     ``replicas``
         Replicas per shard for :func:`serve` (default 1).  Values above
         one turn every shard into a replica *group* — N worker
-        processes behind one command log with majority-quorum commits
-        (see :mod:`repro.replica`) — and need ``fleet_mode="process"``
-        (:func:`serve` raises ``ValueError`` in thread mode); pass a
-        full :class:`~repro.replica.ReplicaConfig` via the fleet's
-        ``replication`` keyword for a non-majority quorum.
+        processes, one serving and the rest hot spares (see
+        :mod:`repro.replica`) — and need ``fleet_mode="process"``
+        (:func:`serve` raises ``ValueError`` in thread mode).
 
     Frozen, keyword-only (``Options(method="ea")``; positional arguments
     raise ``TypeError``), validated on construction.

@@ -846,8 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shards (= worker threads = datapath replicas)")
     p.add_argument("--replicas", type=int, default=1,
                    help="replicas per shard (>1 turns every shard into "
-                        "a group of worker processes with majority-quorum "
-                        "commits; needs --mode process; see repro.replica)")
+                        "a group of worker processes, one serving and the "
+                        "rest hot spares; needs --mode process; see "
+                        "repro.replica)")
     p.add_argument("--mode", choices=("thread", "process"),
                    default="thread",
                    help="shard serving substrate: in-process threads, or "

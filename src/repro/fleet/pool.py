@@ -121,14 +121,13 @@ class FSMFleet:
         GIL (see ``docs/fleet.md``).
     replication:
         A :class:`~repro.replica.ReplicaConfig` turning every shard
-        into a replica *group* of N worker processes behind one
-        ordered command log: quorum-gated commits, crash failover,
+        into a replica *group* of N worker processes: one serves every
+        frame and the rest stand by for crash failover, with
         membership changes and divergence healing (see
         ``docs/fleet.md`` and :mod:`repro.replica`).  Process mode
         only: thread mode raises ``ValueError``, since followers in
         the leader's own process never fail independently of it.
-        ``None`` (default) keeps the classic one-replica shard with
-        zero hot-path overhead.
+        ``None`` (default) keeps the classic one-replica shard.
     """
 
     #: The serving mode this class implements (subclasses override).
@@ -364,10 +363,9 @@ class FSMFleet:
         """Schedule a membership change on one shard's replica group.
 
         ``op`` is ``"add"`` / ``"remove"`` / ``"replace"``.  The change
-        is applied by the shard's own thread between batches — a logged
-        command like every other — so no future is ever in flight on a
-        replica being swapped.  The returned future resolves with the
-        group's post-change status.
+        is applied by the shard's own thread between batches, so no
+        future is ever in flight on a replica being swapped.  The
+        returned future resolves with the group's post-change status.
         """
         if self._closed:
             raise FleetClosed(f"{self.name} is closed")

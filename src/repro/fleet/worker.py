@@ -57,7 +57,7 @@ from ..obs import instruments as _instruments
 from ..obs import journal as _journal
 from ..obs.probes import ProbeReport, probe_hardware
 from ..obs.tracing import span as _span
-from ..replica.log import MembershipError
+from ..replica.status import MembershipError
 
 #: Queue sentinels: exit (after any migration in flight), and wake an
 #: idle worker for a new migration job.
@@ -117,9 +117,9 @@ class _Fault:
 class _Membership:
     """Control item: change the shard's replica-group membership.
 
-    Applied by the shard's own thread between batches, so membership
-    entries serialise with every other log entry and no future is ever
-    in flight on a replica being swapped out.
+    Applied by the shard's own thread between batches, so a membership
+    change serialises with serving and no future is ever in flight on a
+    replica being swapped out.
     """
 
     op: str
@@ -180,7 +180,7 @@ class ShardWorker(threading.Thread):
         self.hardware = self._build_hardware(machine)
         #: The shard's replica group: a process shard's
         #: :class:`~repro.replica.procgroup.ProcReplicaGroup`, or None
-        #: (the single-replica shard, zero hot-path overhead).
+        #: (the single-replica shard).
         self.replica_group = None
         #: Per-session state chains (session key -> current state).
         #: Only the worker thread touches this.  Session states are
@@ -297,10 +297,6 @@ class ShardWorker(threading.Thread):
             _journal.JOURNAL.record(
                 _journal.MIGRATION_CHUNK, shard=self.label, cycles=used
             )
-            if used and self.replica_group is not None:
-                self.replica_group.record(
-                    "ram_write", cycles=used, target=job.target.name
-                )
         if migrator.done:
             if not self.hardware.realises(job.target):
                 # Never commit a corrupted table: the raise quarantines
@@ -310,11 +306,7 @@ class ShardWorker(threading.Thread):
                     f"shard {self.index} does not realise "
                     f"{job.target.name} after its last chunk"
                 )
-            verified = job.verified = True
-            if self.replica_group is not None:
-                self.replica_group.record(
-                    "retarget", target=job.target.name, verified=verified
-                )
+            job.verified = True
             self.machine = job.target
             self.serving_inputs = frozenset(job.target.inputs)
             if self._sessions:
@@ -332,7 +324,7 @@ class ShardWorker(threading.Thread):
                 _journal.MIGRATION_SHARD_COMMIT,
                 shard=self.label,
                 target=job.target.name,
-                verified=verified,
+                verified=True,
             )
             job.done.set()
 
@@ -494,8 +486,6 @@ class ShardWorker(threading.Thread):
         for key, run in zip(keys, runs):
             if key is None:
                 hw.commit_engine_run(run.final_state, len(run), run.visits)
-                if self.replica_group is not None:
-                    self.replica_group.record("serve", cycles=len(run))
             else:
                 self._sessions[key] = run.final_state
         self._count_served(
@@ -554,8 +544,6 @@ class ShardWorker(threading.Thread):
             return
         if session is not None:
             self._sessions[session] = run.final_state
-        elif self.replica_group is not None:
-            self.replica_group.record("serve", cycles=len(run))
         self._count_served(
             backend, "cycle", 1, len(run), downtime_before, started,
             streams=1,
@@ -609,8 +597,6 @@ class ShardWorker(threading.Thread):
             except Exception as exc:
                 item.future.set_exception(exc)
                 return
-            if self.replica_group is not None:
-                self.replica_group.record("erase")
             item.future.set_result(result)
         elif isinstance(item, _Membership):
             if self.replica_group is None:
@@ -620,7 +606,7 @@ class ShardWorker(threading.Thread):
                 ))
                 return
             if self._migrating():
-                # Membership entries serialise against the migration's
+                # A membership change waits out the migration's
                 # RAM-write stream: retry after the rollout commits.
                 item.future.set_exception(MembershipError(
                     "membership change refused while a migration is in "

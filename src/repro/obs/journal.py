@@ -174,7 +174,7 @@ EVENT_TYPES: Dict[str, Any] = {
         ("replica", "expected", "actual"),
     ),
     REPLICA_FAILOVER: (
-        "a serve failed over from a dead replica to an in-sync peer",
+        "a replica died or wedged and left the in-sync set",
         ("replica", "to", "error"),
     ),
     REPLICA_MEMBERSHIP: (

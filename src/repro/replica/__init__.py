@@ -1,4 +1,4 @@
-"""Replica-group serving plane: replicated shards behind one log.
+"""Replica-group serving plane: one serving replica, hot spares.
 
 Replication is a process-mode feature (``FSMFleet(...,
 fleet_mode="process", replication=ReplicaConfig(n=3))``): one shard
@@ -6,46 +6,38 @@ becomes one *replica group* of N worker processes that serve the
 shard's single published table segment.  Worker processes are the only
 building blocks here that fail independently — a thread-mode follower
 shares its process, its faults and its heals with the leader — so they
-are the only ones worth replicating.  Every state-changing command the
-shard applies — a committed serve, one migration chunk gap of RAM
-writes, an injected erase/upset, a migration commit, a membership
-change — becomes an ordered entry in a :class:`ShardLog`.  The paper's
-one-write-per-cycle reconfiguration discipline is what makes this
-work: because *every* table mutation is already a serialised RAM
-write, the write stream **is** the replication log.
+are the only ones worth replicating.  The shard's architectural state
+is the parent's canonical datapath and the workers are stateless table
+appliers, so a group buys availability: one in-sync replica serves
+every frame and the others stand by, ready to take over on a crash or
+a divergence.  What changed and when is in the journal (publishes,
+failovers, catch-ups, divergence, membership, served batches).
 
 Layout:
 
-* :mod:`~repro.replica.log` — :class:`ReplicaConfig` (n, quorum),
-  :class:`LogEntry`, the thread-safe :class:`ShardLog` and
-  :class:`MembershipError`;
+* :mod:`~repro.replica.status` — :class:`ReplicaConfig` (n, majority),
+  the group and replica statuses and :class:`MembershipError`;
 * :mod:`~repro.replica.fingerprint` — stdlib table fingerprints for
   divergence detection (parent and worker compute the same number);
 * :mod:`~repro.replica.procgroup` — :class:`ProcReplicaGroup`: N worker
   processes sharing one published table segment, crash failover with
-  zero lost futures, snapshot catch-up by segment re-attach,
-  fingerprint divergence heal.
+  zero lost futures, catch-up by a fingerprint probe of the published
+  snapshot, fingerprint divergence heal.
 """
 
 from .fingerprint import fingerprint_tables, table_fingerprint
-from .log import (
-    ENTRY_KINDS,
-    LogEntry,
+from .status import (
     MembershipError,
     ReplicaConfig,
     ReplicaGroupStatus,
     ReplicaStatus,
-    ShardLog,
 )
 
 __all__ = [
-    "ENTRY_KINDS",
-    "LogEntry",
     "MembershipError",
     "ReplicaConfig",
     "ReplicaGroupStatus",
     "ReplicaStatus",
-    "ShardLog",
     "fingerprint_tables",
     "table_fingerprint",
 ]

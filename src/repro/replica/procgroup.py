@@ -9,31 +9,33 @@ datapath.  Replicating a shard therefore means replicating
   on N control-block slots and **one shared table segment** — a publish
   writes the same ``(epoch, segment)`` to every slot, so all replicas
   of a group serve the identical snapshot at the identical epoch;
-* serves rotate over in-sync replicas; a replica that dies mid-request
-  raises :class:`WorkerCrashed` *inside the group*, which fails the
-  frame over to the next in-sync replica — the caller never sees the
-  crash and **no future is lost** (the session has already respawned
-  the dead process underneath; it rejoins the rotation and catches up
-  by re-attaching the published segment on its next frame, which is the
-  snapshot/`table_version` catch-up contract the exec layer already
-  enforces);
-* only when *every* replica fails does the group re-raise
+* every frame goes to one replica, the first in-sync one, and the
+  others are hot spares.  A serving replica that dies or wedges
+  mid-request raises :class:`WorkerCrashed` *inside the group*, which
+  fails the frame over to the next in-sync replica — the caller never
+  sees the crash and **no future is lost**;
+* a replica is in sync only once a fingerprint probe of its tables
+  matches the published ones (the probe attaches the segment, so it is
+  also the catch-up).  The session respawns a crashed serving replica
+  at once and the group probes it back; a standby whose process died is
+  found by the liveness check every frame makes, and is respawned and
+  probed on the shard thread before that frame is served;
+* only when *every* in-sync replica fails does the group re-raise
   ``WorkerCrashed`` — a :class:`~repro.exec.TableMiss` — and the parent
   replays the batch cycle-accurately, the same zero-loss path a
   single-replica shard always had;
 * divergence is detected by **fingerprint probes**: each worker answers
   a ``fingerprint`` frame with a CRC over its locally decoded tables;
-  a mismatch against the group's expected fingerprint marks the
-  replica out of sync and is healed by republishing the segment (an
-  epoch bump every worker must re-attach through).
+  a mismatch against the group's expected fingerprint takes the
+  replica out of sync (it serves no frame) until a republish of the
+  segment (an epoch bump every worker must re-attach through) heals it.
 
 The group duck-types the :class:`WorkerSession` surface that
 :class:`~repro.procfleet.backend.ShmTableBackend` consumes
 (``start`` / ``publish`` / ``request`` / ``segment`` / ``retire`` /
 ``close`` / ``pid``), so the backend — and therefore the whole exec
-protocol — is replication-agnostic.  The shard thread adds one call:
-:meth:`ProcReplicaGroup.record` logs each command it applied (a
-committed serve, a chunk gap, a migration commit, a fault).
+protocol — is replication-agnostic.  Every session round-trip runs
+under the group lock, so a probe never interleaves with a frame.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..obs import instruments as _instruments
 from ..obs import journal as _journal
@@ -52,13 +54,11 @@ from ..procfleet.session import (
     WorkerSession,
 )
 from .fingerprint import table_fingerprint
-from .log import (
-    LogEntry,
+from .status import (
     MembershipError,
     ReplicaConfig,
     ReplicaGroupStatus,
     ReplicaStatus,
-    ShardLog,
 )
 
 __all__ = ["ProcReplicaGroup"]
@@ -93,9 +93,6 @@ class ProcReplicaGroup:
             )
         self.ctl = ctl
         self.shard = shard
-        self.config = config
-        self.quorum = min(config.resolved_quorum(), config.n)
-        self.log = ShardLog(shard)
         self.owner = SegmentOwner()
         #: Incident callback the owning shard wires up (one crash on
         #: any replica counts as one shard incident, failover or not).
@@ -107,7 +104,6 @@ class ProcReplicaGroup:
         self._epoch = 0
         self._compiled = None
         self._fingerprint: Optional[int] = None
-        self._rotation = 0
         self._closed = False
         self._next_replica = 0
         self._free_slots: List[int] = list(slots[config.n:])
@@ -116,10 +112,8 @@ class ProcReplicaGroup:
             self._add_replica(slot)
 
     # -- construction internals ----------------------------------------
-    def _add_replica(self, slot: int) -> _ProcReplica:
-        name = f"r{self._next_replica}"
-        self._next_replica += 1
-        session = WorkerSession(
+    def _new_session(self, slot: int, name: str) -> WorkerSession:
+        return WorkerSession(
             self.ctl,
             slot=slot,
             label=f"{self.shard}:{name}",
@@ -127,7 +121,13 @@ class ProcReplicaGroup:
             on_incident=self._incident,
             request_timeout_s=self._timeout,
         )
-        replica = _ProcReplica(name=name, session=session, slot=slot)
+
+    def _add_replica(self, slot: int) -> _ProcReplica:
+        name = f"r{self._next_replica}"
+        self._next_replica += 1
+        replica = _ProcReplica(
+            name=name, session=self._new_session(slot, name), slot=slot
+        )
         self._replicas[name] = replica
         return replica
 
@@ -154,29 +154,28 @@ class ProcReplicaGroup:
         return self._segment
 
     def start(self) -> None:
-        """(Re)start every replica process, *detecting* silent deaths.
+        """(Re)start every replica process.
 
         The dispatcher re-enters here on every backend build, so a
-        replica whose process was killed between serves is noticed now:
-        the failover is journaled and the replica drops out of sync
-        until a successful serve proves it re-attached the published
-        snapshot — a respawn is never a silent resurrection.
+        replica whose process died between serves is respawned and
+        probed back now (:meth:`_revive`) — a respawn is never a silent
+        resurrection.
         """
-        for replica in list(self._replicas.values()):
-            self._note_death(replica)
-            replica.session.start()
+        with self._lock:
+            for replica in self._replicas.values():
+                self._revive(replica)
+                replica.session.start()
 
-    def _note_death(self, replica: _ProcReplica) -> bool:
+    def _note_death(self, replica: _ProcReplica) -> None:
         """Notice a replica whose process died since we last looked:
-        journal the failover and drop it out of sync (a later
-        successful serve records the segment-attach catch-up)."""
+        journal the failover and drop it out of sync."""
         session = replica.session
         if not (
             replica.in_sync
             and session.pid is not None
             and not session.alive()
         ):
-            return False
+            return
         replica.in_sync = False
         _journal.JOURNAL.record(
             _journal.REPLICA_FAILOVER,
@@ -185,7 +184,15 @@ class ProcReplicaGroup:
             to=None,
             error="worker process died between serves (respawning)",
         )
-        return True
+
+    def _revive(self, replica: _ProcReplica) -> None:
+        """Respawn a replica whose process died and probe it back in."""
+        session = replica.session
+        if session.pid is None or session.alive():
+            return
+        self._note_death(replica)
+        session.start()
+        self._catch_up(replica)
 
     def publish(self, compiled) -> int:
         """Install one segment on every replica slot (one epoch bump).
@@ -212,18 +219,14 @@ class ProcReplicaGroup:
             self._epoch = epoch
             self._compiled = compiled
             self._fingerprint = table_fingerprint(compiled)
-        version = getattr(compiled, "source_version", None)
         _journal.JOURNAL.record(
             _journal.PROCFLEET_PUBLISH,
             shard=self.shard,
             segment=name,
             epoch=epoch,
-            table_version=version,
+            table_version=getattr(compiled, "source_version", None),
         )
         _instruments.PROCFLEET_PUBLISHES.inc(shard=self.shard)
-        self.log.append(
-            "ram_write", op="publish", epoch=epoch, table_version=version
-        )
         return epoch
 
     def retire(self) -> None:
@@ -232,107 +235,79 @@ class ProcReplicaGroup:
             self.owner.retire(previous)
 
     def request(self, frame: tuple):
-        """Serve one frame from any in-sync replica, failing over past
-        crashed ones; raises :class:`WorkerCrashed` only when *no*
-        replica can serve (the parent then cycle-replays — the same
-        zero-loss contract as a single-replica shard)."""
+        """Serve one frame from the serving replica (the first in-sync
+        one), failing over past one that crashes or wedges; raises
+        :class:`WorkerCrashed` only when *no* in-sync replica can serve
+        (the parent then cycle-replays — the same zero-loss contract as
+        a single-replica shard).  Dead standbys are respawned and
+        probed first, so none waits for traffic to find it."""
         with self._lock:
-            order = list(self._replicas.values())
-            turn = self._rotation
-            self._rotation = turn + 1
-        if not order:
-            raise WorkerCrashed(f"shard {self.shard}: no replicas left")
-        last_exc: Optional[WorkerCrashed] = None
-        for k in range(len(order)):
-            replica = order[(turn + k) % len(order)]
-            if self._note_death(replica):
-                # Respawn now rather than round-tripping into a dead
-                # pipe/ring (the worst case there is the full request
-                # timeout); the fresh stateless process serves the
-                # published snapshot immediately.
-                replica.session.start()
-            try:
-                reply = replica.session.request(frame)
-            except WorkerCrashed as exc:
-                last_exc = exc
+            replicas = list(self._replicas.values())
+            for replica in replicas:
+                self._revive(replica)
+            crash: Optional[WorkerCrashed] = None
+            for k, replica in enumerate(replicas):
+                if not replica.in_sync:
+                    continue
+                try:
+                    return replica.session.request(frame)
+                except WorkerCrashed as exc:
+                    crash = exc
                 replica.in_sync = False
-                succ = order[(turn + k + 1) % len(order)]
+                successor = next(
+                    (r for r in replicas[k + 1:] if r.in_sync), None
+                )
                 _journal.JOURNAL.record(
                     _journal.REPLICA_FAILOVER,
                     shard=self.shard,
                     replica=replica.name,
-                    to=succ.name if succ is not replica else None,
-                    error=str(exc),
+                    to=successor.name if successor is not None else None,
+                    error=str(crash),
                 )
-                continue
-            if not replica.in_sync:
-                # The respawned process just proved itself by serving
-                # from the published snapshot: caught up.
-                replica.in_sync = True
-                _journal.JOURNAL.record(
-                    _journal.REPLICA_CATCH_UP,
-                    shard=self.shard,
-                    replica=replica.name,
-                    via="segment-attach",
-                    epoch=self._epoch,
-                    table_version=getattr(
-                        self._compiled, "source_version", None
-                    ),
-                )
-            return reply
-        raise last_exc  # every replica crashed mid-request
+                # The session has already respawned the process.
+                self._catch_up(replica)
+            raise crash or WorkerCrashed(
+                f"shard {self.shard}: no in-sync replica"
+            )
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for replica in list(self._replicas.values()):
-            replica.session.close()
-        self.owner.close()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for replica in self._replicas.values():
+                replica.session.close()
+            self.owner.close()
 
     # -- group surface -------------------------------------------------
     @property
     def n(self) -> int:
         return len(self._replicas)
 
-    def in_sync_count(self) -> int:
-        return sum(
-            1
-            for r in self._replicas.values()
-            if r.in_sync and r.session.alive()
-        )
-
-    def record(self, kind: str, **payload: Any) -> LogEntry:
-        """Log one command the shard thread applied; it commits while
-        a quorum of replicas is in sync (the workers hold no state of
-        their own, so there is nothing further to fan out)."""
-        entry = self.log.append(kind, **payload)
-        if self.in_sync_count() >= self.quorum:
-            self.log.commit(entry.index)
-        return entry
-
-    def _recompute_quorum(self) -> int:
-        majority = self.n // 2 + 1
-        if self.config.quorum is not None:
-            return min(self.config.quorum, self.n)
-        return majority
+    @property
+    def quorum(self) -> int:
+        """The majority of the group's current size."""
+        return self.n // 2 + 1
 
     def status(self) -> ReplicaGroupStatus:
-        commit = self.log.commit_index
-        with self._lock:
-            items = list(self._replicas.values())
+        # Observing the group is enough to surface a silent death.  With
+        # no frame in flight the dead replica is revived here; otherwise
+        # its failover is journaled and the next frame revives it (a
+        # wedged frame holds the lock until its timeout, and health
+        # checks must answer meanwhile).
+        if self._lock.acquire(blocking=False):
+            try:
+                for r in list(self._replicas.values()):
+                    self._revive(r)
+            finally:
+                self._lock.release()
         replicas = []
-        for r in items:
-            # Observing the group is enough to surface a silent death:
-            # the failover is journaled here, not only when a serve
-            # happens to route into the dead process.
+        for r in list(self._replicas.values()):
             self._note_death(r)
-            in_sync = r.in_sync and r.session.alive()
             replicas.append(
                 ReplicaStatus(
                     name=r.name,
-                    applied_index=commit if in_sync else 0,
-                    in_sync=in_sync,
+                    in_sync=r.in_sync and r.session.alive(),
                     restarts=r.session.restarts,
                     pid=r.session.pid,
                 )
@@ -341,7 +316,6 @@ class ProcReplicaGroup:
             shard=self.shard,
             n=len(replicas),
             quorum=self.quorum,
-            commit_index=commit,
             replicas=replicas,
         )
 
@@ -349,8 +323,8 @@ class ProcReplicaGroup:
     def membership(
         self, op: str, replica: Optional[str] = None
     ) -> ReplicaGroupStatus:
-        """Add / remove / replace one replica process as a logged
-        command under a joint quorum."""
+        """Add / remove / replace one replica process under a joint
+        quorum (the old and the new majority, journaled together)."""
         with self._lock:
             old_quorum = self.quorum
             if op == "add":
@@ -367,7 +341,7 @@ class ProcReplicaGroup:
                     self.ctl.write_slot(
                         fresh.slot, self._epoch, self._segment
                     )
-                    self._catch_up(fresh)
+                self._catch_up(fresh)
             elif op == "remove":
                 record = self._replicas.get(replica or "")
                 if record is None:
@@ -388,32 +362,14 @@ class ProcReplicaGroup:
                         f"no replica named {replica!r}"
                     )
                 record.session.close()
-                record.session = WorkerSession(
-                    self.ctl,
-                    slot=record.slot,
-                    label=f"{self.shard}:{record.name}",
-                    start_method=self._start_method,
-                    on_incident=self._incident,
-                    request_timeout_s=self._timeout,
-                )
+                record.session = self._new_session(record.slot, record.name)
                 record.session.start()
-                record.in_sync = True
-                if self._segment is not None:
-                    self._catch_up(record)
+                self._catch_up(record)
             else:
                 raise ValueError(
                     f"unknown membership op {op!r}; expected add / "
                     f"remove / replace"
                 )
-            self.quorum = self._recompute_quorum()
-        self.record(
-            "membership",
-            op=op,
-            replica=replica,
-            n=self.n,
-            quorum=self.quorum,
-            joint_quorum=(old_quorum, self.quorum),
-        )
         _journal.JOURNAL.record(
             _journal.REPLICA_MEMBERSHIP,
             shard=self.shard,
@@ -425,20 +381,24 @@ class ProcReplicaGroup:
         )
         return self.status()
 
-    def _catch_up(self, replica: _ProcReplica) -> None:
-        """Force a fresh replica through snapshot catch-up now (probe
-        its fingerprint, which attaches the published segment)."""
-        fp = self._probe(replica)
-        if fp is None:
+    def _catch_up(self, replica: _ProcReplica, via: str = "snapshot") -> None:
+        """Probe a fresh or healed replica against the published tables
+        (the probe attaches the segment): in sync only on a match."""
+        if self._segment is None:
+            replica.in_sync = True  # nothing published to lag behind
             return
-        _journal.JOURNAL.record(
-            _journal.REPLICA_CATCH_UP,
-            shard=self.shard,
-            replica=replica.name,
-            via="snapshot",
-            epoch=self._epoch,
-            table_version=getattr(self._compiled, "source_version", None),
-        )
+        replica.in_sync = self._probe(replica) == self._fingerprint
+        if replica.in_sync:
+            _journal.JOURNAL.record(
+                _journal.REPLICA_CATCH_UP,
+                shard=self.shard,
+                replica=replica.name,
+                via=via,
+                epoch=self._epoch,
+                table_version=getattr(
+                    self._compiled, "source_version", None
+                ),
+            )
 
     # -- divergence ----------------------------------------------------
     def _probe(self, replica: _ProcReplica) -> Optional[int]:
@@ -459,50 +419,41 @@ class ProcReplicaGroup:
         record = self._replicas.get(replica)
         if record is None:
             raise MembershipError(f"no replica named {replica!r}")
-        return record.session.request(("corrupt", index))
+        with self._lock:
+            return record.session.request(("corrupt", index))
 
     def check_divergence(self, heal: bool = True) -> Dict[str, bool]:
         """Fingerprint every replica against the published tables;
         optionally heal mismatches by republishing (an epoch bump every
         worker must re-attach through).  Returns ``{replica: diverged}``
         (post-heal when healing)."""
-        expected = self._fingerprint
-        if expected is None:
-            return {}
-        report: Dict[str, bool] = {}
-        diverged: List[_ProcReplica] = []
-        for record in list(self._replicas.values()):
-            actual = self._probe(record)
-            mismatch = actual is not None and actual != expected
-            report[record.name] = mismatch
-            if not mismatch:
-                continue
-            diverged.append(record)
-            record.in_sync = False
-            _journal.JOURNAL.record(
-                _journal.REPLICA_DIVERGED,
-                shard=self.shard,
-                replica=record.name,
-                expected=expected,
-                actual=actual,
-            )
-        if heal and diverged and self._compiled is not None:
-            self.publish(self._compiled)
-            for record in diverged:
-                if self._probe(record) == self._fingerprint:
-                    record.in_sync = True
-                    report[record.name] = False
-                    _journal.JOURNAL.record(
-                        _journal.REPLICA_CATCH_UP,
-                        shard=self.shard,
-                        replica=record.name,
-                        via="republish",
-                        epoch=self._epoch,
-                        table_version=getattr(
-                            self._compiled, "source_version", None
-                        ),
-                    )
-        return report
+        with self._lock:
+            expected = self._fingerprint
+            if expected is None:
+                return {}
+            report: Dict[str, bool] = {}
+            diverged: List[_ProcReplica] = []
+            for record in list(self._replicas.values()):
+                actual = self._probe(record)
+                mismatch = actual is not None and actual != expected
+                report[record.name] = mismatch
+                if not mismatch:
+                    continue
+                diverged.append(record)
+                record.in_sync = False
+                _journal.JOURNAL.record(
+                    _journal.REPLICA_DIVERGED,
+                    shard=self.shard,
+                    replica=record.name,
+                    expected=expected,
+                    actual=actual,
+                )
+            if heal and diverged and self._compiled is not None:
+                self.publish(self._compiled)
+                for record in diverged:
+                    self._catch_up(record, via="republish")
+                    report[record.name] = not record.in_sync
+            return report
 
     def replica_pids(self) -> Dict[str, Optional[int]]:
         return {

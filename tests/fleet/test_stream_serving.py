@@ -248,6 +248,8 @@ class TestCoalescingAcrossSessions:
         # A blocked shard's datapath batches drain as one coalesced
         # 1-lane stream run; it must leave exactly what the netlist
         # stepping the same batches one by one leaves.
+        from repro import obs
+        from repro.obs import journal as _journal
         from repro.replica import ReplicaConfig
 
         machine = sequence_detector("1011")
@@ -256,23 +258,25 @@ class TestCoalescingAcrossSessions:
         # (a process shard always serves through table-shm).
         table_engine = "table" if mode == "thread" else "auto"
         # Replication is process-mode only: the process side runs a
-        # replica group of ``replicas`` workers and logs its runs.
+        # replica group of ``replicas`` workers.
         replication = ReplicaConfig(n=replicas) if mode == "process" else None
-        with make_fleet(
-            mode, machine, n_workers=1, engine=table_engine,
-            replication=replication,
-        ) as fleet:
-            table = _datapath_outcome(fleet, words)
-            if replication is not None:
-                # The table path coalesced: one committed run, one log
-                # entry, per drained run, covering every symbol.
-                group = fleet.shards[0].replica_group
-                serves = group.log.entries(kind="serve")
-                assert 0 < len(serves) < len(words)
-                assert sum(e.payload["cycles"] for e in serves) == sum(
-                    map(len, words)
-                )
-                assert group.log.commit_index == group.log.last_index
+        obs.configure(journal=True)
+        try:
+            with make_fleet(
+                mode, machine, n_workers=1, engine=table_engine,
+                replication=replication,
+            ) as fleet:
+                table = _datapath_outcome(fleet, words)
+            # The table path coalesced: one ``serve.batch`` event per
+            # committed run, together covering every symbol.
+            serves = list(_journal.JOURNAL.events(type=_journal.SERVE_BATCH))
+        finally:
+            obs.configure()
+        assert 0 < len(serves) < len(words)
+        assert sum(e.fields["batches"] for e in serves) == len(words)
+        assert sum(e.fields["symbols"] for e in serves) == sum(
+            map(len, words)
+        )
         with make_fleet("thread", machine, n_workers=1, engine="off") as fleet:
             cycle = _datapath_outcome(fleet, words)
         # Every batch extends the one datapath chain.

@@ -1,22 +1,17 @@
-"""The replicated shard log: indexes, commits, retention, fingerprints.
+"""Replica-group configuration, status and table fingerprints.
 
-The log is the paper's one-write-per-cycle discipline made explicit:
-every mutation a shard performs is one ordered command.  These tests
-pin the log's contract — monotonic indexes, a closed command
-vocabulary, monotonic quorum commits, bounded retention — and the
-table fingerprint that detects replica divergence.
+These tests pin the group's size and majority, how a status counts
+in-sync replicas against its quorum, and the table fingerprint that
+detects replica divergence.
 """
 
 import pytest
 
 from repro.engine.compiled import CompiledFSM
 from repro.replica import (
-    ENTRY_KINDS,
-    LogEntry,
     ReplicaConfig,
     ReplicaGroupStatus,
     ReplicaStatus,
-    ShardLog,
     fingerprint_tables,
     table_fingerprint,
 )
@@ -27,90 +22,23 @@ class TestReplicaConfig:
     def test_defaults_are_three_replicas_majority_quorum(self):
         config = ReplicaConfig()
         assert config.n == 3
-        assert config.quorum is None
         assert config.majority == 2
-        assert config.resolved_quorum() == 2
-
-    def test_explicit_quorum_wins(self):
-        assert ReplicaConfig(n=5, quorum=4).resolved_quorum() == 4
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_replica_count_must_be_positive(self, n):
         with pytest.raises(ValueError):
             ReplicaConfig(n=n)
 
-    @pytest.mark.parametrize("quorum", [0, 4])
-    def test_quorum_must_fit_the_group(self, quorum):
-        with pytest.raises(ValueError):
-            ReplicaConfig(n=3, quorum=quorum)
-
-
-class TestShardLog:
-    def test_indexes_are_monotonic_from_one(self):
-        log = ShardLog("0")
-        entries = [log.append("serve", cycles=i) for i in range(5)]
-        assert [e.index for e in entries] == [1, 2, 3, 4, 5]
-        assert log.last_index == 5
-        assert log.next_index == 6
-
-    def test_kind_vocabulary_is_closed(self):
-        log = ShardLog("0")
-        with pytest.raises(ValueError, match="unknown log entry kind"):
-            log.append("reboot")
-        assert ENTRY_KINDS == {
-            "serve", "ram_write", "erase", "retarget", "membership",
-        }
-
-    def test_entries_are_immutable(self):
-        entry = ShardLog("0").append("serve", cycles=4)
-        with pytest.raises(AttributeError):
-            entry.index = 99
-        assert entry.to_dict() == {
-            "index": 1, "kind": "serve", "payload": {"cycles": 4},
-        }
-
-    def test_commit_is_monotonic(self):
-        log = ShardLog("0")
-        for _ in range(3):
-            log.append("serve")
-        assert log.commit(2) == 2
-        # A stale commit can never move the index backwards.
-        assert log.commit(1) == 2
-        assert log.commit_index == 2
-
-    def test_entries_filter_by_index_and_kind(self):
-        log = ShardLog("0")
-        log.append("serve")
-        log.append("ram_write")
-        log.append("serve")
-        assert [e.index for e in log.entries(since_index=1)] == [2, 3]
-        assert [e.kind for e in log.entries(kind="serve")] == [
-            "serve", "serve",
-        ]
-
-    def test_retention_bounds_the_ring(self):
-        log = ShardLog("0", retention=3)
-        for _ in range(5):
-            log.append("serve")
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert log.oldest_index == 3
-
-    def test_empty_log_has_no_oldest_entry(self):
-        log = ShardLog("0")
-        assert log.oldest_index == 0
-        assert log.last_index == 0
-
 
 class TestGroupStatus:
     def _status(self, **over):
         replicas = over.pop("replicas", [
-            ReplicaStatus("r0", applied_index=7, in_sync=True),
-            ReplicaStatus("r1", applied_index=5, in_sync=True),
-            ReplicaStatus("r2", applied_index=0, in_sync=False),
+            ReplicaStatus("r0", in_sync=True),
+            ReplicaStatus("r1", in_sync=True),
+            ReplicaStatus("r2", in_sync=False),
         ])
         return ReplicaGroupStatus(
-            shard="0", n=3, quorum=2, commit_index=7, replicas=replicas,
+            shard="0", n=3, quorum=2, replicas=replicas,
             **over,
         )
 
@@ -121,9 +49,9 @@ class TestGroupStatus:
 
     def test_quorum_lost_when_too_few_in_sync(self):
         status = self._status(replicas=[
-            ReplicaStatus("r0", applied_index=7, in_sync=True),
-            ReplicaStatus("r1", applied_index=0, in_sync=False),
-            ReplicaStatus("r2", applied_index=0, in_sync=False),
+            ReplicaStatus("r0", in_sync=True),
+            ReplicaStatus("r1", in_sync=False),
+            ReplicaStatus("r2", in_sync=False),
         ])
         assert not status.quorum_ok
 

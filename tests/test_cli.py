@@ -7,6 +7,15 @@ from repro.io.kiss import dump, loads
 from repro.workloads.library import fig6_m, fig6_m_prime, ones_detector
 
 
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    """Run every command with the backend pin and kill switches unset;
+    a test that needs one sets it itself."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
+    monkeypatch.delenv("REPRO_DISABLE_SHM", raising=False)
+
+
 @pytest.fixture
 def kiss_files(tmp_path):
     src = str(tmp_path / "m.kiss")
@@ -259,12 +268,6 @@ class TestFleet:
 
 
 class TestBackends:
-    @pytest.fixture(autouse=True)
-    def clean_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
-        monkeypatch.delenv("REPRO_DISABLE_SHM", raising=False)
-
     def test_lists_the_three_backends_with_availability(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
