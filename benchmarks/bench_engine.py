@@ -166,6 +166,12 @@ def replay_row() -> dict:
     ``setup_ms_per_hop``.  Figures are medians over the repeats (after
     one untimed warm-up), on the thread-CPU clock with the wall clock
     beside it.
+
+    ``plan_ms_per_hop`` is the thread-CPU median of one cold
+    ``PlanCache.chunks`` call (a fresh cache per repeat, every hop
+    timed on its own): the plan each hop's migrator runs, built and
+    replay-checked once.  The machines keep their memoised
+    fingerprints across repeats, as a fleet's machines do across hops.
     """
     chain = [random_fsm(n_states=12, n_inputs=2, n_outputs=4, seed=7)]
     for hop in range(1, REPLAY_HOPS + 1):
@@ -173,11 +179,20 @@ def replay_row() -> dict:
             mutate_target(chain[-1], REPLAY_DELTAS, seed=100 + hop,
                           name=f"m{hop}")
         )
+    pairs = list(zip(chain, chain[1:]))
     cache = PlanCache(opt_level="O2")
     hops = [
         (source, target, cache.chunks(source, target))
-        for source, target in zip(chain, chain[1:])
+        for source, target in pairs
     ]
+    plan_ms = []
+    for repeat in range(REPLAY_REPEATS + 1):
+        cold = PlanCache(opt_level="O2")
+        for source, target in pairs:
+            started = time.thread_time()
+            cold.chunks(source, target)
+            if repeat:
+                plan_ms.append((time.thread_time() - started) * 1e3)
     cpu_rates, wall_rates, setup_ms = [], [], []
     for repeat in range(REPLAY_REPEATS + 1):
         hw = HardwareFSM(chain[0], trace_max_entries=REPLAY_TRACE_ENTRIES)
@@ -208,6 +223,7 @@ def replay_row() -> dict:
         "wall_cycles_per_s": statistics.median(wall_rates),
         "us_per_cycle": 1e6 / statistics.median(cpu_rates),
         "setup_ms_per_hop": statistics.median(setup_ms),
+        "plan_ms_per_hop": statistics.median(plan_ms),
     }
 
 
@@ -496,7 +512,8 @@ def main() -> int:
     print(
         f"  replay    : {replay['cycles_per_s']:12,.0f} cycles/s "
         f"({replay['us_per_cycle']:.2f} us/cycle thread-CPU, "
-        f"{replay['hops']} hops, setup "
+        f"{replay['hops']} hops, plan "
+        f"{replay['plan_ms_per_hop']:.2f} ms/hop, setup "
         f"{replay['setup_ms_per_hop']:.2f} ms/hop)"
     )
     for name, row in backends.items():

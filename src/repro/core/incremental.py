@@ -32,12 +32,20 @@ leads out of ``S0'`` into a new state the home entry is repaired to its
 The price of bounded stalls is roughly ``6·|T_d|`` cycles
 total versus JSR's ``3·(|T_d|+1)`` — quantified by the
 ``benchmarks/test_incremental.py`` harness.
+
+A plan is checked by one symbolic replay of its concatenation
+(:func:`check_plan`), which seals it as an immutable :class:`ChunkPlan`
+for the pair's fingerprints.  :class:`IncrementalMigrator` runs such a
+plan without replaying it again when the pair matches its own, and
+replays anything else before its first chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .builder import ProgramBuilder
 from .delta import delta_transitions
@@ -85,6 +93,52 @@ def home_repair(source: FSM, target: FSM, i0: Input) -> Transition:
     return Transition(i0, s0, next_state, output)
 
 
+def migration_deltas(
+    source: FSM, target: FSM, i0: Optional[Input] = None
+) -> List[Transition]:
+    """The deltas in the order :func:`incremental_chunks` migrates them:
+    Def. 4.2's canonical order, except that a home delta the repair
+    cannot migrate early (see :func:`home_repair`) moves to the end."""
+    if i0 is None:
+        i0 = home_input(source, target)
+    elif i0 not in target.inputs:
+        raise ValueError(f"i0 = {i0!r} is not an input symbol of the target")
+    s0 = target.reset_state
+    home = Transition(
+        i0, s0, target.next_state(i0, s0), target.output(i0, s0)
+    )
+    deltas = delta_transitions(source, target)
+    if home_repair(source, target, i0) != home:
+        deltas = [d for d in deltas if d != home] + [
+            d for d in deltas if d == home
+        ]
+    return deltas
+
+
+def _phase(source: FSM, target: FSM) -> Callable[[Optional[Transition]], int]:
+    """The traffic-safety phase of a delta's chunk (see :func:`order_chunks`)."""
+    old_states = frozenset(source.states)
+    s0 = target.reset_state
+
+    def phase(delta: Optional[Transition]) -> int:
+        if delta is None or delta.source in old_states:
+            return 2
+        return 0 if delta.source == s0 else 1
+
+    return phase
+
+
+def live_deltas(
+    source: FSM, target: FSM, i0: Optional[Input] = None
+) -> List[Transition]:
+    """The deltas in the order a traffic-ordered live plan migrates them:
+    :func:`migration_deltas` in :func:`order_chunks`' phases, the order
+    ``order_chunks(incremental_chunks(...))`` runs its chunks in."""
+    return sorted(
+        migration_deltas(source, target, i0), key=_phase(source, target)
+    )
+
+
 def incremental_chunks(
     source: FSM, target: FSM, i0: Optional[Input] = None
 ) -> List[Chunk]:
@@ -97,16 +151,14 @@ def incremental_chunks(
     simply migrated early, except when that value leads into a state
     only the target has — then the home delta is the last chunk.
     """
+    deltas = migration_deltas(source, target, i0)
     if i0 is None:
         i0 = home_input(source, target)
-    elif i0 not in target.inputs:
-        raise ValueError(f"i0 = {i0!r} is not an input symbol of the target")
     s0 = target.reset_state
     home = Transition(
         i0, s0, target.next_state(i0, s0), target.output(i0, s0)
     )
     repair = home_repair(source, target, i0)
-    deferred: Optional[Transition] = None
 
     # One shared builder emits the whole chunk sequence in order — every
     # step is physically validated at emission — and chunk boundaries are
@@ -120,19 +172,13 @@ def incremental_chunks(
         chunks.append(Chunk(steps=builder.steps[mark:], delta=delta))
         mark = len(builder)
 
-    def write_home(delta: Transition) -> None:
-        # Migrating the home entry is a 3-cycle chunk of its own.
-        builder.reset()
-        builder.write_delta(home)
-        builder.reset()
-        cut(delta)
-
-    for delta in delta_transitions(source, target):
+    for delta in deltas:
         if delta.entry == home.entry:
-            if repair != home:
-                deferred = delta
-            else:
-                write_home(delta)
+            # Migrating the home entry is a 3-cycle chunk of its own.
+            builder.reset()
+            builder.write_delta(home)
+            builder.reset()
+            cut(delta)
             continue
         jump = Transition(i0, s0, delta.source, target.output(i0, s0))
         builder.reset()
@@ -142,23 +188,35 @@ def incremental_chunks(
         builder.write_repair(repair)
         builder.reset()
         cut(delta)
-    if deferred is not None:
-        write_home(deferred)
-    if not any(c.delta and c.delta.entry == home.entry for c in chunks):
-        # The home entry was not a delta, but the repair writes may have
-        # pre-dated any chunk; ensure at least one final chunk exists to
-        # leave the entry at its (identical) target value.  When there
-        # are no deltas at all the migration is a single trivial chunk.
-        if not chunks:
-            builder.reset()
-            builder.write_repair(home)
-            builder.reset()
-            cut(None)
+    if not chunks:
+        # No deltas at all: the migration is a single trivial chunk that
+        # leaves the home entry at its (identical) target value.
+        builder.reset()
+        builder.write_repair(home)
+        builder.reset()
+        cut(None)
     return chunks
 
 
+def order_chunks(chunks: Sequence[Chunk], source: FSM, target: FSM) -> List[Chunk]:
+    """Reorder safe chunks so live traffic never strands mid-growth.
+
+    Each chunk is position-independent (it starts with a reset and
+    restores the blend invariant), so any permutation still migrates
+    correctly.  Order *does* matter for traffic running between chunks:
+    a delta edge from an old state into a brand-new state must not go
+    live before the new state's own rows exist, or the next symbol reads
+    an unconfigured word.  Phase 0 therefore writes every row *of* a
+    target-only state; phase 1 writes the rest (including the edges
+    *into* new states).  Within phase 0 the target reset state's rows
+    come first — every chunk parks the machine there.
+    """
+    phase = _phase(source, target)
+    return sorted(chunks, key=lambda chunk: phase(chunk.delta))
+
+
 def chunks_to_program(
-    chunks: List[Chunk], source: FSM, target: FSM
+    chunks: Sequence[Chunk], source: FSM, target: FSM
 ) -> Program:
     """Concatenate chunks into one replayable program (for validation)."""
     steps: List[Step] = []
@@ -193,6 +251,70 @@ def is_blend(
     return True
 
 
+def blend_after_writes(
+    table: Dict[Tuple[Input, State], Optional[Tuple[State, object]]],
+    written: Iterable[Tuple[Input, State]],
+    source_table: Mapping,
+    target_table: Mapping,
+) -> bool:
+    """:func:`is_blend` of ``table``, checked on the ``written`` entries
+    only.
+
+    Agrees with :func:`is_blend` whenever ``table`` was a blend before
+    those entries were written: no other entry changed.
+    ``source_table`` and ``target_table`` are the machines' tables, read
+    once per plan (:attr:`FSM.table` copies the dict on every access).
+    """
+    for key in written:
+        value = table[key]
+        if value != source_table.get(key) and value != target_table.get(key):
+            return False
+    return True
+
+
+class ChunkPlan(tuple):
+    """An immutable chunk plan, replay-checked once as a whole migration.
+
+    :attr:`pair` holds the ``(source, target)``
+    :func:`~repro.core.plan.fsm_fingerprint` pair the replay ran for;
+    only :func:`check_plan` sets it.  A plan built any other way
+    (``ChunkPlan(chunks)``, a slice, a list) has no pair, so every
+    :class:`IncrementalMigrator` it reaches replays it again.
+    """
+
+    pair: Optional[Tuple[str, str]] = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a chunk plan is immutable")
+
+    def checked_for(self, source: FSM, target: FSM) -> bool:
+        """Whether the plan was replay-checked for exactly this pair."""
+        from .plan import fsm_fingerprint  # plan -> passes -> this module
+
+        return self.pair is not None and self.pair == (
+            fsm_fingerprint(source), fsm_fingerprint(target)
+        )
+
+
+def check_plan(
+    chunks: Sequence[Chunk], source: FSM, target: FSM
+) -> Optional[ChunkPlan]:
+    """Replay ``chunks`` once as one migration ``source`` → ``target``.
+
+    Returns them as a :class:`ChunkPlan` sealed with the pair's
+    fingerprints, or ``None`` when the concatenation does not migrate.
+    """
+    from .plan import fsm_fingerprint  # plan -> passes -> this module
+
+    if not chunks_to_program(chunks, source, target).is_valid():
+        return None
+    plan = ChunkPlan(chunks)
+    object.__setattr__(
+        plan, "pair", (fsm_fingerprint(source), fsm_fingerprint(target))
+    )
+    return plan
+
+
 @dataclass
 class MigrationProgress:
     """Progress of an incremental migration on live hardware."""
@@ -219,21 +341,23 @@ class IncrementalMigrator:
 
     def __init__(self, hardware, source: FSM, target: FSM,
                  i0: Optional[Input] = None,
-                 chunks: Optional[List[Chunk]] = None):
+                 chunks: Optional[Sequence[Chunk]] = None):
         self.hardware = hardware
         self.source = source
         self.target = target
         # Precomputed chunks (e.g. from a plan cache, possibly reordered
-        # for traffic safety) are accepted but still validated below —
-        # an unsound reordering or stale cache entry fails fast here.
-        self.chunks = (
-            list(chunks) if chunks is not None
-            else incremental_chunks(source, target, i0=i0)
-        )
-        self.progress = MigrationProgress(chunks_total=len(self.chunks))
-        self._validated = chunks_to_program(self.chunks, source, target)
-        if not self._validated.is_valid():
+        # for traffic safety) are replayed here unless they are a
+        # ChunkPlan checked for exactly this pair: an unsound reordering,
+        # an edited plan or a stale cache entry fails fast.  Either way
+        # the caller still verifies the datapath after the last chunk.
+        if chunks is None:
+            chunks = incremental_chunks(source, target, i0=i0)
+        self.chunks = list(chunks)
+        if not (
+            isinstance(chunks, ChunkPlan) and chunks.checked_for(source, target)
+        ) and not chunks_to_program(self.chunks, source, target).is_valid():
             raise RuntimeError("chunk concatenation failed validation")
+        self.progress = MigrationProgress(chunks_total=len(self.chunks))
         self.hardware.retarget_reset(target.reset_state)
 
     @property

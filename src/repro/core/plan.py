@@ -54,7 +54,13 @@ def fsm_fingerprint(fsm: FSM) -> str:
     ignored, so a renamed copy hits the same cache entry.  The digest is
     content-addressed (SHA-256 over a canonical serialisation), stable
     across processes, and short enough to use as a metric label.
+
+    Memoised on the machine: an :class:`FSM` is immutable apart from
+    its name, which the fingerprint ignores.
     """
+    cached = fsm.__dict__.get("_fingerprint")
+    if cached is not None:
+        return cached
     payload = repr((
         sorted(repr(i) for i in fsm.inputs),
         sorted(repr(o) for o in fsm.outputs),
@@ -62,7 +68,8 @@ def fsm_fingerprint(fsm: FSM) -> str:
         repr(fsm.reset_state),
         sorted((repr(k), repr(v)) for k, v in fsm.table.items()),
     ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    fsm._fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return fsm._fingerprint
 
 
 def make_synthesiser(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.fsm import FSM
 from ..core.incremental import Chunk
@@ -144,7 +144,7 @@ class MigrationScheduler:
         return self._analyse_chunks(chunks, self.fleet.machine, target)
 
     def _analyse_chunks(
-        self, chunks: List[Chunk], source: FSM, target: FSM
+        self, chunks: Sequence[Chunk], source: FSM, target: FSM
     ) -> PlanAnalysis:
         new_states = set(target.states) - set(source.states)
         priming = 0
@@ -205,7 +205,7 @@ class MigrationScheduler:
                 job = shard.begin_migration(
                     MigrationJob(
                         target=target,
-                        chunks=list(chunks),
+                        chunks=chunks,
                         stall_budget=self.stall_budget,
                     )
                 )

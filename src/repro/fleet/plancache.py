@@ -8,7 +8,12 @@ of a migration by orders of magnitude).  :class:`PlanCache` layers on
 :class:`~repro.core.plan.MigrationGraph` uses — and adds a second cache
 for the *incremental* form of a plan: the safe chunk list
 (:func:`repro.core.incremental.incremental_chunks`) reordered so live
-traffic never crosses an unconfigured row (see :func:`order_chunks`).
+traffic never crosses an unconfigured row (see :func:`order_chunks`),
+at ``-O2`` rewritten in one pass from the phase-ordered deltas
+(:func:`repro.core.passes.chunks.rewrite_deltas`).  The cache replays
+each chunk plan once, where it is built, and hands out an immutable
+:class:`~repro.core.incremental.ChunkPlan` sealed with the pair's
+fingerprints; shards run it without replaying it again.
 
 Keys are structural fingerprints (:func:`repro.core.plan.fsm_fingerprint`),
 so renamed-but-identical machines share entries, and both caches
@@ -19,12 +24,19 @@ block on the shared future.  Both keep only the most recently used
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from ..core.ea import EAConfig
 from ..core.fsm import FSM, Input
-from ..core.incremental import Chunk, incremental_chunks
+from ..core.incremental import (
+    ChunkPlan,
+    check_plan,
+    incremental_chunks,
+    live_deltas,
+    order_chunks,
+)
 from ..core.passes import OptLevel, normalise_level, optimise_chunks
+from ..core.passes.chunks import rewrite_deltas
 from ..core.plan import (
     FutureMemo,
     SynthesisCache,
@@ -33,29 +45,8 @@ from ..core.plan import (
 )
 from ..core.program import Program
 
-
-def order_chunks(chunks: Sequence[Chunk], source: FSM, target: FSM) -> List[Chunk]:
-    """Reorder safe chunks so live traffic never strands mid-growth.
-
-    Each chunk is position-independent (it starts with a reset and
-    restores the blend invariant), so any permutation still migrates
-    correctly.  Order *does* matter for traffic running between chunks:
-    a delta edge from an old state into a brand-new state must not go
-    live before the new state's own rows exist, or the next symbol reads
-    an unconfigured word.  Phase 0 therefore writes every row *of* a
-    target-only state; phase 1 writes the rest (including the edges
-    *into* new states).  Within phase 0 the target reset state's rows
-    come first — every chunk parks the machine there.
-    """
-    new_states = set(target.states) - set(source.states)
-    s0 = target.reset_state
-
-    def phase(chunk: Chunk) -> int:
-        if chunk.delta is None or chunk.delta.source not in new_states:
-            return 2
-        return 0 if chunk.delta.source == s0 else 1
-
-    return sorted(chunks, key=phase)
+# The chunk planners stay importable from here, where profilers wrap them.
+__all__ = ["PlanCache", "incremental_chunks", "optimise_chunks", "order_chunks"]
 
 
 class PlanCache:
@@ -73,7 +64,7 @@ class PlanCache:
         Pass-pipeline level applied to every plan the cache hands out:
         monolithic programs run through the standard
         :class:`~repro.core.passes.PassPipeline` and chunk plans through
-        the traffic-safe :func:`~repro.core.passes.optimise_chunks`.
+        the traffic-safe chunk rewrite of :mod:`repro.core.passes.chunks`.
         Part of both cache keys, so mixed-level fleets never share a
         plan across levels.
     """
@@ -97,13 +88,19 @@ class PlanCache:
 
     def chunks(
         self, source: FSM, target: FSM, i0: Optional[Input] = None
-    ) -> List[Chunk]:
+    ) -> ChunkPlan:
         """Safe, traffic-ordered chunks for a gradual (live) migration.
 
         Memoised per fingerprint pair (and home input ``i0``); chunk
         synthesis is pure table work — cheap next to an EA run, but a
         fleet re-plans the same pair once per shard, so sharing still
         pays, and it keeps every worker on the *identical* plan.
+
+        This is where a live plan is built and replay-checked, once: the
+        result is a :class:`~repro.core.incremental.ChunkPlan` sealed
+        with the pair's fingerprints, which every shard's
+        :class:`~repro.core.incremental.IncrementalMigrator` runs
+        without replaying it again.
         """
         key = (
             fsm_fingerprint(source),
@@ -112,17 +109,26 @@ class PlanCache:
             self.opt_level,
         )
 
-        def plan() -> List[Chunk]:
+        def plan() -> ChunkPlan:
+            if self.opt_level == "O2":
+                # One pass from the phase-ordered deltas; the rewrite's
+                # closing replay is the plan's check.  The rewrite threads
+                # the planned blend table through the chunks in execution
+                # order, so the order it sees is the order workers run.
+                checked = rewrite_deltas(
+                    live_deltas(source, target, i0), source, target, i0=i0
+                )
+                if checked is not None:
+                    return checked
+            # -O0, or the rewrite's gate refused: the unoptimised chunks,
+            # replayed once here.
             ordered = order_chunks(
                 incremental_chunks(source, target, i0=i0), source, target
             )
-            # Optimization runs *after* ordering: the chunk optimizer
-            # threads the planned blend table through the chunks in
-            # execution order, so the order it sees must be the order
-            # the workers will run.
-            return optimise_chunks(
-                ordered, source, target, i0=i0, level=self.opt_level
-            )
+            checked = check_plan(ordered, source, target)
+            if checked is None:
+                raise RuntimeError("chunk concatenation failed validation")
+            return checked
 
         return self._chunks.get(key, plan)
 

@@ -132,7 +132,11 @@ class MigrationJob:
     """One shard's share of a rolling migration."""
 
     target: FSM
-    chunks: List[Chunk]
+    #: The shard's chunk plan: the plan cache's checked
+    #: :class:`~repro.core.incremental.ChunkPlan`, shared by every
+    #: shard and run without a second replay, or any chunk list, which
+    #: the shard's migrator replays before its first chunk.
+    chunks: Sequence[Chunk]
     stall_budget: int
     done: threading.Event = field(default_factory=threading.Event)
     verified: Optional[bool] = None

@@ -122,10 +122,19 @@ class WorkerSession:
         return proc is not None and proc.is_alive()
 
     def start(self) -> None:
-        """Spawn the worker process (idempotent while alive)."""
+        """Spawn the worker process (idempotent while alive).
+
+        A process that died since it was spawned is reaped and counted
+        as a crash first, as :meth:`request` would count it.
+        """
         with self._lock, _SPAWN_LOCK:
             if self.alive():
                 return
+            if self._proc is not None:
+                self._reap(WorkerCrashed(
+                    f"worker process of shard {self.label} died between "
+                    "requests"
+                ))
             parent_conn, child_conn = self._mp.Pipe(duplex=True)
             # A fresh ring per spawn: positions restart at zero on both
             # sides, so a respawned worker can never observe a stamp
@@ -261,6 +270,14 @@ class WorkerSession:
         return reply
 
     def _handle_crash(self, exc: BaseException) -> None:
+        self._reap(exc)
+        if not self._closed:
+            self.start()  # reseed: a fresh stateless process
+
+    def _reap(self, exc: BaseException) -> None:
+        """Put down and count a dead or wedged worker: close its pipe end
+        and ring, join the process, journal one crash, report the
+        incident."""
         proc, self._proc = self._proc, None
         conn, self._conn = self._conn, None
         ring, self._ring = self._ring, None
@@ -282,8 +299,6 @@ class WorkerSession:
         )
         if self.on_incident is not None:
             self.on_incident(exc)
-        if not self._closed:
-            self.start()  # reseed: a fresh stateless process
 
     # -- teardown -------------------------------------------------------
     def close(self) -> None:

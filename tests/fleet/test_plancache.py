@@ -2,11 +2,20 @@
 
 import threading
 
+import pytest
+
 from repro.core.fsm import FSM
-from repro.core.incremental import chunks_to_program, incremental_chunks
+from repro.core.incremental import (
+    ChunkPlan,
+    IncrementalMigrator,
+    chunks_to_program,
+    incremental_chunks,
+)
 from repro.core.jsr import jsr_program
-from repro.core.plan import MEMO_ENTRIES
-from repro.fleet import PlanCache, order_chunks
+from repro.core.plan import MEMO_ENTRIES, fsm_fingerprint
+from repro.core.program import Program, reset_step
+from repro.fleet import FSMFleet, PlanCache, order_chunks
+from repro.hw.machine import HardwareFSM
 from repro.workloads.library import ones_detector, zeros_detector
 from repro.workloads.mutate import grow_target, mutate_target
 from repro.workloads.random_fsm import random_fsm
@@ -305,3 +314,124 @@ class TestBound:
         assert cache.cache_info()["chunks"]["misses"] == misses + 1
         assert cache.program(a, b) is cache.program(a, b)
         assert synth.calls == 1
+
+
+class ReplayCounter:
+    """Counts :meth:`Program.replay` calls (every plan check is one)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = Program.replay
+
+        def replay(program, *args, **kwargs):
+            self.calls += 1
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(Program, "replay", replay)
+
+
+def growth_pair():
+    source = random_fsm(n_states=5, seed=3)
+    return source, grow_target(source, 2, seed=3)
+
+
+class TestCheckedPlans:
+    """The cache replays a plan once; a migrator skips its own replay
+    only for a checked plan of exactly its pair."""
+
+    def test_cache_hands_out_an_immutable_checked_plan(self):
+        source, target = growth_pair()
+        plan = PlanCache(opt_level="O2").chunks(source, target)
+        assert isinstance(plan, ChunkPlan)
+        assert plan.pair == (fsm_fingerprint(source), fsm_fingerprint(target))
+        assert plan.checked_for(renamed(source), renamed(target))
+        with pytest.raises(AttributeError):
+            plan.pair = ("a", "b")
+
+    @pytest.mark.parametrize("level", ["O0", "O2"])
+    def test_one_replay_per_plan(self, monkeypatch, level):
+        source, target = growth_pair()
+        counter = ReplayCounter(monkeypatch)
+        cache = PlanCache(opt_level=level)
+        plan = cache.chunks(source, target)
+        assert counter.calls == 1
+        for _ in range(2):
+            hw = HardwareFSM.for_migration(source, target)
+            IncrementalMigrator(hw, source, target, chunks=plan)
+        assert cache.chunks(source, target) is plan
+        assert counter.calls == 1
+
+    def test_plan_for_another_pair_is_replayed_and_rejected(
+        self, monkeypatch
+    ):
+        source, target = growth_pair()
+        plan = PlanCache().chunks(source, target)
+        other = mutate_target(target, 2, seed=9)
+        counter = ReplayCounter(monkeypatch)
+        for pair in ((source, other), (other, target)):
+            hw = HardwareFSM.for_migration(*pair)
+            with pytest.raises(RuntimeError, match="failed validation"):
+                IncrementalMigrator(hw, *pair, chunks=plan)
+        assert counter.calls == 2
+
+    def test_edited_plan_is_replayed_and_rejected(self, monkeypatch):
+        source, target = growth_pair()
+        plan = PlanCache().chunks(source, target)
+        edited = ChunkPlan(plan[:-1])  # the last delta is never written
+        assert not edited.checked_for(source, target)
+        counter = ReplayCounter(monkeypatch)
+        hw = HardwareFSM.for_migration(source, target)
+        with pytest.raises(RuntimeError, match="failed validation"):
+            IncrementalMigrator(hw, source, target, chunks=edited)
+        assert counter.calls == 1
+
+    def test_plain_list_is_replayed(self, monkeypatch):
+        source, target = growth_pair()
+        chunks = list(PlanCache().chunks(source, target))
+        counter = ReplayCounter(monkeypatch)
+        hw = HardwareFSM.for_migration(source, target)
+        migrator = IncrementalMigrator(hw, source, target, chunks=chunks)
+        assert counter.calls == 1
+        while not migrator.done:
+            migrator.stall(6)
+        assert hw.realises(target)
+
+    def test_gate_rejection_ships_checked_originals(self, monkeypatch):
+        from repro.core.passes import chunks as chunk_passes
+
+        source, target = growth_pair()
+        # A rewrite that drops every delta write keeps the blend but
+        # cannot migrate: the closing replay rejects it.
+        monkeypatch.setattr(
+            chunk_passes, "_optimise_chunk",
+            lambda *args: ([reset_step()], []),
+        )
+        counter = ReplayCounter(monkeypatch)
+        plan = PlanCache(opt_level="O2").chunks(source, target)
+        assert counter.calls == 2  # the rejected rewrite, then the originals
+        originals = order_chunks(
+            incremental_chunks(source, target), source, target
+        )
+        assert list(plan) == originals
+        assert plan.checked_for(source, target)
+        hw = HardwareFSM.for_migration(source, target)
+        migrator = IncrementalMigrator(hw, source, target, chunks=plan)
+        assert counter.calls == 2
+        while not migrator.done:
+            migrator.stall(6)
+        assert hw.realises(target)
+
+    @pytest.mark.parametrize("level", ["O0", "O2"])
+    def test_one_replay_per_rollout(self, monkeypatch, level):
+        source = random_fsm(n_states=6, seed=5)
+        target = mutate_target(source, 4, seed=5)
+        fleet = FSMFleet(source, n_workers=2, family=[target],
+                         opt_level=level)
+        try:
+            counter = ReplayCounter(monkeypatch)
+            report = fleet.migrate(target)
+            assert report.verified and report.zero_downtime
+            assert len(report.shards) == 2
+            assert counter.calls == 1
+        finally:
+            fleet.close()

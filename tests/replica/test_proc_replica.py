@@ -28,6 +28,7 @@ from repro.obs.journal import (
     FLEET_QUARANTINE,
     JOURNAL,
     MIGRATION_SHARD_COMMIT,
+    PROCFLEET_WORKER_CRASH,
     REPLICA_CATCH_UP,
     REPLICA_DIVERGED,
     REPLICA_FAILOVER,
@@ -177,6 +178,30 @@ class TestProcessGroupServing:
         )
         # The respawn is a fresh process.
         assert fleet.replica_pids()[0]["r1"] != victim
+
+
+    def test_revived_standby_is_counted_as_a_crash(self, fleet):
+        group = fleet.shards[0].replica_group
+        standby = group._replicas["r1"].session
+        old_conn = standby._conn
+        victim = standby.pid
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while standby.alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not standby.alive()
+        with group._lock:
+            group._revive(group._replicas["r1"])
+        assert standby.restarts == 1
+        crashes = [
+            e for e in JOURNAL.events(type=PROCFLEET_WORKER_CRASH)
+            if e.shard == standby.label
+        ]
+        assert len(crashes) == 1
+        assert crashes[0].fields["pid"] == victim
+        assert old_conn.closed
+        assert standby.alive() and standby.pid != victim
+        assert group.status().in_sync == 3
 
 
 class TestHotSpares:
